@@ -42,8 +42,11 @@ __all__ = [
     "read_omori_tsv",
 ]
 
-# Cells (events x lags) processed per accumulation chunk.  Fixed so
-# that per-lag sums are accumulated in a reproducible order.
+# Cells (events x lags) processed per accumulation chunk.  The chunk
+# size fixes the floating-point summation order of every per-lag sum:
+# each chunk's rows are added in event order, then the chunk total is
+# added to the running sum.  Changing it, or summing along the lag axis
+# instead, changes the output bytes.
 _CHUNK_CELLS = 2_000_000
 
 PROFILE_COLUMNS = ("t", "v_minus", "v_plus", "V_minus", "V_plus", "count_minus", "count_plus")
@@ -174,28 +177,34 @@ def _conditional_sums(
 
     ``indices`` may contain repeats in any order (bootstrap replicas
     resample events with replacement); each occurrence contributes
-    independently.  Chunked so memory stays bounded and the
-    accumulation order is fixed.
+    independently.
+
+    ``values`` is padded with ``max_lag`` zeros on each side, so the
+    sliding window of width ``2*max_lag + 1`` starting at padded
+    position ``e`` holds ``values[e - max_lag .. e + max_lag]``, with
+    ``0.0`` wherever that range leaves the series.  The windows of all
+    events are summed into one accumulator whose centre is lag 0 of
+    both sides, read backwards for ``-`` and forwards for ``+``.  The
+    gather runs in chunks of events, so memory stays bounded and every
+    lag adds the events in the order ``indices`` lists them (see
+    ``_CHUNK_CELLS``).
+
+    The counts need no gather: ``e + lag`` is in bounds for the events
+    below ``n - lag`` and ``e - lag`` for those at or above ``lag``.
     """
     n = values.size
-    n_lags = max_lag + 1
-    lags = np.arange(n_lags, dtype=np.int64)
-    sums_m = np.zeros(n_lags)
-    sums_p = np.zeros(n_lags)
-    cnts_m = np.zeros(n_lags, dtype=np.int64)
-    cnts_p = np.zeros(n_lags, dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // n_lags)
+    lags = np.arange(max_lag + 1, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(values, max_lag), 2 * max_lag + 1
+    )
+    acc = np.zeros(2 * max_lag + 1)
+    chunk = max(1, _CHUNK_CELLS // (max_lag + 1))
     for lo in range(0, indices.size, chunk):
-        e = indices[lo : lo + chunk, None]
-        after = e + lags
-        ok = after < n
-        sums_p += np.where(ok, values[np.where(ok, after, 0)], 0.0).sum(axis=0)
-        cnts_p += ok.sum(axis=0)
-        before = e - lags
-        ok = before >= 0
-        sums_m += np.where(ok, values[np.where(ok, before, 0)], 0.0).sum(axis=0)
-        cnts_m += ok.sum(axis=0)
-    return sums_m, cnts_m, sums_p, cnts_p
+        acc += windows[indices[lo : lo + chunk]].sum(axis=0)
+    ordered = np.sort(indices)
+    cnts_p = np.searchsorted(ordered, n - lags)
+    cnts_m = indices.size - np.searchsorted(ordered, lags)
+    return acc[max_lag::-1], cnts_m, acc[max_lag:], cnts_p
 
 
 def _profile_from_indices(

@@ -1,7 +1,11 @@
 """Conditioned profiles, cumulatives and two-threshold counts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volrelax import (
     ConditionedProfile,
@@ -20,7 +24,10 @@ from volrelax import (
     reverse,
     select_events,
 )
+from volrelax import profiles
 from volrelax.profiles import (
+    _conditional_sums,
+    _profile_from_indices,
     read_omori_tsv,
     read_profile_tsv,
     write_omori_tsv,
@@ -53,7 +60,11 @@ def _event_set(indices, magnitudes, zeta_abs=0.5, zeta_multiple=2.0):
 
 def _assert_profile_matches_brute(vol, events, max_lag, atol=1e-12):
     profile = remanent_profile(vol, events, max_lag)
-    ref = brute_profile(vol.values.tolist(), events.indices.tolist(), max_lag)
+    return profile, _assert_matches_brute(profile, vol.values, events.indices, max_lag, atol)
+
+
+def _assert_matches_brute(profile, values, indices, max_lag, atol):
+    ref = brute_profile(values.tolist(), indices.tolist(), max_lag)
     assert profile.sigma == pytest.approx(ref["sigma"], rel=1e-12)
     assert profile.Z == pytest.approx(ref["z"], rel=1e-12)
     for got, want, counts in (
@@ -68,7 +79,7 @@ def _assert_profile_matches_brute(vol, events, max_lag, atol=1e-12):
                 assert got[t] == pytest.approx(want[t], abs=atol)
     np.testing.assert_array_equal(profile.counts_minus, ref["count_minus"])
     np.testing.assert_array_equal(profile.counts_plus, ref["count_plus"])
-    return profile, ref
+    return ref
 
 
 def test_single_event_hand_series():
@@ -99,6 +110,66 @@ def test_profile_matches_brute_on_random_series():
     events = select_events(vol, 2.0)
     assert len(events) > 20
     _assert_profile_matches_brute(vol, events, 60)
+    # A bootstrap replica: resampled indices, unsorted, with repeats.
+    resampled = events.indices[rng.integers(0, len(events), len(events))]
+    assert np.unique(resampled).size < resampled.size
+    sigma = float(np.mean(vol.values))
+    profile = _profile_from_indices(vol.values, resampled, 60, sigma)
+    _assert_matches_brute(profile, vol.values, resampled, 60, 1e-12)
+
+
+def _chunked_where_sums(values, indices, max_lag, chunk_cells):
+    """The per-side index-arithmetic gather that the padded-window
+    engine replaced, frozen as the reference for bit-exact output."""
+    n = values.size
+    n_lags = max_lag + 1
+    lags = np.arange(n_lags, dtype=np.int64)
+    sums_m = np.zeros(n_lags)
+    sums_p = np.zeros(n_lags)
+    cnts_m = np.zeros(n_lags, dtype=np.int64)
+    cnts_p = np.zeros(n_lags, dtype=np.int64)
+    chunk = max(1, chunk_cells // n_lags)
+    for lo in range(0, indices.size, chunk):
+        e = indices[lo : lo + chunk, None]
+        after = e + lags
+        ok = after < n
+        sums_p += np.where(ok, values[np.where(ok, after, 0)], 0.0).sum(axis=0)
+        cnts_p += ok.sum(axis=0)
+        before = e - lags
+        ok = before >= 0
+        sums_m += np.where(ok, values[np.where(ok, before, 0)], 0.0).sum(axis=0)
+        cnts_m += ok.sum(axis=0)
+    return sums_m, cnts_m, sums_p, cnts_p
+
+
+@st.composite
+def _sums_case(draw):
+    n = draw(st.integers(1, 300))
+    max_lag = draw(st.integers(1, 400))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60))
+    indices += draw(st.lists(st.sampled_from([0, n - 1]), max_size=3))
+    indices = draw(st.permutations(indices))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        values = rng.exponential(0.01, n)
+    else:
+        values = (rng.random(n) < 0.3).astype(np.float64)
+    chunk_cells = draw(st.integers(1, 2000))
+    return values, np.asarray(indices, dtype=np.int64), max_lag, chunk_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sums_case())
+def test_conditional_sums_bit_identical_to_chunked_where_gather(case):
+    values, indices, max_lag, chunk_cells = case
+    want = _chunked_where_sums(values, indices, max_lag, chunk_cells)
+    # A small chunk makes the engine accumulate across chunk boundaries.
+    with mock.patch.object(profiles, "_CHUNK_CELLS", chunk_cells):
+        got = _conditional_sums(values, indices, max_lag)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 def test_profile_normalization_is_exact():
