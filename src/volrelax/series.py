@@ -2,6 +2,9 @@
 
 The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
+It is parsed in one vectorised ``np.loadtxt`` pass.  Quoted input, and
+input that pass rejects, goes through a ``csv.reader`` row path instead,
+which gives the same result and words each error with its file line.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
 of its *left* timestamp so that intraday seasonality can be estimated
@@ -44,6 +47,11 @@ __all__ = [
 
 _SECONDS_PER_DAY = 86400
 
+# The column path reads each stamp as bytes into a fixed-width field at
+# the start of each record.
+_STAMP_BYTES = 64
+_COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -74,6 +82,10 @@ class CsvSchema:
     cadence: str | None = None
     slots_per_day: int | None = None
 
+    def __post_init__(self) -> None:
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+
 
 @dataclass(frozen=True)
 class PriceRecord:
@@ -94,6 +106,8 @@ class PriceSeries:
     ``slot_index[i]`` is the intraday slot of record ``i`` on the grid
     of distinct times-of-day seen in the data (or a positional grid
     when the calendar is not derivable).  Daily data has a single slot.
+    A ``NaT`` stamp has no place in that order and is rejected as
+    :class:`NonMonotoneTimestamp`.
     """
 
     timestamps: np.ndarray
@@ -113,6 +127,9 @@ class PriceSeries:
             raise TooShort(f"need at least 2 records, got {ts.size}")
         if px.shape != ts.shape or sl.shape != ts.shape:
             raise ValueError("timestamps, prices and slot_index must be aligned")
+        nat = np.flatnonzero(np.isnat(ts))
+        if nat.size:
+            raise NonMonotoneTimestamp(f"record {int(nat[0])}: timestamp is NaT, not a time")
         if not np.all(np.diff(ts.astype("int64")) > 0):
             bad = int(np.flatnonzero(np.diff(ts.astype("int64")) <= 0)[0]) + 1
             raise NonMonotoneTimestamp(
@@ -257,7 +274,8 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     Raises
     ------
     MalformedRow
-        Wrong field count or an unparseable timestamp/price.
+        Wrong field count, or an unparseable or missing (``NaT``)
+        timestamp or price, reported with its 1-based file line.
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
@@ -265,52 +283,14 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     raw = stream.read()
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
-    width = max(schema.timestamp_col, schema.price_col) + 1
-    ts_strs: list[str] = []
-    px_strs: list[str] = []
-    rows = csv.reader(io.StringIO(raw), delimiter=schema.delimiter)
-    lineno = 0
-    for row in rows:
-        lineno += 1
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < width:
-            raise MalformedRow(f"line {lineno}: expected >= {width} fields, got {len(row)}")
-        ts_strs.append(row[schema.timestamp_col].strip())
-        px_strs.append(row[schema.price_col].strip())
+    # Quotes move field boundaries in a way only csv.reader follows, and
+    # a trailing NUL would vanish from a bytes stamp.
+    columns = None if '"' in raw or "\0" in raw else _read_columns(raw, schema)
+    ts, px = columns if columns is not None else _read_rows(raw, schema)
+    return _price_series(ts, px, schema)
 
-    skip_header = schema.header
-    if skip_header is None and ts_strs:
-        try:
-            np.datetime64(ts_strs[0])
-            skip_header = False
-        except ValueError:
-            skip_header = True
-    if skip_header:
-        ts_strs, px_strs = ts_strs[1:], px_strs[1:]
 
-    if len(ts_strs) < 2:
-        raise TooShort(f"need at least 2 data rows, got {len(ts_strs)}")
-
-    try:
-        ts = np.array(ts_strs, dtype="datetime64[s]")
-    except ValueError:
-        for i, s in enumerate(ts_strs):
-            try:
-                np.datetime64(s)
-            except ValueError:
-                raise MalformedRow(f"unparseable timestamp {s!r} (data row {i})") from None
-        raise
-    try:
-        px = np.array(px_strs, dtype=np.float64)
-    except ValueError:
-        for i, s in enumerate(px_strs):
-            try:
-                float(s)
-            except ValueError:
-                raise MalformedRow(f"unparseable price {s!r} (data row {i})") from None
-        raise
-
+def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
     cadence = schema.cadence or _infer_cadence(ts)
     slots_per_day, slot_index = _assign_slots(ts, cadence, schema.slots_per_day)
     return PriceSeries(
@@ -320,6 +300,132 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
         slots_per_day=slots_per_day,
         slot_index=slot_index,
     )
+
+
+def _parses_as_time(field: str) -> bool:
+    try:
+        np.datetime64(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_record(lines: list[str], start: int, delimiter: str) -> int | None:
+    """Index of the first line from ``start`` on that csv.reader does not skip as blank."""
+    for i in range(start, len(lines)):
+        if delimiter in lines[i] or lines[i].strip():
+            return i
+    return None
+
+
+def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps and prices of unquoted text from one ``np.loadtxt`` pass.
+
+    Returns ``None`` wherever :func:`_read_rows` could read the text
+    differently or would raise, so that the row path decides the
+    result and words the error.  Two differences are left.  csv.reader
+    refuses a field longer than ``csv.field_size_limit()`` (128 KiB by
+    default) in any column, and this path reads such a file.  A time of
+    day followed by blanks reads the same on both paths, but only here
+    does numpy warn that it took the blanks for a time zone.
+    """
+    # Without quotes, csv.reader's records are the "\n"-separated lines;
+    # loadtxt drops the "\r" of a CRLF line end itself.
+    lines = raw.split("\n")
+    first = _first_record(lines, 0, schema.delimiter)
+    if first is None:
+        return None
+    fields = lines[first].split(schema.delimiter)
+    if len(fields) <= max(schema.timestamp_col, schema.price_col):
+        return None
+    skip_header = schema.header
+    if skip_header is None:
+        skip_header = not _parses_as_time(fields[schema.timestamp_col].strip())
+    if skip_header:
+        # loadtxt never sees the dropped lines, so look in them for the
+        # stray "\r" that csv.reader rejects.
+        if any("\r" in line[:-1] for line in lines[: first + 1]):
+            return None
+        if _first_record(lines, first + 1, schema.delimiter) is None:
+            return None
+        del lines[: first + 1]
+    try:
+        table = np.loadtxt(
+            lines,
+            dtype=_COLUMNS,
+            usecols=(schema.timestamp_col, schema.price_col),
+            delimiter=schema.delimiter,
+            comments=None,
+            ndmin=1,
+        )
+        ts = table["timestamp"].astype("datetime64[s]")
+    except (ValueError, TypeError):
+        return None
+    stamp_bytes = table.view(np.uint8).reshape(table.size, _COLUMNS.itemsize)[:, :_STAMP_BYTES]
+    # The row path strips a stamp before parsing it, while numpy's own
+    # skip of leading blanks loses the sign of a negative year.  A stamp
+    # that fills its field to the last byte may have been cut short.
+    padded = (stamp_bytes[:, 0] <= ord(" ")).any()
+    if ts.size < 2 or np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
+        return None
+    return ts, np.ascontiguousarray(table["price"])
+
+
+def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and prices read row by row through ``csv.reader``.
+
+    This path reads quoted fields and words every parse error, with the
+    1-based file line of the offending record.
+    """
+    width = max(schema.timestamp_col, schema.price_col) + 1
+    ts_strs: list[str] = []
+    px_strs: list[str] = []
+    linenos: list[int] = []
+    rows = csv.reader(io.StringIO(raw), delimiter=schema.delimiter)
+    next_line = 1
+    try:
+        for row in rows:
+            lineno, next_line = next_line, rows.line_num + 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < width:
+                raise MalformedRow(f"line {lineno}: expected >= {width} fields, got {len(row)}")
+            ts_strs.append(row[schema.timestamp_col].strip())
+            px_strs.append(row[schema.price_col].strip())
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise MalformedRow(f"line {rows.line_num}: {exc}") from None
+
+    skip_header = schema.header
+    if skip_header is None and ts_strs:
+        skip_header = not _parses_as_time(ts_strs[0])
+    if skip_header:
+        ts_strs, px_strs, linenos = ts_strs[1:], px_strs[1:], linenos[1:]
+
+    if len(ts_strs) < 2:
+        raise TooShort(f"need at least 2 data rows, got {len(ts_strs)}")
+
+    try:
+        ts = np.array(ts_strs, dtype="datetime64[s]")
+    except ValueError:
+        for s, lineno in zip(ts_strs, linenos):
+            if not _parses_as_time(s):
+                raise MalformedRow(f"line {lineno}: unparseable timestamp {s!r}") from None
+        raise
+    nat = np.flatnonzero(np.isnat(ts))
+    if nat.size:
+        i = int(nat[0])
+        raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
+    try:
+        px = np.array(px_strs, dtype=np.float64)
+    except ValueError:
+        for s, lineno in zip(px_strs, linenos):
+            try:
+                float(s)
+            except ValueError:
+                raise MalformedRow(f"line {lineno}: unparseable price {s!r}") from None
+        raise
+    return ts, px
 
 
 def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:

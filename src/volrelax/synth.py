@@ -220,7 +220,8 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
     """Write a series in the standard ``timestamp,price`` CSV format."""
     unit = "D" if prices.cadence == "daily" else "s"
     stamps = np.datetime_as_string(prices.timestamps, unit=unit)
+    rows = map("{},{!r}".format, stamps.tolist(), prices.prices.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,price\n")
-        for t, p in zip(stamps, prices.prices):
-            fh.write(f"{t},{float(p)!r}\n")
+        fh.write("\n".join(rows))
+        fh.write("\n")

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from volrelax import (
     MalformedRow,
     NonMonotoneTimestamp,
     NonPositivePrice,
+    PriceSeries,
     SlotMismatch,
     TooShort,
     VolatilitySeries,
@@ -24,6 +26,7 @@ from volrelax import (
     reverse,
     shuffle_surrogate,
 )
+from volrelax import series
 
 DAILY_CSV = """\
 2000-01-03,100.0
@@ -92,6 +95,70 @@ def test_parse_rejects_bad_timestamp():
         _parse(bad, CsvSchema(header=False))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "timestamp,price\n2000-01-03,100.0\n2000-01-04,oops\n",
+        "2000-01-03,100.0\n\n2000-01-04,oops\n2000-01-05,102.0\n",
+        "timestamp,price\r\n2000-01-03,100.0\r\n2000-01-04,oops\r\n",
+    ],
+)
+def test_bad_price_names_its_file_line(text):
+    with pytest.raises(MalformedRow, match=r"^line 3: unparseable price 'oops'$"):
+        _parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "timestamp,price\n2000-01-03,100.0\nnot-a-date,101.0\n",
+        "2000-01-03,100.0\n   \nnot-a-date,101.0\n2000-01-05,102.0\n",
+    ],
+)
+def test_bad_timestamp_names_its_file_line(text):
+    with pytest.raises(MalformedRow, match=r"^line 3: unparseable timestamp 'not-a-date'$"):
+        _parse(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        ('2000-01-03,100.0\n"2000-\n01-04"\n2000-01-05,101.0\n', 2),
+        ('2000-01-03,100.0\n"2000-01-04\n",101.0\n2000-01-05\n', 4),
+    ],
+)
+def test_quoted_record_spanning_lines_keeps_file_lines(text, line):
+    with pytest.raises(MalformedRow, match=rf"^line {line}: expected >= 2 fields, got 1$"):
+        _parse(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        (",100\n2000-01-04,101\n2000-01-05,102\n", 1),
+        ("2000-01-03,100\nNaT,101\n2000-01-05,102\n", 2),
+        ("2000-01-03,100\n2000-01-04,101\n,102\n", 3),
+    ],
+)
+def test_parse_rejects_nat_timestamp(text, line):
+    with pytest.raises(MalformedRow, match=rf"^line {line}: missing timestamp"):
+        _parse(text)
+
+
+@pytest.mark.parametrize("record", [0, 1, 2])
+def test_price_series_rejects_nat(record):
+    stamps = np.array(["2000-01-03", "2000-01-04", "2000-01-05"], dtype="datetime64[s]")
+    stamps[record] = np.datetime64("NaT")
+    with pytest.raises(NonMonotoneTimestamp, match=rf"^record {record}: timestamp is NaT"):
+        PriceSeries(
+            timestamps=stamps,
+            prices=np.array([100.0, 101.0, 102.0]),
+            cadence="daily",
+            slots_per_day=1,
+            slot_index=np.zeros(3, dtype=np.int32),
+        )
+
+
 def test_parse_rejects_duplicate_timestamp():
     with pytest.raises(NonMonotoneTimestamp):
         _parse("2000-01-03,100.0\n2000-01-03,101.0\n")
@@ -120,6 +187,176 @@ def test_parse_extra_columns_and_delimiter():
     text = "2000-01-03;x;100.0\n2000-01-04;y;110.0\n"
     prices = _parse(text, CsvSchema(price_col=2, delimiter=";"))
     np.testing.assert_allclose(prices.prices, [100.0, 110.0])
+
+
+def test_schema_rejects_multicharacter_delimiter():
+    with pytest.raises(ValueError, match="one character"):
+        CsvSchema(delimiter=",,")
+
+
+def _row_path(text, schema=None):
+    """The csv.reader path on its own: the reference for the column path."""
+    schema = schema or CsvSchema()
+    return series._price_series(*series._read_rows(text, schema), schema)
+
+
+def _outcome(parse, text, schema):
+    """What a parse gives, comparable with ``==``: arrays, or the exception."""
+    try:
+        s = parse(text, schema)
+    except Exception as exc:  # both paths must raise alike
+        return type(exc), str(exc)
+    return (
+        s.cadence,
+        s.slots_per_day,
+        s.timestamps.dtype,
+        s.timestamps.tolist(),
+        s.prices.tobytes(),
+        s.slot_index.tolist(),
+    )
+
+
+# A time of day followed by blanks reads as a local time zone in the
+# column path, which warns; the row path strips the blanks first.  The
+# parsed values are the same.
+_TZ_WARNING = "ignore:no explicit representation of timezones"
+
+
+def test_plain_csv_takes_the_column_path(monkeypatch):
+    def no_row_path(raw, schema):
+        raise AssertionError("plain text went through the row path")
+
+    monkeypatch.setattr(series, "_read_rows", no_row_path)
+    text = "price;timestamp;note\r\n\r\n 100.5 ;2000-01-03T09:00:00;a\r\n101;2000-01-03T09:01:00;b\r\n"
+    prices = _parse(text, CsvSchema(timestamp_col=1, price_col=0, delimiter=";"))
+    np.testing.assert_array_equal(prices.prices, [100.5, 101.0])
+    assert prices.timestamps[1] == np.datetime64("2000-01-03T09:01:00")
+    assert prices.cadence == "1min"
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@pytest.mark.parametrize(
+    ("text", "schema"),
+    [
+        # Cut to 64 bytes, the second stamp would lose its trailing "x".
+        (
+            "2000-01-02T09:30:00,1\n2000-01-03T09:30:00" + " " * 45 + "x,2\n2000-01-04T09:30:00,3\n",
+            CsvSchema(),
+        ),
+        # To csv.reader a line of blanks and a delimiter is a record, here the header.
+        ("\t\n2000-01-03\t1\n2000-01-04\t2\n2000-01-05\t3\n", CsvSchema(delimiter="\t", header=True)),
+        # loadtxt never sees a dropped header line, and csv.reader rejects its "\r".
+        ("\r2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n", CsvSchema(header=True)),
+        # Parsed unstripped, the second stamp would read as year 1.
+        ("2000-01-03,1\n\t-01-05,2\n", CsvSchema()),
+        # A bytes stamp would lose its trailing NUL.
+        ("2000-01-03,1\n2000-01-04\0,2\n2000-01-05,3\n", CsvSchema()),
+    ],
+)
+def test_row_path_decides_what_loadtxt_would_misread(text, schema):
+    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+
+
+def test_header_only_csv_is_too_short_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooShort, match="got 0"):
+            _parse("timestamp,price\n\n")
+
+
+def test_quoted_delimiter_is_one_field():
+    # loadtxt would split the quoted field and read 3.0 as the price.
+    text = '2000-01-03,"a,3.0,x",5.0\n2000-01-04,b,6.0\n'
+    prices = _parse(text, CsvSchema(price_col=2))
+    np.testing.assert_array_equal(prices.prices, [5.0, 6.0])
+
+
+_ODD_PRICES = ["1_0", "inf", "nan", "1e400", "+1.5", "0x10", "-2", "0", "", "abc", "1e-400", "\xa01"]
+_ODD_STAMPS = ["", "NaT", "oops", "2000-13-01", "2000-01-03T09:00:00.5", " 2000-01-09"]
+_EXTRA_FIELDS = ["x", "", "1.5", "2000-01-01"]
+
+
+@st.composite
+def _csv_cases(draw):
+    """Small CSVs, mostly well formed, with every oddity the row path must decide."""
+
+    def rarely(one_in):
+        return draw(st.integers(0, one_in - 1)) == 0
+
+    delim = draw(st.sampled_from([",", ";", "\t"]))
+    ncols = draw(st.integers(2, 4))
+    ts_col, px_col = draw(st.permutations(range(ncols)))[:2]
+    intraday = draw(st.booleans())
+    unit = np.timedelta64(1, "m" if intraday else "D")
+    t = np.datetime64("2000-01-03T09:00:00" if intraday else "2000-01-03")
+    sep = draw(st.sampled_from(["T", " "]))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = []
+    if draw(st.booleans()):
+        names = [f"c{i}" for i in range(ncols)]
+        names[ts_col], names[px_col] = "timestamp", "price"
+        lines.append(delim.join(names))
+    for _ in range(draw(st.integers(0, 1) if rarely(4) else st.integers(2, 3))):
+        t = t + draw(st.integers(-1, 3) if rarely(5) else st.integers(1, 3)) * unit
+        stamp = str(t).replace("T", sep)
+        if rarely(12):
+            stamp = draw(st.sampled_from(_ODD_STAMPS))
+        if rarely(10):
+            price = draw(st.sampled_from(_ODD_PRICES))
+        else:
+            price = draw(st.floats(1e-3, 1e6).map(repr) | st.floats(1e-3, 1e6).map("{:.2f}".format))
+        fields = [draw(st.sampled_from(_EXTRA_FIELDS)) for _ in range(ncols)]
+        if rarely(8):
+            fields[draw(st.integers(0, ncols - 1))] = f'"q{delim}1"'
+        fields[ts_col] = draw(pad) + stamp + (" " if rarely(10) else "")
+        fields[px_col] = draw(pad) + price + draw(pad)
+        if rarely(20):
+            fields = fields[: draw(st.integers(1, ncols))]
+        lines.append(delim.join(fields))
+        if rarely(5):
+            lines.append(draw(st.sampled_from(["", "", "   ", " \t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    schema = CsvSchema(
+        timestamp_col=ts_col,
+        price_col=px_col,
+        delimiter=delim,
+        header=draw(st.sampled_from([None, True, False])),
+    )
+    return text, schema
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@given(_csv_cases())
+@settings(max_examples=400, deadline=None)
+def test_column_path_matches_row_path(case):
+    text, schema = case
+    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+
+
+_CLEAN_CSV = "2000-01-03,1.5\n2000-01-04,2\n2000-01-05,2.5\n"
+_SPLICES = [
+    ",", ";", "\t", " ", "\n", "\r\n", "\r", '"', "\0", "\x0c", "\x85", "\u2028",
+    "x", "1", "-", "NaT", "1_0", "T09:00", "2000-01-04,2\n",
+]
+
+
+@st.composite
+def _spliced_csvs(draw):
+    """A clean CSV with a few characters or fields spliced in anywhere."""
+    text = _CLEAN_CSV
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SPLICES)) + text[at:]
+    return text
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@given(_spliced_csvs(), st.sampled_from([",", ";", "\t"]), st.sampled_from([None, True, False]))
+@settings(max_examples=400, deadline=None)
+def test_column_path_matches_row_path_on_spliced_text(text, delim, header):
+    schema = CsvSchema(delimiter=delim, header=header)
+    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
 
 
 def test_log_returns_values():
@@ -205,8 +442,6 @@ def test_log_returns_telescope(prices_list):
     """Summed log-returns equal the log of the end-to-start price ratio."""
     n = len(prices_list)
     days = np.datetime64("2000-01-03") + np.arange(n)
-    from volrelax import PriceSeries
-
     series = PriceSeries(
         timestamps=days.astype("datetime64[s]"),
         prices=np.asarray(prices_list),

@@ -210,3 +210,23 @@ def test_intraday_price_round_trip(tmp_path):
     back = log_returns(parsed)
     np.testing.assert_allclose(back.values, returns.values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(back.slot_index, returns.slot_index)
+
+
+def _loop_write_price_csv(prices, path):
+    """Frozen copy of the row-by-row writer that ``write_price_csv`` replaced."""
+    unit = "D" if prices.cadence == "daily" else "s"
+    stamps = np.datetime_as_string(prices.timestamps, unit=unit)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp,price\n")
+        for t, p in zip(stamps, prices.prices):
+            fh.write(f"{t},{float(p)!r}\n")
+
+
+@pytest.mark.parametrize("slots_per_day", [1, 30])
+def test_write_price_csv_bytes_match_loop_writer(tmp_path, slots_per_day):
+    returns = gen_iid_gaussian(2000, 0.01, seed=37, slots_per_day=slots_per_day)
+    prices = returns_to_prices(returns, p0=123.456)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_price_csv(prices, str(new))
+    _loop_write_price_csv(prices, str(old))
+    assert new.read_bytes() == old.read_bytes()
