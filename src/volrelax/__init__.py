@@ -68,7 +68,6 @@ from .profiles import (
 )
 from .series import (
     CsvSchema,
-    PriceRecord,
     PriceSeries,
     ReturnSeries,
     SeriesStats,

@@ -1,4 +1,4 @@
-"""Command-line pipeline: analyze / omori / synth / pattern / events.
+"""Command-line pipeline: analyze / omori / pattern / events / synth.
 
 A run reads one price CSV, extracts returns and volatility, optionally
 removes the intraday pattern, selects large-volatility events per
@@ -6,10 +6,13 @@ threshold, and writes plot-ready TSVs plus a fit report into the output
 directory.  Runs are fully deterministic: identical configuration and
 input produce byte-identical output directories.
 
-Configuration comes from flags, optionally layered over a flat
-``key = value`` config file (flags win).  ``config.echo`` in the output
-directory records the effective configuration and is itself a valid
-config file.
+Every option is declared once, in ``_OPTIONS``: its key, converter,
+default, help and the subcommands that take it.  The table builds the
+argument parser, reads ``--config`` files (flat ``key = value`` lines,
+flags win), fills the checked :class:`RunConfig` whose attributes are
+the option keys, and writes ``config.echo`` into the output directory.
+That file records the effective configuration and is itself a valid
+config file.  ``synth`` writes no output directory and no echo.
 
 Exit codes: 0 success, 1 invalid configuration, 2 data error, 3 one or
 more fits failed (partial outputs are kept, with marker rows).
@@ -18,56 +21,36 @@ more fits failed (partial outputs are kept, with marker rows).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError, FitError, VolrelaxError
+
+# The benchmark tracer (perfbench/tracing.py) swaps several of these names
+# in this module to time each layer, so call them through these globals.
 from .events import (
-    EventSet,
-    apply_labels,
-    classify_sign,
-    decluster,
-    filter_events,
-    load_packaged_labels,
-    read_label_file,
-    select_events,
-    sign_label,
+    EventSet, apply_labels, classify_sign, decluster, filter_events, load_packaged_labels,
+    read_label_file, select_events, sign_label,
 )
 from .fitting import (
-    FitConfig,
-    bootstrap_errors,
-    fit_cumulative,
-    fit_offset_power_law,
-    fit_report_row,
+    FitConfig, bootstrap_errors, fit_cumulative, fit_offset_power_law, fit_report_row,
     write_fit_tsv,
 )
 from .intraday import estimate_pattern, remove_pattern, write_pattern_tsv
-from .profiles import (
-    cumulative,
-    omori_counts,
-    remanent_profile,
-    write_omori_tsv,
-    write_profile_tsv,
-)
+from .profiles import cumulative, omori_counts, remanent_profile, write_omori_tsv, write_profile_tsv
 from .series import (
-    CsvSchema,
-    absolute_volatility,
-    log_returns,
-    mean_volatility,
-    read_price_csv,
-    shuffle_surrogate,
+    CsvSchema, absolute_volatility, log_returns, mean_volatility, read_price_csv, shuffle_surrogate,
 )
 from .synth import (
-    PlantedRelaxationSpec,
-    gen_iid_gaussian,
-    gen_intraday_modulated,
-    gen_planted_relaxation,
-    returns_to_prices,
-    write_price_csv,
+    PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
+    returns_to_prices, write_price_csv,
 )
+from .tsv import write_tsv
 
 __all__ = ["main", "RunConfig"]
 
@@ -85,146 +68,97 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of an analyze/omori run."""
-
-    command: str
-    input: str
-    cadence: str | None
-    slots_per_day: int | None
-    thresholds: tuple[float, ...]
-    intraday_removal: bool
-    labels: str | None
-    max_lag: int | None
-    fit_min: int
-    fit_max: int | None
-    tau_mode: str
-    bootstrap: int
-    seed: int
-    surrogate: str
-    split: str
-    out: str
-    min_separation: int
-    drop_session_crossing: bool
-    main_threshold: float = 12.0
-    z1_thresholds: tuple[float, ...] = (2.0, 3.0, 4.0, 5.0)
-
-    def __post_init__(self) -> None:
-        if not self.input:
-            raise _ConfigError("--input is required")
-        if not self.out:
-            raise _ConfigError("--out is required")
-        ths = self.thresholds
-        if not ths or any(m <= 1 for m in ths) or any(b <= a for a, b in zip(ths, ths[1:])):
-            raise _ConfigError("thresholds must be > 1 and strictly increasing")
-        if self.fit_min < 1:
-            raise _ConfigError("--fit-min must be >= 1")
-        if self.fit_max is not None and self.fit_max < self.fit_min:
-            raise _ConfigError("--fit-max must be >= --fit-min")
-        if self.max_lag is not None and self.max_lag < 1:
-            raise _ConfigError("--max-lag must be >= 1")
-        if self.bootstrap < 0:
-            raise _ConfigError("--bootstrap must be >= 0")
-        if self.min_separation < 0:
-            raise _ConfigError("--min-separation must be >= 0")
-        if self.command == "omori":
-            if self.main_threshold <= 1:
-                raise _ConfigError("--main-threshold must be > 1")
-            for m1 in self.z1_thresholds:
-                if not 0 < m1 < self.main_threshold:
-                    raise _ConfigError(
-                        f"aftershock threshold {m1:g} must be below the main threshold "
-                        f"{self.main_threshold:g}"
-                    )
+class RunConfig(argparse.Namespace):
+    """Effective configuration of one run: ``command`` plus one attribute
+    per option key of that subcommand (defaults < config file < flags)."""
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# options
 
 
-def _conv_bool(s: str) -> bool:
+def _bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise _ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError(s)
 
 
-def _conv_floats(s: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in s.split(",") if part.strip())
-    except ValueError:
-        raise _ConfigError(f"expected a comma-separated number list, got {s!r}") from None
+def _floats(s: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in s.split(",") if part.strip())
 
 
-def _conv_choice(*allowed: str):
-    def conv(s: str) -> str:
-        if s not in allowed:
-            raise _ConfigError(f"expected one of {allowed}, got {s!r}")
-        return s
-
-    return conv
+_RUN = ("analyze", "omori", "pattern", "events")
+_ALL = (*_RUN, "synth")
 
 
-def _conv_int(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise _ConfigError(f"expected an integer, got {s!r}") from None
+@dataclass(frozen=True)
+class _Option:
+    """``--key`` on the command line, ``key = value`` in a config file."""
+
+    key: str
+    conv: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    commands: tuple[str, ...] = _RUN
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    minimum: int | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def convert(self, raw: str):
+        if self.choices is not None and raw not in self.choices:
+            raise _ConfigError(f"{self.flag}: expected one of {self.choices}, got {raw!r}")
+        try:
+            return self.conv(raw)
+        except ValueError:
+            raise _ConfigError(f"{self.flag}: invalid value {raw!r}") from None
 
 
-def _conv_float(s: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise _ConfigError(f"expected a number, got {s!r}") from None
-
-
-_COMMON_KEYS: dict[str, tuple] = {
-    "input": (str, None),
-    "cadence": (_conv_choice("1min", "5min", "daily"), None),
-    "slots_per_day": (_conv_int, None),
-    "thresholds": (_conv_floats, (2.0, 4.0, 6.0, 8.0)),
-    "no_intraday_removal": (_conv_bool, False),
-    "labels": (str, None),
-    "max_lag": (_conv_int, None),
-    "fit_min": (_conv_int, 5),
-    "fit_max": (_conv_int, None),
-    "tau": (_conv_choice("free", "zero"), "free"),
-    "bootstrap": (_conv_int, 0),
-    "seed": (_conv_int, 0),
-    "surrogate": (_conv_choice("none", "shuffle"), "none"),
-    "split": (_conv_choice("all", "sign", "origin"), "all"),
-    "out": (str, None),
-    "min_separation": (_conv_int, 0),
-    "drop_session_crossing": (_conv_bool, False),
-}
-
-_OMORI_KEYS = dict(
-    _COMMON_KEYS,
-    main_threshold=(_conv_float, 12.0),
-    z1_thresholds=(_conv_floats, (2.0, 3.0, 4.0, 5.0)),
+# Order is --help order.  ``config`` names the file itself, so it is
+# neither a config-file key nor echoed.
+_OPTIONS = (
+    _Option("input", str, help="price CSV (timestamp,price)", required=True),
+    _Option("cadence", str, None, "sampling cadence (default: infer)", choices=("1min", "5min", "daily")),
+    _Option("slots_per_day", int, None, "intraday slots when not derivable from timestamps"),
+    _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)"),
+    _Option("no_intraday_removal", _bool, False, "keep the raw intraday pattern"),
+    _Option("labels", str, None, "label file, or builtin:<name>"),
+    _Option("max_lag", int, None, "profile horizon T (default 1000 intraday, 100 daily)", minimum=1),
+    _Option("fit_min", int, 5, "first lag used in fits (default 5)", minimum=1),
+    _Option("fit_max", int, None, "last lag used in fits (default: max lag)"),
+    _Option("tau", str, "free", "fit the offset or pin it to 0", choices=("free", "zero")),
+    _Option("bootstrap", int, 0, "bootstrap replicas for p stderr (0 = off)", minimum=0),
+    _Option("seed", int, 0, "seed for surrogate/bootstrap (default 0)"),
+    _Option("surrogate", str, "none", "replace returns by a shuffled surrogate", choices=("none", "shuffle")),
+    _Option("split", str, "all", "also compute crash/rally or endo/exo splits", choices=("all", "sign", "origin")),
+    _Option("out", str, None, "output directory", required=True),
+    _Option("min_separation", int, 0, "decluster events closer than this many steps", minimum=0),
+    _Option("drop_session_crossing", _bool, False, "drop overnight returns"),
+    _Option("mode", str, commands=("synth",), choices=("iid", "planted", "modulated"), required=True),
+    _Option("n", int, 100_000, "number of returns (default 100000)", ("synth",)),
+    _Option("sigma0", float, 0.01, "mean |return| scale (default 0.01)", ("synth",)),
+    _Option("seed", int, 0, commands=("synth",)),
+    _Option("slots_per_day", int, 1, commands=("synth",)),
+    _Option("shock_rate", float, 50.0, "expected shocks per 1e5 steps", ("synth",)),
+    _Option("boost", float, 3.0, "relaxation kernel amplitude B", ("synth",)),
+    _Option("p", float, 0.3, "planted exponent", ("synth",)),
+    _Option("tau", float, 0.0, "planted offset", ("synth",)),
+    _Option("shock_magnitude", float, 10.0, "shock size in sigma0 units", ("synth",)),
+    _Option("boost_before", float, None, "override B on the approach side", ("synth",)),
+    _Option("p_before", float, None, "override p on the approach side", ("synth",)),
+    _Option("tau_before", float, None, "override tau on the approach side", ("synth",)),
+    _Option("factors", str, None, "file with one slot factor per line (modulated mode)", ("synth",)),
+    _Option("out", str, None, "output CSV path", ("synth",), required=True),
+    _Option("config", str, None, "flat key=value config file (flags win)", _ALL),
+    _Option("main_threshold", float, 12.0, "mainshock sigma multiple (default 12)", ("omori",)),
+    _Option("z1_thresholds", _floats, (2.0, 3.0, 4.0, 5.0), "aftershock sigma multiples (default 2,3,4,5)", ("omori",)),
 )
-
-_SYNTH_KEYS: dict[str, tuple] = {
-    "mode": (_conv_choice("iid", "planted", "modulated"), None),
-    "n": (_conv_int, 100_000),
-    "sigma0": (_conv_float, 0.01),
-    "seed": (_conv_int, 0),
-    "slots_per_day": (_conv_int, 1),
-    "shock_rate": (_conv_float, 50.0),
-    "boost": (_conv_float, 3.0),
-    "p": (_conv_float, 0.3),
-    "tau": (_conv_float, 0.0),
-    "shock_magnitude": (_conv_float, 10.0),
-    "boost_before": (_conv_float, None),
-    "p_before": (_conv_float, None),
-    "tau_before": (_conv_float, None),
-    "factors": (str, None),
-    "out": (str, None),
-}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -245,55 +179,47 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _merge(args: argparse.Namespace, keys: dict[str, tuple], command: str) -> dict:
-    """Overlay: hard defaults < config file < explicit flags."""
-    file_pairs = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    file_cmd = file_pairs.pop("command", None)
-    if file_cmd is not None and file_cmd != command:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Overlay hard defaults < config file < explicit flags, then check."""
+    command = args.command
+    file_pairs = _read_config_file(args.config) if args.config else {}
+    file_cmd = file_pairs.pop("command", command)
+    if file_cmd != command:
         raise _ConfigError(f"config file is for command {file_cmd!r}, not {command!r}")
-    merged: dict = {}
-    for key, (conv, default) in keys.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in file_pairs:
-            raw = file_pairs.pop(key)
-            merged[key] = conv(raw) if raw != "" else default
-        else:
-            merged[key] = default
-    file_pairs.pop("command", None)
-    unknown = [k for k in file_pairs if k not in keys]
+    options = [o for o in _OPTIONS if command in o.commands and o.key != "config"]
+    unknown = sorted(set(file_pairs) - {o.key for o in options})
     if unknown:
-        raise _ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return merged
-
-
-def _run_config(args: argparse.Namespace, command: str) -> RunConfig:
-    keys = _OMORI_KEYS if command == "omori" else _COMMON_KEYS
-    m = _merge(args, keys, command)
-    rc = RunConfig(
-        command=command,
-        input=m["input"],
-        cadence=m["cadence"],
-        slots_per_day=m["slots_per_day"],
-        thresholds=tuple(m["thresholds"]),
-        intraday_removal=not m["no_intraday_removal"],
-        labels=m["labels"],
-        max_lag=m["max_lag"],
-        fit_min=m["fit_min"],
-        fit_max=m["fit_max"],
-        tau_mode={"free": "free", "zero": "fixed_zero"}[m["tau"]],
-        bootstrap=m["bootstrap"],
-        seed=m["seed"],
-        surrogate=m["surrogate"],
-        split=m["split"],
-        out=m["out"],
-        min_separation=m["min_separation"],
-        drop_session_crossing=m["drop_session_crossing"],
-        main_threshold=m.get("main_threshold", 12.0),
-        z1_thresholds=tuple(m.get("z1_thresholds", (2.0, 3.0, 4.0, 5.0))),
-    )
-    return rc
+        raise _ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    c = RunConfig(command=command)
+    for o in options:
+        raw = getattr(args, o.key)
+        if raw is None:
+            raw = file_pairs.get(o.key) or None
+        value = o.default if raw is None else o.convert(raw)
+        if o.required and not value:
+            raise _ConfigError(f"{o.flag} is required")
+        if o.minimum is not None and value is not None and value < o.minimum:
+            raise _ConfigError(f"{o.flag} must be >= {o.minimum}")
+        setattr(c, o.key, value)
+    if command == "synth":
+        return c
+    t = c.thresholds
+    if not (t and 1 < t[0] and t[-1] < math.inf and all(a < b for a, b in zip(t, t[1:]))):
+        raise _ConfigError("thresholds must be finite, > 1 and strictly increasing")
+    if c.fit_max is not None and c.fit_max < c.fit_min:
+        raise _ConfigError("--fit-max must be >= --fit-min")
+    if command == "omori":
+        if not 1 < c.main_threshold < math.inf:
+            raise _ConfigError("--main-threshold must be finite and > 1")
+        for m1 in c.z1_thresholds:
+            if not 0 < m1 < c.main_threshold:
+                raise _ConfigError(
+                    f"aftershock threshold {m1:g} must be above 0 and below the main "
+                    f"threshold {c.main_threshold:g}"
+                )
+    if command == "analyze" and c.split == "origin" and not c.labels:
+        raise _ConfigError("--split origin requires --labels")
+    return c
 
 
 def _echo_value(value) -> str:
@@ -301,43 +227,9 @@ def _echo_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return ",".join(repr(float(x)) for x in value)
     return str(value)
-
-
-def _write_config_echo(path: str, pairs: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(pairs):
-            fh.write(f"{key} = {_echo_value(pairs[key])}\n")
-
-
-def _echo_pairs(rc: RunConfig, cadence: str, slots_per_day: int, max_lag: int, fit_max: int) -> dict:
-    pairs = {
-        "command": rc.command,
-        "input": rc.input,
-        "cadence": cadence,
-        "slots_per_day": slots_per_day,
-        "thresholds": rc.thresholds,
-        "no_intraday_removal": not rc.intraday_removal,
-        "labels": rc.labels,
-        "max_lag": max_lag,
-        "fit_min": rc.fit_min,
-        "fit_max": fit_max,
-        "tau": {"free": "free", "fixed_zero": "zero"}[rc.tau_mode],
-        "bootstrap": rc.bootstrap,
-        "seed": rc.seed,
-        "surrogate": rc.surrogate,
-        "split": rc.split,
-        "min_separation": rc.min_separation,
-        "drop_session_crossing": rc.drop_session_crossing,
-    }
-    if rc.command == "omori":
-        pairs["main_threshold"] = rc.main_threshold
-        pairs["z1_thresholds"] = rc.z1_thresholds
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +248,26 @@ def _load_labels(spec: str):
         raise _ConfigError(f"cannot read label file {spec}: {exc}") from None
 
 
-def _load_pipeline(rc: RunConfig):
-    """Parse, return-extract, surrogate, adjust; returns working objects."""
-    schema = CsvSchema(cadence=rc.cadence, slots_per_day=rc.slots_per_day)
+def _prepare_run(args: argparse.Namespace):
+    """Configure, load and de-season; write ``config.echo`` and ``pattern.tsv``.
+
+    The configuration comes back with the cadence, slot count, ``max_lag``
+    and ``fit_max`` the data resolved.  Only analyze and omori check the
+    fit range; events writes no ``pattern.tsv``; pattern always writes one.
+    """
+    c = _run_config(args)
+    labels = _load_labels(c.labels) if c.labels and c.command in ("analyze", "events") else None
+    schema = CsvSchema(cadence=c.cadence, slots_per_day=c.slots_per_day)
     try:
-        prices = read_price_csv(rc.input, schema)
+        prices = read_price_csv(c.input, schema)
     except OSError as exc:
-        raise _ConfigError(f"cannot read input {rc.input}: {exc}") from None
-    returns = log_returns(prices, include_session_crossing=not rc.drop_session_crossing)
-    if rc.surrogate == "shuffle":
-        returns = shuffle_surrogate(returns, rc.seed)
+        raise _ConfigError(f"cannot read input {c.input}: {exc}") from None
+    returns = log_returns(prices, include_session_crossing=not c.drop_session_crossing)
+    if c.surrogate == "shuffle":
+        returns = shuffle_surrogate(returns, c.seed)
     vol = absolute_volatility(returns)
     pattern = None
-    if rc.intraday_removal and vol.cadence != "daily":
+    if not c.no_intraday_removal and vol.cadence != "daily":
         if vol.slots_per_day < 2:
             raise _ConfigError(
                 "intraday removal needs a slot grid: pass --slots-per-day "
@@ -377,56 +276,61 @@ def _load_pipeline(rc: RunConfig):
         pattern = estimate_pattern(vol)
         vol = remove_pattern(vol, pattern)
     stats = mean_volatility(vol)
-    return returns, vol, pattern, stats
+    if pattern is None and c.command == "pattern":
+        # Removal disabled or daily data: estimate anyway so the dump is useful.
+        pattern = estimate_pattern(absolute_volatility(returns))
+    c.cadence, c.slots_per_day = vol.cadence, vol.slots_per_day
+    if c.max_lag is None:
+        c.max_lag = 100 if vol.cadence == "daily" else 1000
+    if c.fit_max is None:
+        c.fit_max = c.max_lag
+    if c.command in ("analyze", "omori") and not c.fit_min <= c.fit_max <= c.max_lag:
+        raise _ConfigError(
+            f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
+        )
+    os.makedirs(c.out, exist_ok=True)
+    with open(os.path.join(c.out, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
+        for key, value in sorted(vars(c).items()):
+            if key != "out":
+                fh.write(f"{key} = {_echo_value(value)}\n")
+    if pattern is not None and c.command != "events":
+        write_pattern_tsv(pattern, os.path.join(c.out, "pattern.tsv"))
+    return c, labels, returns, vol, stats
 
 
-def _default_max_lag(rc: RunConfig, cadence: str) -> int:
-    if rc.max_lag is not None:
-        return rc.max_lag
-    return 100 if cadence == "daily" else 1000
+def _fit_config(c: RunConfig) -> FitConfig:
+    tau_mode = "fixed_zero" if c.tau == "zero" else "free"
+    return FitConfig(max_lag=c.max_lag, t_min=c.fit_min, t_max=c.fit_max, tau_mode=tau_mode)
 
 
+# --split value -> (name, origin filter, sign filter) of each event subset
 _SPLITS = {
-    "all": ("all",),
-    "sign": ("all", "crash", "rally"),
-    "origin": ("all", "endogenous", "exogenous"),
-}
-
-_SPLIT_FILTERS = {
-    "all": (None, None),
-    "crash": (None, "crash"),
-    "rally": (None, "rally"),
-    "endogenous": ("endogenous", None),
-    "exogenous": ("exogenous", None),
+    "all": (("all", None, None),),
+    "sign": (("all", None, None), ("crash", None, "crash"), ("rally", None, "rally")),
+    "origin": (
+        ("all", None, None), ("endogenous", "endogenous", None), ("exogenous", "exogenous", None)
+    ),
 }
 
 
-def _split_events(events: EventSet, split: str) -> EventSet:
-    origin, sign = _SPLIT_FILTERS[split]
-    return filter_events(events, sign=sign, origin=origin)
-
-
-def _filters_for_report(split: str) -> tuple[str, str]:
-    origin, sign = _SPLIT_FILTERS[split]
-    return origin or "all", sign or "all"
-
-
-def _fmt_m(m: float) -> str:
-    return f"{m:g}"
-
-
-def _select_and_tag(rc: RunConfig, vol, returns, stats, labels, m: float) -> EventSet:
+def _select_and_tag(c: RunConfig, vol, returns, stats, labels, m: float) -> EventSet:
     events = select_events(vol, m, stats)
     if len(events):
         events = classify_sign(events, returns)
-    if rc.min_separation:
-        events = decluster(events, rc.min_separation)
+    if c.min_separation:
+        events = decluster(events, c.min_separation)
     if labels is not None and len(events):
         events = apply_labels(events, labels, returns.timestamps)
     return events
 
 
-def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple[str, ...]]:
+def _failed_rows(m: float, origin: str | None, sign: str | None, exc: Exception, sides="-+"):
+    """Marker rows for the fits ``exc`` stopped."""
+    name = type(exc).__name__
+    return [fit_report_row(side, m, origin or "all", sign or "all", None, name) for side in sides]
+
+
+def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple]:
     hi = min(100, max_lag)
     rows = []
     for side, v in (("-", profile.v_minus), ("+", profile.v_plus)):
@@ -436,15 +340,8 @@ def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple[
         else:
             mean_v = float(np.nanmean(window))
             flag = "zero_consistent" if abs(mean_v) < _NULL_BOUND else "signal"
-        rows.append((repr(float(m)), split, side, repr(mean_v), flag))
+        rows.append((float(m), split, side, mean_v, flag))
     return rows
-
-
-def _write_signal_tsv(rows: list[tuple[str, ...]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("zeta_multiple\tsplit\tside\tmean_v\tflag\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -452,327 +349,185 @@ def _write_signal_tsv(rows: list[tuple[str, ...]], path: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    rc = _run_config(args, "analyze")
-    labels = _load_labels(rc.labels) if rc.labels else None
-    if rc.split == "origin" and labels is None:
-        raise _ConfigError("--split origin requires --labels")
-    returns, vol, pattern, stats = _load_pipeline(rc)
-    max_lag = _default_max_lag(rc, vol.cadence)
-    fit_max = rc.fit_max if rc.fit_max is not None else max_lag
-    if not rc.fit_min <= fit_max <= max_lag:
-        raise _ConfigError(
-            f"fit range [{rc.fit_min}, {fit_max}] must lie within computed lags [1, {max_lag}]"
-        )
-    os.makedirs(rc.out, exist_ok=True)
-    _write_config_echo(
-        os.path.join(rc.out, "config.echo"),
-        _echo_pairs(rc, vol.cadence, vol.slots_per_day, max_lag, fit_max),
-    )
-    if pattern is not None:
-        write_pattern_tsv(pattern, os.path.join(rc.out, "pattern.tsv"))
-
-    fit_cfg = FitConfig(
-        max_lag=max_lag, t_min=rc.fit_min, t_max=fit_max, tau_mode=rc.tau_mode
-    )
-    fit_rows: list[tuple[str, ...]] = []
-    signal_rows: list[tuple[str, ...]] = []
-    n_failed = 0
-    for m in rc.thresholds:
+    c, labels, returns, vol, stats = _prepare_run(args)
+    fit_cfg = _fit_config(c)
+    fit_rows: list[tuple] = []
+    signal_rows: list[tuple] = []
+    failed = False
+    for m in c.thresholds:
         try:
-            events = _select_and_tag(rc, vol, returns, stats, labels, m)
+            events = _select_and_tag(c, vol, returns, stats, labels, m)
         except DataError as exc:
-            for split in _SPLITS[rc.split]:
-                of, sf = _filters_for_report(split)
-                for side in ("-", "+"):
-                    fit_rows.append(fit_report_row(side, m, of, sf, None, type(exc).__name__))
-                n_failed += 1
-            print(f"z{_fmt_m(m)}: event selection failed: {exc}")
+            for _, origin, sign in _SPLITS[c.split]:
+                fit_rows += _failed_rows(m, origin, sign, exc)
+            failed = True
+            print(f"z{m:g}: event selection failed: {exc}")
             continue
-        for split in _SPLITS[rc.split]:
-            of, sf = _filters_for_report(split)
-            subset = _split_events(events, split)
+        for split, origin, sign in _SPLITS[c.split]:
+            subset = filter_events(events, sign=sign, origin=origin)
             suffix = "" if split == "all" else f"_{split}"
             try:
-                profile = remanent_profile(vol, subset, max_lag)
+                profile = remanent_profile(vol, subset, c.max_lag)
             except DataError as exc:
-                for side in ("-", "+"):
-                    fit_rows.append(fit_report_row(side, m, of, sf, None, type(exc).__name__))
-                n_failed += 1
-                print(f"z{_fmt_m(m)} {split}: profile failed: {type(exc).__name__}: {exc}")
+                fit_rows += _failed_rows(m, origin, sign, exc)
+                failed = True
+                print(f"z{m:g} {split}: profile failed: {type(exc).__name__}: {exc}")
                 continue
             cum = cumulative(profile)
-            write_profile_tsv(cum, os.path.join(rc.out, f"profile_z{_fmt_m(m)}{suffix}.tsv"))
-            signal_rows.extend(_null_check_rows(m, split, profile, max_lag))
+            write_profile_tsv(cum, os.path.join(c.out, f"profile_z{m:g}{suffix}.tsv"))
+            signal_rows += _null_check_rows(m, split, profile, c.max_lag)
 
             stderrs = {"-": None, "+": None}
-            if rc.bootstrap >= 2:
+            if c.bootstrap >= 2:
                 try:
-                    boot = bootstrap_errors(vol, subset, fit_cfg, rc.bootstrap, rc.seed)
+                    boot = bootstrap_errors(vol, subset, fit_cfg, c.bootstrap, c.seed)
                     stderrs = {"-": boot.stderr_minus, "+": boot.stderr_plus}
                 except (FitError, DataError) as exc:
-                    n_failed += 1
-                    print(f"z{_fmt_m(m)} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
+                    failed = True
+                    print(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
             for side in ("-", "+"):
                 try:
-                    fit = fit_cumulative(
-                        cum,
-                        side,
-                        t_min=rc.fit_min,
-                        t_max=fit_max,
-                        tau_mode=rc.tau_mode,
-                    )
+                    fit = fit_cumulative(cum, side, fit_cfg.t_min, fit_cfg.t_max, fit_cfg.tau_mode)
                 except FitError as exc:
-                    fit_rows.append(fit_report_row(side, m, of, sf, None, type(exc).__name__))
-                    n_failed += 1
-                    print(f"z{_fmt_m(m)} {split} {side}: fit failed: {type(exc).__name__}")
+                    fit_rows += _failed_rows(m, origin, sign, exc, side)
+                    failed = True
+                    print(f"z{m:g} {split} {side}: fit failed: {type(exc).__name__}")
                     continue
                 if stderrs[side] is not None:
                     fit = replace(fit, p_stderr=stderrs[side])
-                fit_rows.append(fit_report_row(side, m, of, sf, fit))
-                print(f"z{_fmt_m(m)} {split} {side}: {fit.summary()}")
-    write_fit_tsv(fit_rows, os.path.join(rc.out, "fits.tsv"))
-    _write_signal_tsv(signal_rows, os.path.join(rc.out, "signal_check.tsv"))
+                fit_rows.append(fit_report_row(side, m, origin or "all", sign or "all", fit))
+                print(f"z{m:g} {split} {side}: {fit.summary()}")
+    write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
+    header = ("zeta_multiple", "split", "side", "mean_v", "flag")
+    write_tsv(os.path.join(c.out, "signal_check.tsv"), header, zip(*signal_rows))
     n_zero = sum(1 for r in signal_rows if r[4] == "zero_consistent")
     print(f"signal check: {n_zero}/{len(signal_rows)} profiles consistent with zero signal")
-    print(f"wrote {rc.out}")
-    return 3 if n_failed else 0
+    print(f"wrote {c.out}")
+    return 3 if failed else 0
 
 
 def _cmd_omori(args: argparse.Namespace) -> int:
-    rc = _run_config(args, "omori")
-    returns, vol, pattern, stats = _load_pipeline(rc)
-    max_lag = _default_max_lag(rc, vol.cadence)
-    fit_max = rc.fit_max if rc.fit_max is not None else max_lag
-    if not rc.fit_min <= fit_max <= max_lag:
-        raise _ConfigError(
-            f"fit range [{rc.fit_min}, {fit_max}] must lie within computed lags [1, {max_lag}]"
-        )
-    os.makedirs(rc.out, exist_ok=True)
-    _write_config_echo(
-        os.path.join(rc.out, "config.echo"),
-        _echo_pairs(rc, vol.cadence, vol.slots_per_day, max_lag, fit_max),
-    )
-    if pattern is not None:
-        write_pattern_tsv(pattern, os.path.join(rc.out, "pattern.tsv"))
-
-    m = rc.main_threshold
-    fit_rows: list[tuple[str, ...]] = []
-    n_failed = 0
+    c, _, _, vol, stats = _prepare_run(args)
+    fit_cfg = _fit_config(c)
+    m = c.main_threshold
+    fit_rows: list[tuple] = []
     try:
         mainshocks = select_events(vol, m, stats)
-        profile = remanent_profile(vol, mainshocks, max_lag)
+        profile = remanent_profile(vol, mainshocks, c.max_lag)
     except DataError as exc:
-        for m1 in rc.z1_thresholds:
-            for side in ("-", "+"):
-                fit_rows.append(
-                    fit_report_row(side, m1, "all", "all", None, type(exc).__name__)
-                )
-                n_failed += 1
-        write_fit_tsv(fit_rows, os.path.join(rc.out, "fits.tsv"))
+        for m1 in c.z1_thresholds:
+            fit_rows += _failed_rows(m1, None, None, exc)
+        write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
         print(f"mainshock selection failed: {type(exc).__name__}: {exc}")
         return 3
     cum = cumulative(profile)
-    print(f"{len(mainshocks)} mainshocks above {_fmt_m(m)} sigma")
-    lags = np.arange(max_lag + 1, dtype=np.int64)
-    for m1 in rc.z1_thresholds:
-        omori = omori_counts(vol, mainshocks, m1, stats, max_lag)
-        name = f"omori_z{_fmt_m(m)}_z1{_fmt_m(m1)}.tsv"
-        write_omori_tsv(cum, omori, os.path.join(rc.out, name))
+    print(f"{len(mainshocks)} mainshocks above {m:g} sigma")
+    failed = False
+    for m1 in c.z1_thresholds:
+        omori = omori_counts(vol, mainshocks, m1, stats, c.max_lag)
+        write_omori_tsv(cum, omori, os.path.join(c.out, f"omori_z{m:g}_z1{m1:g}.tsv"))
         for side in ("-", "+"):
             try:
                 fit = fit_offset_power_law(
-                    lags,
-                    omori.side(side),
-                    t_min=rc.fit_min,
-                    t_max=fit_max,
-                    tau_mode=rc.tau_mode,
+                    cum.lags, omori.side(side), fit_cfg.t_min, fit_cfg.t_max, fit_cfg.tau_mode
                 )
             except FitError as exc:
-                fit_rows.append(fit_report_row(side, m1, "all", "all", None, type(exc).__name__))
-                n_failed += 1
-                print(f"z1={_fmt_m(m1)} {side}: fit failed: {type(exc).__name__}")
+                fit_rows += _failed_rows(m1, None, None, exc, side)
+                failed = True
+                print(f"z1={m1:g} {side}: fit failed: {type(exc).__name__}")
                 continue
             fit_rows.append(fit_report_row(side, m1, "all", "all", fit))
-            print(f"z1={_fmt_m(m1)} {side}: {fit.summary()}")
-    write_fit_tsv(fit_rows, os.path.join(rc.out, "fits.tsv"))
-    print(f"wrote {rc.out}")
-    return 3 if n_failed else 0
+            print(f"z1={m1:g} {side}: {fit.summary()}")
+    write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
+    print(f"wrote {c.out}")
+    return 3 if failed else 0
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
-    rc = _run_config(args, "pattern")
-    returns, vol, pattern, stats = _load_pipeline(rc)
-    if pattern is None:
-        # Removal disabled or daily data: estimate anyway so the dump is useful.
-        pattern = estimate_pattern(absolute_volatility(returns))
-    os.makedirs(rc.out, exist_ok=True)
-    max_lag = _default_max_lag(rc, vol.cadence)
-    fit_max = rc.fit_max if rc.fit_max is not None else max_lag
-    _write_config_echo(
-        os.path.join(rc.out, "config.echo"),
-        _echo_pairs(rc, vol.cadence, vol.slots_per_day, max_lag, fit_max),
-    )
-    write_pattern_tsv(pattern, os.path.join(rc.out, "pattern.tsv"))
-    print(f"wrote {rc.out}")
+    c = _prepare_run(args)[0]
+    print(f"wrote {c.out}")
     return 0
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    rc = _run_config(args, "events")
-    labels = _load_labels(rc.labels) if rc.labels else None
-    returns, vol, pattern, stats = _load_pipeline(rc)
-    max_lag = _default_max_lag(rc, vol.cadence)
-    fit_max = rc.fit_max if rc.fit_max is not None else max_lag
-    os.makedirs(rc.out, exist_ok=True)
-    _write_config_echo(
-        os.path.join(rc.out, "config.echo"),
-        _echo_pairs(rc, vol.cadence, vol.slots_per_day, max_lag, fit_max),
-    )
-    for m in rc.thresholds:
-        events = _select_and_tag(rc, vol, returns, stats, labels, m)
-        path = os.path.join(rc.out, f"events_z{_fmt_m(m)}.tsv")
-        stamps = returns.timestamps
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index\ttimestamp\tmagnitude\tsign\torigin\n")
-            for k in range(len(events)):
-                i = int(events.indices[k])
-                stamp = "" if stamps is None else np.datetime_as_string(stamps[i], unit="s")
-                fh.write(
-                    f"{i}\t{stamp}\t{float(events.magnitudes[k])!r}"
-                    f"\t{sign_label(events.signs[k])}\t{events.origins[k]}\n"
-                )
-        print(f"z{_fmt_m(m)}: {len(events)} events")
-    print(f"wrote {rc.out}")
+    c, labels, returns, vol, stats = _prepare_run(args)
+    for m in c.thresholds:
+        events = _select_and_tag(c, vol, returns, stats, labels, m)
+        stamps = np.datetime_as_string(returns.timestamps[events.indices], unit="s")
+        signs = [sign_label(s) for s in events.signs]
+        columns = [events.indices, stamps, events.magnitudes, signs, events.origins]
+        header = ("index", "timestamp", "magnitude", "sign", "origin")
+        write_tsv(os.path.join(c.out, f"events_z{m:g}.tsv"), header, columns)
+        print(f"z{m:g}: {len(events)} events")
+    print(f"wrote {c.out}")
     return 0
 
 
-def _default_factors(slots_per_day: int) -> np.ndarray:
-    # U-shaped day: high at the open and close, low over lunch.
-    x = 2.0 * (np.arange(slots_per_day) + 0.5) / slots_per_day - 1.0
-    return 0.6 + 0.8 * x * x
+def _slot_factors(c: RunConfig) -> np.ndarray:
+    """The ``--factors`` file, or by default a U-shaped day: high at the
+    open and close, low over lunch."""
+    if not c.factors:
+        x = 2.0 * (np.arange(c.slots_per_day) + 0.5) / c.slots_per_day - 1.0
+        return 0.6 + 0.8 * x * x
+    try:
+        with open(c.factors, "r", encoding="utf-8") as fh:
+            return np.asarray([float(word) for word in fh.read().split()], dtype=np.float64)
+    except OSError as exc:
+        raise _ConfigError(f"cannot read factors file {c.factors}: {exc}") from None
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    m = _merge(args, _SYNTH_KEYS, "synth")
-    if not m["mode"]:
-        raise _ConfigError("--mode is required (iid, planted or modulated)")
-    if not m["out"]:
-        raise _ConfigError("--out is required")
+    c = _run_config(args)
     try:
-        if m["mode"] == "iid":
-            rets = gen_iid_gaussian(m["n"], m["sigma0"], m["seed"], m["slots_per_day"])
-        elif m["mode"] == "planted":
-            spec = PlantedRelaxationSpec(
-                n=m["n"],
-                sigma0=m["sigma0"],
-                shock_rate=m["shock_rate"],
-                boost=m["boost"],
-                p=m["p"],
-                tau=m["tau"],
-                shock_magnitude=m["shock_magnitude"],
-                seed=m["seed"],
-                slots_per_day=m["slots_per_day"],
-                boost_before=m["boost_before"],
-                p_before=m["p_before"],
-                tau_before=m["tau_before"],
-            )
-            rets = gen_planted_relaxation(spec)
+        if c.mode == "planted":
+            spec = {f.name: getattr(c, f.name) for f in fields(PlantedRelaxationSpec)}
+            rets = gen_planted_relaxation(PlantedRelaxationSpec(**spec))
         else:
-            base = gen_iid_gaussian(m["n"], m["sigma0"], m["seed"], m["slots_per_day"])
-            if m["factors"]:
-                with open(m["factors"], "r", encoding="utf-8") as fh:
-                    factors = np.asarray(
-                        [float(line) for line in fh.read().split()], dtype=np.float64
-                    )
-            else:
-                factors = _default_factors(m["slots_per_day"])
-            rets = gen_intraday_modulated(base, factors)
+            rets = gen_iid_gaussian(c.n, c.sigma0, c.seed, c.slots_per_day)
+        if c.mode == "modulated":
+            rets = gen_intraday_modulated(rets, _slot_factors(c))
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
     prices = returns_to_prices(rets)
-    out_dir = os.path.dirname(m["out"])
+    out_dir = os.path.dirname(c.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    write_price_csv(prices, m["out"])
-    print(f"wrote {m['out']} ({len(prices)} records)")
+    write_price_csv(prices, c.out)
+    print(f"wrote {c.out} ({len(prices)} records)")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="price CSV (timestamp,price)")
-    parser.add_argument("--cadence", choices=["1min", "5min", "daily"], help="sampling cadence (default: infer)")
-    parser.add_argument("--slots-per-day", type=int, help="intraday slots when not derivable from timestamps")
-    parser.add_argument("--thresholds", type=_conv_floats, help="comma list of sigma multiples (default 2,4,6,8)")
-    parser.add_argument("--no-intraday-removal", action="store_true", default=None, help="keep the raw intraday pattern")
-    parser.add_argument("--labels", help="label file, or builtin:<name>")
-    parser.add_argument("--max-lag", type=int, help="profile horizon T (default 1000 intraday, 100 daily)")
-    parser.add_argument("--fit-min", type=int, help="first lag used in fits (default 5)")
-    parser.add_argument("--fit-max", type=int, help="last lag used in fits (default: max lag)")
-    parser.add_argument("--tau", choices=["free", "zero"], help="fit the offset or pin it to 0")
-    parser.add_argument("--bootstrap", type=int, help="bootstrap replicas for p stderr (0 = off)")
-    parser.add_argument("--seed", type=int, help="seed for surrogate/bootstrap (default 0)")
-    parser.add_argument("--surrogate", choices=["none", "shuffle"], help="replace returns by a shuffled surrogate")
-    parser.add_argument("--split", choices=["all", "sign", "origin"], help="also compute crash/rally or endo/exo splits")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--min-separation", type=int, help="decluster events closer than this many steps")
-    parser.add_argument("--drop-session-crossing", action="store_true", default=None, help="drop overnight returns")
-    parser.add_argument("--config", help="flat key=value config file (flags win)")
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "profiles + fits for each threshold"),
+    "omori": (_cmd_omori, "two-threshold aftershock counts around 12-sigma mainshocks"),
+    "pattern": (_cmd_pattern, "dump the intraday pattern"),
+    "events": (_cmd_events, "list selected events per threshold"),
+    "synth": (_cmd_synth, "generate a synthetic price CSV"),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="volrelax", description="Event-conditioned volatility relaxation analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="profiles + fits for each threshold")
-    _add_common(analyze)
-    omori = sub.add_parser("omori", help="two-threshold aftershock counts around 12-sigma mainshocks")
-    _add_common(omori)
-    omori.add_argument("--main-threshold", type=float, help="mainshock sigma multiple (default 12)")
-    omori.add_argument("--z1-thresholds", type=_conv_floats, help="aftershock sigma multiples (default 2,3,4,5)")
-    pattern = sub.add_parser("pattern", help="dump the intraday pattern")
-    _add_common(pattern)
-    events_p = sub.add_parser("events", help="list selected events per threshold")
-    _add_common(events_p)
-
-    synth = sub.add_parser("synth", help="generate a synthetic price CSV")
-    synth.add_argument("--mode", choices=["iid", "planted", "modulated"])
-    synth.add_argument("--n", type=int, help="number of returns (default 100000)")
-    synth.add_argument("--sigma0", type=float, help="mean |return| scale (default 0.01)")
-    synth.add_argument("--seed", type=int)
-    synth.add_argument("--slots-per-day", type=int)
-    synth.add_argument("--shock-rate", type=float, help="expected shocks per 1e5 steps")
-    synth.add_argument("--boost", type=float, help="relaxation kernel amplitude B")
-    synth.add_argument("--p", type=float, help="planted exponent")
-    synth.add_argument("--tau", type=float, help="planted offset")
-    synth.add_argument("--shock-magnitude", type=float, help="shock size in sigma0 units")
-    synth.add_argument("--boost-before", type=float, help="override B on the approach side")
-    synth.add_argument("--p-before", type=float, help="override p on the approach side")
-    synth.add_argument("--tau-before", type=float, help="override tau on the approach side")
-    synth.add_argument("--factors", help="file with one slot factor per line (modulated mode)")
-    synth.add_argument("--out", help="output CSV path")
-    synth.add_argument("--config", help="flat key=value config file (flags win)")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in _OPTIONS:
+            if command not in o.commands:
+                continue
+            if o.conv is _bool:
+                p.add_argument(o.flag, action="store_const", const="true", help=o.help)
+            else:
+                p.add_argument(o.flag, choices=o.choices, help=o.help)
     return parser
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "omori": _cmd_omori,
-    "pattern": _cmd_pattern,
-    "events": _cmd_events,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

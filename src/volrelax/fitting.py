@@ -26,7 +26,6 @@ from scipy import optimize
 from .errors import (
     BootstrapUnstable,
     InsufficientPositivePoints,
-    MalformedRow,
     NoEvents,
     NonConvergence,
     VolrelaxError,
@@ -34,6 +33,7 @@ from .errors import (
 from .events import EventSet
 from .profiles import CumulativeProfile, _profile_from_indices, cumulative
 from .series import VolatilitySeries
+from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "PowerLawFit",
@@ -51,20 +51,21 @@ __all__ = [
     "FIT_COLUMNS",
 ]
 
-FIT_COLUMNS = (
-    "side",
-    "zeta_multiple",
-    "origin_filter",
-    "sign_filter",
-    "p",
-    "p_stderr",
-    "tau",
-    "A",
-    "t_min",
-    "t_max",
-    "method",
-    "rms_log_residual",
-)
+# Column name -> cell type, in file order.
+FIT_COLUMNS = {
+    "side": str,
+    "zeta_multiple": float,
+    "origin_filter": str,
+    "sign_filter": str,
+    "p": float,
+    "p_stderr": float,
+    "tau": float,
+    "A": float,
+    "t_min": int,
+    "t_max": int,
+    "method": str,
+    "rms_log_residual": float,
+}
 
 # Coarse multistart grid for the (p, tau) search.
 _P_GRID = np.linspace(0.05, 1.2, 5)
@@ -439,64 +440,22 @@ def fit_report_row(
     sign_filter: str,
     fit: PowerLawFit | None,
     failure: str | None = None,
-) -> tuple[str, ...]:
-    """One fit-report TSV row; a failed fit becomes a marker row."""
-    nan = repr(float("nan"))
+) -> tuple:
+    """One fit-report row for :func:`write_fit_tsv`; a failed fit becomes a marker row."""
+    nan = float("nan")
+    head = (side, float(zeta_multiple), origin_filter, sign_filter)
     if fit is None:
-        return (
-            side,
-            repr(float(zeta_multiple)),
-            origin_filter,
-            sign_filter,
-            nan,
-            nan,
-            nan,
-            nan,
-            "0",
-            "0",
-            f"failed:{failure or 'unknown'}",
-            nan,
-        )
-    stderr = nan if fit.p_stderr is None else repr(float(fit.p_stderr))
-    return (
-        side,
-        repr(float(zeta_multiple)),
-        origin_filter,
-        sign_filter,
-        repr(float(fit.p)),
-        stderr,
-        repr(float(fit.tau)),
-        repr(float(fit.A)),
-        str(fit.fit_range[0]),
-        str(fit.fit_range[1]),
-        fit.method,
-        repr(float(fit.rms_log_residual)),
-    )
+        return (*head, nan, nan, nan, nan, 0, 0, f"failed:{failure or 'unknown'}", nan)
+    stderr = nan if fit.p_stderr is None else fit.p_stderr
+    return (*head, fit.p, stderr, fit.tau, fit.A, *fit.fit_range, fit.method, fit.rms_log_residual)
 
 
-def write_fit_tsv(rows: list[tuple[str, ...]], path: str) -> None:
+def write_fit_tsv(rows: list[tuple], path: str) -> None:
     """Write fit-report rows under the standard header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(FIT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+    write_tsv(path, FIT_COLUMNS, zip(*rows))
 
 
 def read_fit_tsv(path: str) -> list[dict[str, object]]:
     """Read a fit report back as a list of typed row dicts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split("\t")) != FIT_COLUMNS:
-        raise MalformedRow(f"{path}: not a fit report")
-    out = []
-    for line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != len(FIT_COLUMNS):
-            raise MalformedRow(f"{path}: bad row {line!r}")
-        row: dict[str, object] = dict(zip(FIT_COLUMNS, parts))
-        for key in ("zeta_multiple", "p", "p_stderr", "tau", "A", "rms_log_residual"):
-            row[key] = float(row[key])  # type: ignore[arg-type]
-        for key in ("t_min", "t_max"):
-            row[key] = int(row[key])  # type: ignore[arg-type]
-        out.append(row)
-    return out
+    cols = read_tsv(path, FIT_COLUMNS)
+    return [dict(zip(FIT_COLUMNS, row)) for row in zip(*cols.values())]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DailyCadence, EmptySlot, SlotMismatch
 from .series import VolatilitySeries
+from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "IntradayPattern",
@@ -74,17 +75,15 @@ def remove_pattern(vol: VolatilitySeries, pattern: IntradayPattern) -> Volatilit
     return replace(vol, values=vol.values / pattern.factors[vol.slot_index], adjusted=True)
 
 
+PATTERN_COLUMNS = {"slot": int, "factor": float}
+
+
 def write_pattern_tsv(pattern: IntradayPattern, path: str) -> None:
     """Dump the pattern as ``slot<TAB>factor`` rows, one per slot."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("slot\tfactor\n")
-        for s, f in enumerate(pattern.factors):
-            fh.write(f"{s}\t{float(f)!r}\n")
+    write_tsv(path, PATTERN_COLUMNS, [np.arange(pattern.slots_per_day), pattern.factors])
 
 
 def read_pattern_tsv(path: str) -> IntradayPattern:
     """Read a pattern dump back (inverse of :func:`write_pattern_tsv`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    factors = [float(line.split("\t")[1]) for line in lines[1:] if line]
+    factors = read_tsv(path, PATTERN_COLUMNS)["factor"]
     return IntradayPattern(factors=np.asarray(factors), slots_per_day=len(factors))

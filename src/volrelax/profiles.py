@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateZ, EmptySeries, MalformedRow, NoEvents
+from .errors import DegenerateZ, EmptySeries, NoEvents
 from .events import EventSet
 from .series import SeriesStats, VolatilitySeries
+from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "ConditionedProfile",
@@ -49,8 +50,12 @@ __all__ = [
 # instead, changes the output bytes.
 _CHUNK_CELLS = 2_000_000
 
-PROFILE_COLUMNS = ("t", "v_minus", "v_plus", "V_minus", "V_plus", "count_minus", "count_plus")
-OMORI_COLUMNS = PROFILE_COLUMNS + ("N_minus", "N_plus")
+# Column name -> cell type, in file order.
+PROFILE_COLUMNS = {
+    "t": int, "v_minus": float, "v_plus": float, "V_minus": float, "V_plus": float,
+    "count_minus": int, "count_plus": int,
+}
+OMORI_COLUMNS = {**PROFILE_COLUMNS, "N_minus": float, "N_plus": float}
 
 
 @dataclass(frozen=True)
@@ -309,82 +314,36 @@ def omori_counts(
     )
 
 
-def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+def _profile_columns(cum: CumulativeProfile) -> list[np.ndarray]:
+    p = cum.profile
+    return [cum.lags, p.v_minus, p.v_plus, cum.V_minus, cum.V_plus, p.counts_minus, p.counts_plus]
 
 
 def write_profile_tsv(cum: CumulativeProfile, path: str) -> None:
     """Write one row per lag: profile, cumulative and counts columns."""
-    p = cum.profile
-    rows = (
-        (
-            str(t),
-            repr(float(p.v_minus[t])),
-            repr(float(p.v_plus[t])),
-            repr(float(cum.V_minus[t])),
-            repr(float(cum.V_plus[t])),
-            str(int(p.counts_minus[t])),
-            str(int(p.counts_plus[t])),
-        )
-        for t in range(p.max_lag + 1)
-    )
-    _write_rows(path, PROFILE_COLUMNS, rows)
+    write_tsv(path, PROFILE_COLUMNS, _profile_columns(cum))
 
 
 def write_omori_tsv(cum: CumulativeProfile, omori: OmoriProfile, path: str) -> None:
     """Profile columns for the mainshocks plus the ``N`` count columns."""
-    p = cum.profile
-    if omori.max_lag != p.max_lag:
+    if omori.max_lag != cum.profile.max_lag:
         raise ValueError("profile and Omori counts must share max_lag")
-    rows = (
-        (
-            str(t),
-            repr(float(p.v_minus[t])),
-            repr(float(p.v_plus[t])),
-            repr(float(cum.V_minus[t])),
-            repr(float(cum.V_plus[t])),
-            str(int(p.counts_minus[t])),
-            str(int(p.counts_plus[t])),
-            repr(float(omori.N_minus[t])),
-            repr(float(omori.N_plus[t])),
-        )
-        for t in range(p.max_lag + 1)
-    )
-    _write_rows(path, OMORI_COLUMNS, rows)
+    write_tsv(path, OMORI_COLUMNS, [*_profile_columns(cum), omori.N_minus, omori.N_plus])
 
 
-def _read_tsv(path: str, expected: tuple[str, ...]) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedRow(f"{path}: empty file")
-    header = tuple(lines[0].split("\t"))
-    if header != expected:
-        raise MalformedRow(f"{path}: unexpected columns {header}")
-    cols: list[list[float]] = [[] for _ in expected]
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != len(expected):
-            raise MalformedRow(f"{path} line {lineno}: expected {len(expected)} fields")
-        for c, s in zip(cols, parts):
-            c.append(float(s))
-    out: dict[str, np.ndarray] = {}
-    for name, c in zip(expected, cols):
-        arr = np.asarray(c, dtype=np.float64)
-        if name == "t" or name.startswith("count"):
-            arr = arr.astype(np.int64)
-        out[name] = arr
-    return out
+def _read_columns(path: str, columns: dict) -> dict[str, np.ndarray]:
+    cols = read_tsv(path, columns)
+    return {
+        name: np.asarray(cols[name], dtype=np.int64 if conv is int else np.float64)
+        for name, conv in columns.items()
+    }
 
 
 def read_profile_tsv(path: str) -> dict[str, np.ndarray]:
     """Read a profile TSV back as a column dict (inverse of the writer)."""
-    return _read_tsv(path, PROFILE_COLUMNS)
+    return _read_columns(path, PROFILE_COLUMNS)
 
 
 def read_omori_tsv(path: str) -> dict[str, np.ndarray]:
     """Read an Omori TSV back as a column dict."""
-    return _read_tsv(path, OMORI_COLUMNS)
+    return _read_columns(path, OMORI_COLUMNS)

@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "CsvSchema",
-    "PriceRecord",
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
@@ -88,18 +87,6 @@ class CsvSchema:
 
 
 @dataclass(frozen=True)
-class PriceRecord:
-    """A single observation: timestamp plus strictly positive price."""
-
-    timestamp: np.datetime64
-    price: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.price) and self.price > 0):
-            raise NonPositivePrice(f"price must be finite and > 0, got {self.price!r}")
-
-
-@dataclass(frozen=True)
 class PriceSeries:
     """Strictly increasing timestamps with positive prices.
 
@@ -145,9 +132,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def record(self, i: int) -> PriceRecord:
-        return PriceRecord(self.timestamps[i], float(self.prices[i]))
 
 
 @dataclass(frozen=True)

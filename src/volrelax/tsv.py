@@ -1,0 +1,77 @@
+"""Tab-separated output tables: one writer and one reader for every file.
+
+A table is a header row of column names, then one row per record.
+Floats are written as ``repr(float)``, which reads back bit for bit
+(``nan``, ``inf`` and ``-inf`` included), integers as ``str(int)`` and
+strings as they are.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
+
+from .errors import MalformedRow
+
+__all__ = ["write_tsv", "read_tsv"]
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _formatted(column: Iterable) -> Iterable[str]:
+    # Whole numeric arrays skip the per-cell type dispatch.
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(_cell, column)
+
+
+def write_tsv(path: str, header: Iterable[str], columns: Iterable[Iterable]) -> None:
+    """Write the ``header`` names, then one tab-joined line per row of the
+    equal-length ``columns``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in zip(*map(_formatted, columns), strict=True):
+            fh.write("\t".join(row) + "\n")
+
+
+def read_tsv(path: str, columns: Mapping[str, Callable[[str], object]]) -> dict[str, list]:
+    """Read a table back as one list per column.
+
+    ``columns`` maps each expected header name, in file order, to the
+    converter of its cells (``int``, ``float`` or ``str``).
+
+    Raises
+    ------
+    MalformedRow
+        The header differs from ``columns``, or a row has the wrong
+        number of fields or a cell its converter rejects; the message
+        names the file and the 1-based line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    names = tuple(columns)
+    header = "\t".join(names)
+    if not lines or lines[0] != header:
+        raise MalformedRow(f"{path} line 1: expected the header {header!r}")
+    out: dict[str, list] = {name: [] for name in names}
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(names):
+            raise MalformedRow(
+                f"{path} line {lineno}: expected {len(names)} fields, got {len(cells)}"
+            )
+        for (name, conv), cell in zip(columns.items(), cells):
+            try:
+                out[name].append(conv(cell))
+            except ValueError:
+                raise MalformedRow(f"{path} line {lineno}: bad {name} value {cell!r}") from None
+    return out

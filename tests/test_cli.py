@@ -92,6 +92,89 @@ def test_config_echo_reproduces_run(planted_csv, tmp_path):
     )
 
 
+_ECHO_HEAD = """\
+bootstrap = 0
+cadence = {cadence}
+command = {command}
+drop_session_crossing = false
+fit_max = {fit_max}
+fit_min = {fit_min}
+input = {input}
+labels = {labels}
+"""
+
+_ECHO_TAIL = """\
+min_separation = 0
+no_intraday_removal = false
+seed = 0
+slots_per_day = {slots}
+split = all
+surrogate = none
+tau = {tau}
+thresholds = {thresholds}
+"""
+
+_ECHO_CASES = {
+    "analyze": (
+        ["--thresholds", "4,5", "--max-lag", "150", "--fit-min", "2", "--fit-max", "60",
+         "--tau", "zero"],
+        _ECHO_HEAD + "max_lag = 150\n" + _ECHO_TAIL,
+        dict(cadence="daily", fit_max=60, fit_min=2, slots=1, tau="zero", thresholds="4.0,5.0"),
+    ),
+    "omori": (
+        ["--main-threshold", "6", "--z1-thresholds", "2,3", "--max-lag", "60", "--fit-min", "2",
+         "--fit-max", "50", "--tau", "zero"],
+        _ECHO_HEAD + "main_threshold = 6.0\nmax_lag = 60\n" + _ECHO_TAIL
+        + "z1_thresholds = 2.0,3.0\n",
+        dict(cadence="daily", fit_max=50, fit_min=2, slots=1, tau="zero",
+             thresholds="2.0,4.0,6.0,8.0"),
+    ),
+    "pattern": (
+        [],
+        _ECHO_HEAD + "max_lag = 1000\n" + _ECHO_TAIL,
+        dict(cadence="1min", fit_max=1000, fit_min=5, slots=30, tau="free",
+             thresholds="2.0,4.0,6.0,8.0"),
+    ),
+    "events": (
+        ["--thresholds", "5"],
+        _ECHO_HEAD + "max_lag = 1000\n" + _ECHO_TAIL,
+        dict(cadence="1min", fit_max=1000, fit_min=5, slots=30, tau="free", thresholds="5.0"),
+    ),
+}
+
+# Files each command writes; on intraday input only pattern dumps pattern.tsv.
+_ECHO_FILES = {
+    "analyze": ["config.echo", "fits.tsv", "profile_z4.tsv", "profile_z5.tsv", "signal_check.tsv"],
+    "omori": ["config.echo", "fits.tsv", "omori_z6_z12.tsv", "omori_z6_z13.tsv"],
+    "pattern": ["config.echo", "pattern.tsv"],
+    "events": ["config.echo", "events_z5.tsv"],
+}
+
+
+@pytest.fixture(scope="module")
+def intraday_csv(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data") / "intraday.csv")
+    assert main(
+        ["synth", "--mode", "modulated", "--n", "6000", "--slots-per-day", "30", "--out", path]
+    ) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_CASES))
+def test_config_echo_text_and_round_trip(command, request, tmp_path):
+    intraday = command in ("pattern", "events")
+    csv = request.getfixturevalue("intraday_csv" if intraday else "planted_csv")
+    flags, template, fields = _ECHO_CASES[command]
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main([command, "--input", csv, "--out", out1, *flags]) == 0
+    echo = os.path.join(out1, "config.echo")
+    expected = template.format(command=command, input=csv, labels="", **fields)
+    assert open(echo, encoding="utf-8", newline="").read() == expected
+    assert sorted(os.listdir(out1)) == _ECHO_FILES[command]
+    assert main([command, "--config", echo, "--out", out2]) == 0
+    assert _dir_snapshot(out1) == _dir_snapshot(out2)
+
+
 def test_flags_override_config_file(planted_csv, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -114,8 +197,14 @@ def test_bootstrap_fills_stderr_column(planted_csv, tmp_path):
         assert row["p_stderr"] > 0
 
 
-def test_invalid_configurations_exit_1(planted_csv, tmp_path):
+def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     out = str(tmp_path / "out")
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text(f"command = analyze\ninput = {planted_csv}\nthresholds = 2,nan\n")
+    inf_cfg = tmp_path / "inf.cfg"
+    inf_cfg.write_text(f"command = analyze\ninput = {planted_csv}\nthresholds = inf\n")
+    omori_cfg = tmp_path / "omori.cfg"
+    omori_cfg.write_text(f"command = omori\ninput = {planted_csv}\nmain-threshold = nan\n")
     cases = [
         ["analyze", "--out", out],  # no input
         ["analyze", "--input", planted_csv],  # no out
@@ -129,9 +218,21 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path):
          "--z1-thresholds", "5"],
         ["analyze", "--input", planted_csv, "--out", out, "--max-lag", "20",
          "--fit-min", "2", "--fit-max", "60"],
+        ["analyze", "--input", planted_csv, "--out", out, "--thresholds", "nan"],
+        ["analyze", "--input", planted_csv, "--out", out, "--thresholds", "inf"],
+        ["analyze", "--input", planted_csv, "--out", out, "--thresholds", "2,nan"],
+        ["omori", "--input", planted_csv, "--out", out, "--main-threshold", "nan"],
+        ["omori", "--input", planted_csv, "--out", out, "--main-threshold", "inf"],
+        ["analyze", "--config", str(nan_cfg), "--out", out],
+        ["analyze", "--config", str(inf_cfg), "--out", out],
+        ["omori", "--config", str(omori_cfg), "--out", out],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if argv[0] == "omori" and "--z1-thresholds" not in argv:
+            assert "--main-threshold" in err, err
 
 
 def test_bad_flag_value_exits_1(planted_csv, tmp_path):
@@ -318,9 +419,13 @@ def test_synth_factor_file(tmp_path):
     assert estimated[0] > estimated[1]
 
 
-def test_synth_invalid_args_exit_1(tmp_path):
+def test_synth_invalid_args_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["synth", "--out", out]) == 1  # missing mode
     assert main(["synth", "--mode", "iid"]) == 1  # missing out
     assert main(["synth", "--mode", "planted", "--p", "1.7", "--out", out]) == 1
     assert main(["synth", "--mode", "planted", "--shock-rate", "90000", "--out", out]) == 1
+    missing = str(tmp_path / "missing.txt")
+    capsys.readouterr()
+    assert main(["synth", "--mode", "modulated", "--factors", missing, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read factors file {missing}:")
