@@ -12,13 +12,17 @@ squared residual of ``log V`` over a log-spaced subsample of the lag
 range, so every decade carries comparable weight.  The amplitude ``A``
 has a closed form per ``(p, tau)`` candidate; the remaining two (or
 one, with ``tau`` pinned to zero) parameters are found by multistart
-Nelder-Mead descent from a coarse grid.
+Nelder-Mead descent from a coarse grid.  The descent is scipy's
+Nelder-Mead algorithm reimplemented on Python floats (:func:`_nelder_mead`),
+step for step, so it visits the same iterates at a fraction of the
+per-step cost; a differential test against ``scipy.optimize`` pins it
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, log10
+from math import floor, inf, isfinite, log10
 
 import numpy as np
 from scipy import optimize
@@ -176,35 +180,152 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
         k *= 2
 
 
+def _ln_g(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:
+    """``ln g(t; p, tau)`` unchecked, or None for ``p >= 1`` at ``tau = 0``.
+
+    Entries may be non-finite; the caller decides what overflow means.
+    """
+    q = 1.0 - p
+    if tau > 0.0:
+        if abs(q) < _LOG_LIMIT_EPS:
+            return np.log(np.log1p(t / tau))
+        # tau^q * expm1(q*log1p(t/tau)) / q: positive for all q != 0,
+        # cancellation-free, and -> log1p(t/tau) as q -> 0.
+        return np.log(np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q)
+    if q < _LOG_LIMIT_EPS:
+        return None  # t^q/q is not a positive increasing shape for p >= 1
+    return q * np.log(t) - np.log(q)
+
+
 def _log_model(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:
     """``ln g(t; p, tau)`` for the integrated-relaxation shape, or None
     where the parameters are invalid / overflow."""
-    q = 1.0 - p
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if tau > 0.0:
-            if abs(q) < _LOG_LIMIT_EPS:
-                ln_g = np.log(np.log1p(t / tau))
-            else:
-                # tau^q * expm1(q*log1p(t/tau)) / q: positive for all q != 0,
-                # cancellation-free, and -> log1p(t/tau) as q -> 0.
-                g = np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q
-                ln_g = np.log(g)
-        else:
-            if q < _LOG_LIMIT_EPS:
-                return None  # t^q/q is not a positive increasing shape for p >= 1
-            ln_g = q * np.log(t) - np.log(q)
-    if not np.all(np.isfinite(ln_g)):
+        ln_g = _ln_g(t, p, tau)
+    if ln_g is None or not np.all(np.isfinite(ln_g)):
         return None
     return ln_g
 
 
 def _loss(t: np.ndarray, log_v: np.ndarray, p: float, tau: float) -> float:
-    ln_g = _log_model(t, p, tau)
+    """Mean squared residual of ``log V - ln g`` about its mean.
+
+    ``_PENALTY`` wherever :func:`_log_model` gives None, and otherwise
+    bit-identical to computing with its ``ln g`` and ``np.mean`` (for
+    1-D float64 that is ``sum() / size``).  It is the inner loop of
+    every fit, so it enters no ``np.errstate`` (the fit holds one) and
+    tests ``ln g`` for non-finite entries only when the loss is not
+    finite, which any such entry makes it.
+    """
+    ln_g = _ln_g(t, p, tau)
     if ln_g is None:
         return _PENALTY
     d = log_v - ln_g
-    r = d - d.mean()
-    return float(np.mean(r * r))
+    r = d - d.sum() / d.size
+    loss = float((r * r).sum() / r.size)
+    if not isfinite(loss) and not np.isfinite(ln_g).all():
+        return _PENALTY
+    return loss
+
+
+class _EvaluationsSpent(Exception):
+    """The evaluation budget of :func:`_nelder_mead` is used up."""
+
+
+def _nelder_mead(fun, x0, *, xatol, fatol, maxiter, maxfev, **_minimize_args):
+    """scipy's Nelder-Mead (``_minimize_neldermead``) on lists of Python floats.
+
+    A ``method`` for ``optimize.minimize``, which also passes ``args``,
+    ``jac``, ``bounds`` and the like; this method uses none of them.
+    ``fun`` receives a list of floats.  Every step is scipy's: the
+    coefficients, the initial simplex, the operand order of each update,
+    a stable sort of the vertices (numpy's argsort is one on the <= 3
+    vertices of a 1-D or 2-D simplex), the stopping test, and the
+    evaluation cut-off, which can stop a shrink partway and does not
+    count the interrupted iteration.  So ``x``, ``fun``, ``nit``,
+    ``nfev`` and ``success`` equal scipy's bit for bit, without its
+    per-step array overhead.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationsSpent
+        nfev += 1
+        return fun(x)
+
+    def by_value(sim: list, fsim: list) -> tuple[list, list]:
+        # Stable, with NaN last, as numpy sorts.
+        order = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    n = len(x0)
+    sim = [[float(c) for c in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationsSpent:
+        pass
+    sim, fsim = by_value(sim, fsim)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            s0, f0 = sim[0], fsim[0]
+            x_close = all(abs(c - c0) <= xatol for v in sim[1:] for c, c0 in zip(v, s0))
+            if x_close and all(abs(f0 - fv) <= fatol for fv in fsim[1:]):
+                break
+            xbar = s0
+            for v in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, v)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + sigma * (b - a) for a, b in zip(s0, sim[j])]
+                    fsim[j] = f(sim[j])
+            nit += 1
+        except _EvaluationsSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    return optimize.OptimizeResult(
+        x=np.array(sim[0]),
+        fun=fsim[-1] if fsim[-1] != fsim[-1] else fsim[0],  # np.min: NaN wins, and sorts last
+        nit=nit,
+        nfev=nfev,
+        status=status,
+        success=status == 0,
+    )
 
 
 def _select_sample(
@@ -250,7 +371,9 @@ def fit_offset_power_law(
     Nelder-Mead over ``(p, sqrt(tau))`` — the square-root transform
     enforces ``tau >= 0`` — started from the best three points of a
     coarse grid; with ``tau_mode='fixed_zero'`` the search is
-    one-dimensional in ``p``.
+    one-dimensional in ``p``.  Nelder-Mead is scipy's algorithm
+    reimplemented on floats (:func:`_nelder_mead`), pinned to scipy's
+    iterates bit for bit by a differential test.
 
     Raises
     ------
@@ -275,48 +398,53 @@ def fit_offset_power_law(
         starts = [(p0, tau0) for p0 in _P_GRID for tau0 in _TAU_GRID]
     else:
         starts = [(p0, 0.0) for p0 in _P_GRID]
-    coarse = sorted(
-        range(len(starts)), key=lambda i: (_loss(t, log_v, *starts[i]), i)
-    )[:_N_STARTS]
+    # One errstate for the whole fit, not one per loss evaluation: an
+    # overflowing model becomes _PENALTY, and exp(ln A) may overflow to
+    # inf, and neither warns.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coarse = sorted(
+            range(len(starts)), key=lambda i: (_loss(t, log_v, *starts[i]), i)
+        )[:_N_STARTS]
 
-    best: tuple[float, float, float] | None = None
-    for i in coarse:
-        p0, tau0 = starts[i]
-        if free_tau:
-            x0 = np.array([p0, np.sqrt(tau0)])
-            fun = lambda x: _loss(t, log_v, x[0], x[1] * x[1])
-        else:
-            x0 = np.array([p0])
-            fun = lambda x: _loss(t, log_v, x[0], 0.0)
-        res = optimize.minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": _XATOL,
-                "fatol": _XATOL**2,
-                "maxiter": _MAX_ITER,
-                "maxfev": _MAX_ITER,
-            },
-        )
-        if not res.success or res.fun >= _PENALTY / 2:
-            continue
-        if best is None or res.fun < best[0]:
-            tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
-            best = (float(res.fun), float(res.x[0]), tau_hat)
-        if best is not None and best[0] == 0.0:
-            break
-    if best is None:
-        raise NonConvergence(
-            f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
-        )
-    loss, p_hat, tau_hat = best
-    ln_g = _log_model(t, p_hat, tau_hat)
-    assert ln_g is not None
-    ln_a = float(np.mean(log_v - ln_g))
-    resid = log_v - ln_g - ln_a
+        best: tuple[float, float, float] | None = None
+        for i in coarse:
+            p0, tau0 = starts[i]
+            if free_tau:
+                x0 = np.array([p0, np.sqrt(tau0)])
+                fun = lambda x: _loss(t, log_v, x[0], x[1] * x[1])
+            else:
+                x0 = np.array([p0])
+                fun = lambda x: _loss(t, log_v, x[0], 0.0)
+            res = optimize.minimize(
+                fun,
+                x0,
+                method=_nelder_mead,
+                options={
+                    "xatol": _XATOL,
+                    "fatol": _XATOL**2,
+                    "maxiter": _MAX_ITER,
+                    "maxfev": _MAX_ITER,
+                },
+            )
+            if not res.success or res.fun >= _PENALTY / 2:
+                continue
+            if best is None or res.fun < best[0]:
+                tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
+                best = (float(res.fun), float(res.x[0]), tau_hat)
+            if best is not None and best[0] == 0.0:
+                break
+        if best is None:
+            raise NonConvergence(
+                f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
+            )
+        loss, p_hat, tau_hat = best
+        ln_g = _log_model(t, p_hat, tau_hat)
+        assert ln_g is not None
+        ln_a = float(np.mean(log_v - ln_g))
+        resid = log_v - ln_g - ln_a
+        A = float(np.exp(ln_a))
     return PowerLawFit(
-        A=float(np.exp(ln_a)),
+        A=A,
         p=p_hat,
         tau=tau_hat,
         fit_range=(int(t_min), int(t_max)),

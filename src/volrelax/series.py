@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, replace
 from typing import IO
 
@@ -50,6 +51,9 @@ _SECONDS_PER_DAY = 86400
 # the start of each record.
 _STAMP_BYTES = 64
 _COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
+# numpy reads any number of year digits and wraps years out of its
+# range, so a stamp must start with a year of exactly four digits.
+_FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,9 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     Raises
     ------
     MalformedRow
-        Wrong field count, or an unparseable or missing (``NaT``)
-        timestamp or price, reported with its 1-based file line.
+        Wrong field count, an unparseable or missing (``NaT``)
+        timestamp or price, or a timestamp whose year is not exactly
+        four digits, reported with its 1-based file line.
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
@@ -352,6 +357,13 @@ def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     padded = (stamp_bytes[:, 0] <= ord(" ")).any()
     if ts.size < 2 or np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
         return None
+    # The row path refuses a year that is not four digits (_FOUR_DIGIT_YEAR).
+    # Counted one stamp byte at a time, so that no temporary outlives its
+    # count and the parse's peak memory stays put.  Bytes below "0" wrap
+    # to large values in uint8.
+    digits = [np.count_nonzero(stamp_bytes[:, k] - np.uint8(ord("0")) < 10) for k in range(5)]
+    if digits != [ts.size] * 4 + [0]:
+        return None
     return ts, np.ascontiguousarray(table["price"])
 
 
@@ -400,6 +412,9 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
     if nat.size:
         i = int(nat[0])
         raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
+    for s, lineno in zip(ts_strs, linenos):
+        if not _FOUR_DIGIT_YEAR.match(s):
+            raise MalformedRow(f"line {lineno}: timestamp {s!r} has no four-digit year")
     try:
         px = np.array(px_strs, dtype=np.float64)
     except ValueError:

@@ -1,9 +1,13 @@
 """Offset power-law fitting, tail slopes and bootstrap errors."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from volrelax import (
     BootstrapUnstable,
@@ -334,3 +338,158 @@ def test_fit_cumulative_runs_on_real_profiles():
     plus = fit_cumulative(cum, "+", t_min=2, t_max=50, tau_mode="fixed_zero")
     assert 0.1 < minus.p < 0.6
     assert 0.1 < plus.p < 0.6
+
+
+def test_overflowing_amplitude_emits_no_warning():
+    # A saturating, step-like curve drives the best shape to p ~ 100,
+    # where ln A exceeds the float range.
+    lags = np.arange(101, dtype=np.int64)
+    V = 1.0 - np.exp(-lags / 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_offset_power_law(lags, V, t_min=5)
+    assert fit.p > 50
+    # exp(ln A) overflowed without a warning.  Refusing such a fit is
+    # left open: see ROADMAP, "Smaller fixes".
+    assert fit.A == np.inf
+
+
+@st.composite
+def _loss_problems(draw):
+    """``(t, log V)`` as the fit samples them, on clean and hostile curves."""
+    n = draw(st.integers(10, 40))
+    t = np.unique(np.rint(np.geomspace(1.0, draw(st.integers(n, 1000)), n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["power", "noisy", "flat", "step", "saturating", "random"]))
+    if kind in ("power", "noisy"):
+        log_v = draw(st.floats(-1.0, 2.0)) * np.log(t + draw(st.floats(0.0, 50.0)))
+        if kind == "noisy":
+            log_v = log_v + rng.normal(0.0, draw(st.floats(0.01, 1.0)), t.size)
+    elif kind == "flat":
+        log_v = np.full(t.size, draw(st.floats(-5.0, 5.0)))
+    elif kind == "step":
+        log_v = np.where(t < draw(st.sampled_from(t.tolist())), 0.0, draw(st.floats(0.1, 20.0)))
+    elif kind == "saturating":
+        log_v = np.log1p(-np.exp(-t / draw(st.floats(1.0, 100.0))))
+    else:
+        log_v = rng.normal(0.0, 5.0, t.size)
+    return t, log_v
+
+
+def _fit_objective(t, log_v, dim):
+    """The objective ``fit_offset_power_law`` hands to the optimizer."""
+    if dim == 2:
+        return lambda x: fitting._loss(t, log_v, x[0], x[1] * x[1])
+    return lambda x: fitting._loss(t, log_v, x[0], 0.0)
+
+
+_BUDGETS = st.integers(1, 80) | st.just(10_000)
+
+
+@given(
+    _loss_problems(),
+    st.sampled_from([1, 2]),
+    # Zero coordinates take scipy's zdelt branch; p0 >= 1 with tau = 0
+    # starts in the penalty region.
+    st.sampled_from([0.0, 1.0, 1.2]) | st.floats(-1.0, 3.0),
+    st.sampled_from([0.0]) | st.floats(0.0, 10.0),
+    _BUDGETS,
+    _BUDGETS,
+    st.sampled_from([(1e-8, 1e-16), (1e-4, 1e-4)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, maxiter, tols):
+    # Small budgets stop a run anywhere, also partway through a shrink.
+    t, log_v = problem
+    fun = _fit_objective(t, log_v, dim)
+    x0 = np.array([p0, r0][:dim])
+    options = {"xatol": tols[0], "fatol": tols[1], "maxiter": maxiter, "maxfev": maxfev}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+        got = optimize.minimize(fun, x0, method=fitting._nelder_mead, options=options)
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun
+    assert got.nfev == want.nfev
+    assert got.nit == want.nit
+    assert got.success == want.success
+
+
+@pytest.mark.parametrize(
+    ("V", "tau_mode"),
+    [
+        (_curve(0.47, 9.06)[1], "free"),
+        (_curve(0.3, 0.0, A=2.0)[1], "fixed_zero"),
+        (np.log1p(np.arange(501) / 5.0), "free"),
+        (1.0 - np.exp(-np.arange(501) / 20.0), "free"),
+        (np.arange(501) ** 0.6 * np.exp(np.random.default_rng(3).normal(0, 0.2, 501)), "free"),
+        (np.arange(501) ** 0.6 * np.exp(np.random.default_rng(4).normal(0, 0.2, 501)), "fixed_zero"),
+    ],
+)
+def test_fit_equals_the_fit_with_scipy_nelder_mead(monkeypatch, V, tau_mode):
+    lags = np.arange(V.size, dtype=np.int64)
+    ours = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
+
+    def scipy_minimize(fun, x0, method, options):
+        return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+
+    monkeypatch.setattr(fitting, "optimize", types.SimpleNamespace(minimize=scipy_minimize))
+    theirs = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
+    assert ours == theirs
+
+
+def _frozen_log_model(t, p, tau):
+    """``_log_model`` and ``_loss`` as they were before the lean loss."""
+    q = 1.0 - p
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if tau > 0.0:
+            if abs(q) < fitting._LOG_LIMIT_EPS:
+                ln_g = np.log(np.log1p(t / tau))
+            else:
+                g = np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q
+                ln_g = np.log(g)
+        else:
+            if q < fitting._LOG_LIMIT_EPS:
+                return None
+            ln_g = q * np.log(t) - np.log(q)
+    if not np.all(np.isfinite(ln_g)):
+        return None
+    return ln_g
+
+
+def _frozen_loss(t, log_v, p, tau):
+    ln_g = _frozen_log_model(t, p, tau)
+    if ln_g is None:
+        return fitting._PENALTY
+    d = log_v - ln_g
+    r = d - d.mean()
+    return float(np.mean(r * r))
+
+
+_EXPONENTS = (
+    st.floats(-3.0, 3.0)
+    | st.floats(-2e-6, 2e-6).map(lambda e: 1.0 + e)  # around the log limit
+    | st.floats(1.0, 500.0)  # p >= 1: the penalty region when tau = 0
+    | st.floats(-1e200, -1e150)  # r * r overflows when tau = 0
+)
+_OFFSETS = (
+    st.just(0.0)
+    | st.floats(0.0, 1e4)
+    | st.floats(5e-324, 1e-300)  # denormal and tiny
+    | st.floats(1e300, 1.7976931348623157e308)  # t / tau underflows, tau^q overflows
+)
+
+
+@given(_loss_problems(), _EXPONENTS, _OFFSETS)
+@settings(max_examples=400, deadline=None)
+def test_loss_equals_the_frozen_loss(problem, p, tau):
+    t, log_v = problem
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = fitting._loss(t, log_v, p, tau)
+        want = _frozen_loss(t, log_v, p, tau)
+    assert type(got) is float
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    ln_g = fitting._log_model(t, p, tau)
+    frozen = _frozen_log_model(t, p, tau)
+    assert (ln_g is None) == (frozen is None)
+    if ln_g is not None:
+        assert np.array_equal(ln_g, frozen)

@@ -145,6 +145,32 @@ def test_parse_rejects_nat_timestamp(text, line):
         _parse(text)
 
 
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        ("2000-01-03,1\n99999999999999999999-01-01,2\n", 2),
+        ("timestamp,price\n2000-01-03,1\n2000-01-04,2\n20001-01-05,3\n", 4),
+        ("-2000-01-03,1\n2000-01-04,2\n", 1),
+        ("2000-01-03,1\n999-01-04T09:30:00,2\n", 2),
+        ("-200-01-03,1\n2000-01-04,2\n", 1),
+        ("0999,1\n999,2\n", 2),
+        ('2000-01-03,1\n"99999999999999999999-01-01",2\n', 2),
+    ],
+)
+def test_year_not_four_digits_is_malformed_on_both_paths(text, line):
+    # numpy wraps such a year instead of refusing it.
+    message = rf"^line {line}: timestamp '.*' has no four-digit year$"
+    with pytest.raises(MalformedRow, match=message):
+        _parse(text)
+    with pytest.raises(MalformedRow, match=message):
+        _row_path(text)
+
+
+def test_year_only_stamps_still_parse():
+    prices = _parse("2000,1\n2001,2\n2002,3\n")
+    assert prices.timestamps[2] == np.datetime64("2002-01-01T00:00:00")
+
+
 @pytest.mark.parametrize("record", [0, 1, 2])
 def test_price_series_rejects_nat(record):
     stamps = np.array(["2000-01-03", "2000-01-04", "2000-01-05"], dtype="datetime64[s]")
@@ -272,7 +298,12 @@ def test_quoted_delimiter_is_one_field():
 
 
 _ODD_PRICES = ["1_0", "inf", "nan", "1e400", "+1.5", "0x10", "-2", "0", "", "abc", "1e-400", "\xa01"]
-_ODD_STAMPS = ["", "NaT", "oops", "2000-13-01", "2000-01-03T09:00:00.5", " 2000-01-09"]
+_ODD_STAMPS = [
+    "", "NaT", "oops", "2000-13-01", "2000-01-03T09:00:00.5", " 2000-01-09",
+    # Years numpy reads but the parser refuses: not exactly four digits.
+    "99999999999999999999-01-01", "20001-01-03", "-2000-01-03", "-200-01-03", "999-01-03",
+    "999", "2000",
+]
 _EXTRA_FIELDS = ["x", "", "1.5", "2000-01-01"]
 
 
@@ -337,7 +368,7 @@ def test_column_path_matches_row_path(case):
 _CLEAN_CSV = "2000-01-03,1.5\n2000-01-04,2\n2000-01-05,2.5\n"
 _SPLICES = [
     ",", ";", "\t", " ", "\n", "\r\n", "\r", '"', "\0", "\x0c", "\x85", "\u2028",
-    "x", "1", "-", "NaT", "1_0", "T09:00", "2000-01-04,2\n",
+    "x", "1", "-", "NaT", "1_0", "T09:00", "2000-01-04,2\n", "99999999999999999999",
 ]
 
 
