@@ -12,21 +12,18 @@ squared residual of ``log V`` over a log-spaced subsample of the lag
 range, so every decade carries comparable weight.  The amplitude ``A``
 has a closed form per ``(p, tau)`` candidate; the remaining two (or
 one, with ``tau`` pinned to zero) parameters are found by multistart
-Nelder-Mead descent from a coarse grid.  The descent is scipy's
-Nelder-Mead algorithm reimplemented on Python floats (:func:`_nelder_mead`),
-step for step, so it visits the same iterates at a fraction of the
-per-step cost; a differential test against ``scipy.optimize`` pins it
-bit for bit.
+Nelder-Mead descent (:func:`volrelax.optimize.minimize`) from a coarse
+grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, inf, isfinite, log10
+from math import floor, isfinite, log10
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .errors import (
     BootstrapUnstable,
     InsufficientPositivePoints,
@@ -228,106 +225,6 @@ def _loss(t: np.ndarray, log_v: np.ndarray, p: float, tau: float) -> float:
     return loss
 
 
-class _EvaluationsSpent(Exception):
-    """The evaluation budget of :func:`_nelder_mead` is used up."""
-
-
-def _nelder_mead(fun, x0, *, xatol, fatol, maxiter, maxfev, **_minimize_args):
-    """scipy's Nelder-Mead (``_minimize_neldermead``) on lists of Python floats.
-
-    A ``method`` for ``optimize.minimize``, which also passes ``args``,
-    ``jac``, ``bounds`` and the like; this method uses none of them.
-    ``fun`` receives a list of floats.  Every step is scipy's: the
-    coefficients, the initial simplex, the operand order of each update,
-    a stable sort of the vertices (numpy's argsort is one on the <= 3
-    vertices of a 1-D or 2-D simplex), the stopping test, and the
-    evaluation cut-off, which can stop a shrink partway and does not
-    count the interrupted iteration.  So ``x``, ``fun``, ``nit``,
-    ``nfev`` and ``success`` equal scipy's bit for bit, without its
-    per-step array overhead.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nfev = 0
-
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationsSpent
-        nfev += 1
-        return fun(x)
-
-    def by_value(sim: list, fsim: list) -> tuple[list, list]:
-        # Stable, with NaN last, as numpy sorts.
-        order = sorted(range(len(fsim)), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    n = len(x0)
-    sim = [[float(c) for c in x0]]
-    for k in range(n):
-        y = list(sim[0])
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _EvaluationsSpent:
-        pass
-    sim, fsim = by_value(sim, fsim)
-    nit = 1
-    while nfev < maxfev and nit < maxiter:
-        try:
-            s0, f0 = sim[0], fsim[0]
-            x_close = all(abs(c - c0) <= xatol for v in sim[1:] for c, c0 in zip(v, s0))
-            if x_close and all(abs(f0 - fv) <= fatol for fv in fsim[1:]):
-                break
-            xbar = s0
-            for v in sim[1:-1]:
-                xbar = [a + b for a, b in zip(xbar, v)]
-            xbar = [a / n for a in xbar]
-            worst = sim[-1]
-            xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = [a + sigma * (b - a) for a, b in zip(s0, sim[j])]
-                    fsim[j] = f(sim[j])
-            nit += 1
-        except _EvaluationsSpent:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
-    return optimize.OptimizeResult(
-        x=np.array(sim[0]),
-        fun=fsim[-1] if fsim[-1] != fsim[-1] else fsim[0],  # np.min: NaN wins, and sorts last
-        nit=nit,
-        nfev=nfev,
-        status=status,
-        success=status == 0,
-    )
-
-
 def _select_sample(
     lags: np.ndarray,
     values: np.ndarray,
@@ -371,9 +268,8 @@ def fit_offset_power_law(
     Nelder-Mead over ``(p, sqrt(tau))`` — the square-root transform
     enforces ``tau >= 0`` — started from the best three points of a
     coarse grid; with ``tau_mode='fixed_zero'`` the search is
-    one-dimensional in ``p``.  Nelder-Mead is scipy's algorithm
-    reimplemented on floats (:func:`_nelder_mead`), pinned to scipy's
-    iterates bit for bit by a differential test.
+    one-dimensional in ``p``.  The descent is
+    :func:`volrelax.optimize.minimize`.
 
     Raises
     ------
@@ -415,16 +311,10 @@ def fit_offset_power_law(
             else:
                 x0 = np.array([p0])
                 fun = lambda x: _loss(t, log_v, x[0], 0.0)
+            # Called through the module attribute: the benchmark tracer
+            # (perfbench/tracing.py) swaps optimize.minimize to count nfev.
             res = optimize.minimize(
-                fun,
-                x0,
-                method=_nelder_mead,
-                options={
-                    "xatol": _XATOL,
-                    "fatol": _XATOL**2,
-                    "maxiter": _MAX_ITER,
-                    "maxfev": _MAX_ITER,
-                },
+                fun, x0, xatol=_XATOL, fatol=_XATOL**2, maxiter=_MAX_ITER, maxfev=_MAX_ITER
             )
             if not res.success or res.fun >= _PENALTY / 2:
                 continue
@@ -524,28 +414,15 @@ def bootstrap_errors(
     p_m = np.full(B, np.nan)
     p_p = np.full(B, np.nan)
     n_failed = 0
+    fit_args = (fit_config.t_min, fit_config.t_max, fit_config.tau_mode, fit_config.n_points)
     for r in range(B):
         rng = np.random.default_rng(seed + r)
         idx = events.indices[rng.integers(0, n_ev, n_ev)]
         try:
             prof = _profile_from_indices(vol.values, idx, fit_config.max_lag, sigma)
             cum = cumulative(prof)
-            p_m[r] = fit_cumulative(
-                cum,
-                "-",
-                t_min=fit_config.t_min,
-                t_max=fit_config.t_max,
-                tau_mode=fit_config.tau_mode,
-                n_points=fit_config.n_points,
-            ).p
-            p_p[r] = fit_cumulative(
-                cum,
-                "+",
-                t_min=fit_config.t_min,
-                t_max=fit_config.t_max,
-                tau_mode=fit_config.tau_mode,
-                n_points=fit_config.n_points,
-            ).p
+            for side, p in (("-", p_m), ("+", p_p)):
+                p[r] = fit_cumulative(cum, side, *fit_args).p
         except VolrelaxError:
             n_failed += 1
     if n_failed > 0.1 * B:

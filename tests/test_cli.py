@@ -2,10 +2,13 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import volrelax
 from volrelax.cli import main
 from volrelax.fitting import read_fit_tsv
 from volrelax.intraday import read_pattern_tsv
@@ -429,3 +432,32 @@ def test_synth_invalid_args_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["synth", "--mode", "modulated", "--factors", missing, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read factors file {missing}:")
+
+
+_WITHOUT_SCIPY = """
+import sys
+import volrelax.cli
+assert "scipy" not in sys.modules, "importing volrelax.cli imported scipy"
+sys.modules["scipy"] = None  # from here on every scipy import raises ImportError
+csv, out = sys.argv[1:]
+rc = volrelax.cli.main(
+    ["synth", "--mode", "planted", "--n", "12500", "--seed", "1",
+     "--shock-rate", "500", "--out", csv]
+)
+assert rc == 0, rc
+sys.exit(volrelax.cli.main(["analyze", "--bootstrap", "3", "--input", csv, "--out", out]))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: synth and a bootstrapped analyze
+    # must run in an interpreter where any scipy import fails.
+    src = os.path.dirname(os.path.dirname(volrelax.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    csv, out = str(tmp_path / "daily.csv"), str(tmp_path / "run")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, csv, out],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert os.path.getsize(os.path.join(out, "fits.tsv")) > 0

@@ -28,6 +28,7 @@ from volrelax import (
     select_events,
     tail_slope,
 )
+import volrelax.optimize
 from volrelax import fitting
 from volrelax.fitting import (
     FIT_COLUMNS,
@@ -406,7 +407,7 @@ def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, m
     options = {"xatol": tols[0], "fatol": tols[1], "maxiter": maxiter, "maxfev": maxfev}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
-        got = optimize.minimize(fun, x0, method=fitting._nelder_mead, options=options)
+        got = volrelax.optimize.minimize(fun, x0, **options)
     assert np.array_equal(got.x, want.x)
     assert got.fun == want.fun
     assert got.nfev == want.nfev
@@ -429,7 +430,7 @@ def test_fit_equals_the_fit_with_scipy_nelder_mead(monkeypatch, V, tau_mode):
     lags = np.arange(V.size, dtype=np.int64)
     ours = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
 
-    def scipy_minimize(fun, x0, method, options):
+    def scipy_minimize(fun, x0, **options):
         return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
 
     monkeypatch.setattr(fitting, "optimize", types.SimpleNamespace(minimize=scipy_minimize))
