@@ -1,5 +1,6 @@
 """Offset power-law fitting, tail slopes and bootstrap errors."""
 
+import re
 import types
 import warnings
 
@@ -272,6 +273,99 @@ def test_bootstrap_flags_unstable_event_sets():
     cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
     with pytest.raises(BootstrapUnstable):
         bootstrap_errors(vol, events, cfg, B=40, seed=1)
+
+
+_EDGE_N = 2400
+_EDGE_CENTER = 1200
+
+
+def _edge_vol_and_events(odd):
+    """A good event at the centre and one ``odd`` event that fails alone.
+
+    ``left`` sits at index 2, so a replica drawing only it has no ``-``
+    curve beyond lag 2 (its ``+`` curve fits); ``right`` mirrors it at
+    the other edge; ``low`` sits below the mean volatility, so a
+    replica drawing only it has a degenerate ``Z`` and no profile.
+    """
+    base = 0.01
+    values = np.full(_EDGE_N, base)
+    kernel = base * 3.0 * np.arange(1, 121, dtype=np.float64) ** -0.3
+    for c in (2, _EDGE_CENTER, _EDGE_N - 3):
+        values[c] = 12 * base
+        hi = min(c + 120, _EDGE_N - 1)
+        values[c + 1 : hi + 1] += kernel[: hi - c]
+        lo = max(c - 120, 0)
+        values[lo:c] += kernel[: c - lo][::-1]
+    values[600] = 0.001
+    vol = VolatilitySeries(
+        values=values,
+        slot_index=np.zeros(_EDGE_N, dtype=np.int32),
+        slots_per_day=1,
+        cadence="daily",
+    )
+    at = {"left": 2, "right": _EDGE_N - 3, "low": 600}[odd]
+    idx = np.array(sorted([at, _EDGE_CENTER]))
+    events = EventSet(
+        indices=idx,
+        zeta_multiple=5.0,
+        zeta_abs=0.0005,
+        magnitudes=values[idx],
+        signs=np.zeros(2, dtype=np.int8),
+        origins=np.full(2, "unlabeled"),
+    )
+    return vol, events, int(np.searchsorted(idx, at))
+
+
+def _replicas_drawing_only(event, seed, B):
+    """The replicas whose two draws, ``default_rng(seed + r)``, are both ``event``."""
+    return [
+        r for r in range(B) if np.all(np.random.default_rng(seed + r).integers(0, 2, 2) == event)
+    ]
+
+
+def _replica(vol, events, event):
+    """The cumulative profile of a replica that drew ``event`` twice."""
+    idx = events.indices[[event, event]]
+    return cumulative(fitting._profile_from_indices(vol.values, idx, 100, float(np.mean(vol.values))))
+
+
+@pytest.mark.parametrize("odd", ["left", "right", "low"])
+def test_bootstrap_failed_replica_leaves_nan_and_counts_once(odd):
+    vol, events, at = _edge_vol_and_events(odd)
+    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    B = 10
+    seed = next(s for s in range(1000) if len(_replicas_drawing_only(at, s, B)) == 1)
+    (bad,) = _replicas_drawing_only(at, seed, B)
+    boot = bootstrap_errors(vol, events, cfg, B=B, seed=seed)
+    assert boot.n_failed == 1
+    good = np.arange(B) != bad
+    assert np.all(np.isfinite(boot.p_minus[good]))
+    assert np.all(np.isfinite(boot.p_plus[good]))
+    assert np.isnan(boot.p_plus[bad])
+    if odd == "right":
+        # Only the + side failed: the - exponent is kept.
+        assert boot.p_minus[bad] == fit_cumulative(_replica(vol, events, at), "-", 2, 80, "fixed_zero").p
+    else:
+        assert np.isnan(boot.p_minus[bad])
+    if odd == "left":
+        # The + side alone would fit; a failed - side drops it too.
+        assert np.isfinite(fit_cumulative(_replica(vol, events, at), "+", 2, 80, "fixed_zero").p)
+    assert boot.stderr_minus == float(np.std(boot.p_minus[~np.isnan(boot.p_minus)], ddof=1))
+    assert boot.stderr_plus == float(np.std(boot.p_plus[good], ddof=1))
+
+
+def test_bootstrap_unstable_message_counts_failed_replicas():
+    vol, events, at = _edge_vol_and_events("left")
+    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    B = 10
+    seed = next(s for s in range(1000) if len(_replicas_drawing_only(at, s, B)) >= 2)
+    n_bad = len(_replicas_drawing_only(at, seed, B))
+    with pytest.raises(BootstrapUnstable) as info:
+        bootstrap_errors(vol, events, cfg, B=B, seed=seed)
+    assert str(info.value) == f"{n_bad}/{B} bootstrap replicas failed to fit"
+    # The form the benchmark tracer parses for fitting.bootstrap_replicas_failed.
+    hit = re.search(r"(\d+)/\d+ bootstrap replicas failed", str(info.value))
+    assert int(hit.group(1)) == n_bad
 
 
 def test_bootstrap_validates_arguments():
