@@ -19,7 +19,7 @@ grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, isfinite, log10
+from math import floor, log10
 
 import numpy as np
 
@@ -177,62 +177,101 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
         k *= 2
 
 
-def _ln_g(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:
-    """``ln g(t; p, tau)`` unchecked, or None for ``p >= 1`` at ``tau = 0``.
+# The shapes ln g takes, one formula each; _branch picks one per (p, tau).
+_OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
+
+
+def _branch(p: float, tau: float) -> int:
+    """The shape of ``ln g(t; p, tau)``: offset, log limit, ``tau = 0``, or
+    none (``p >= 1`` at ``tau = 0``)."""
+    q = 1.0 - p
+    if tau > 0.0:
+        return _LOG_LIMIT if abs(q) < _LOG_LIMIT_EPS else _OFFSET
+    return _NONE if q < _LOG_LIMIT_EPS else _TAU0
+
+
+def _ln_g(t: np.ndarray, p: np.ndarray, tau: np.ndarray, branch: int) -> np.ndarray | None:
+    """``ln g(t; p[k], tau[k])`` in row ``k``, unchecked, for rows that all
+    take ``branch``; None for ``_NONE``.
 
     Entries may be non-finite; the caller decides what overflow means.
     """
-    q = 1.0 - p
-    if tau > 0.0:
-        if abs(q) < _LOG_LIMIT_EPS:
-            return np.log(np.log1p(t / tau))
-        # tau^q * expm1(q*log1p(t/tau)) / q: positive for all q != 0,
-        # cancellation-free, and -> log1p(t/tau) as q -> 0.
-        return np.log(np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q)
-    if q < _LOG_LIMIT_EPS:
+    if branch == _NONE:
         return None  # t^q/q is not a positive increasing shape for p >= 1
-    return q * np.log(t) - np.log(q)
+    q = 1.0 - p[:, None]
+    if branch == _TAU0:
+        return q * np.log(t) - np.log(q)
+    tau = tau[:, None]
+    if branch == _LOG_LIMIT:
+        return np.log(np.log1p(t / tau))
+    # tau^q * expm1(q*log1p(t/tau)) / q: positive for all q != 0,
+    # cancellation-free, and -> log1p(t/tau) as q -> 0.
+    return np.log(np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q)
 
 
 def _log_model(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:
     """``ln g(t; p, tau)`` for the integrated-relaxation shape, or None
     where the parameters are invalid / overflow."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ln_g = _ln_g(t, p, tau)
+        ln_g = _ln_g(t, np.array([p]), np.array([tau]), _branch(p, tau))
     if ln_g is None or not np.all(np.isfinite(ln_g)):
         return None
-    return ln_g
+    return ln_g[0]
 
 
-def _loss(t: np.ndarray, log_v: np.ndarray, p: float, tau: float) -> float:
-    """Mean squared residual of ``log V - ln g`` about its mean.
+def _losses(
+    t: np.ndarray, log_v: np.ndarray, p: np.ndarray, tau: np.ndarray, branch: int
+) -> np.ndarray:
+    """Mean squared residual of ``log_v[k] - ln g(t; p[k], tau[k])`` about
+    its mean, per row ``k``; every row takes ``branch``.
 
     ``_PENALTY`` wherever :func:`_log_model` gives None, and otherwise
-    bit-identical to computing with its ``ln g`` and ``np.mean`` (for
-    1-D float64 that is ``sum() / size``).  It is the inner loop of
-    every fit, so it enters no ``np.errstate`` (the fit holds one) and
-    tests ``ln g`` for non-finite entries only when the loss is not
+    bit-identical to computing with its ``ln g`` and ``np.mean`` (for a
+    float64 row that is ``sum() / size``).  It is the inner loop of every
+    fit, so it enters no ``np.errstate`` (the fit holds one) and tests
+    ``ln g`` for non-finite entries only in rows whose loss is not
     finite, which any such entry makes it.
     """
-    ln_g = _ln_g(t, p, tau)
+    ln_g = _ln_g(t, p, tau, branch)
     if ln_g is None:
-        return _PENALTY
+        return np.full(p.size, _PENALTY)
     d = log_v - ln_g
-    r = d - d.sum() / d.size
-    loss = float((r * r).sum() / r.size)
-    if not isfinite(loss) and not np.isfinite(ln_g).all():
-        return _PENALTY
+    r = d - d.sum(axis=1, keepdims=True) / t.size
+    loss = (r * r).sum(axis=1) / t.size
+    bad = ~np.isfinite(loss)
+    if bad.any():
+        loss[bad & ~np.isfinite(ln_g).all(axis=1)] = _PENALTY
     return loss
 
 
+def _curve_arrays(lags, values) -> tuple[np.ndarray, np.ndarray]:
+    """``lags`` and ``values`` as int64 and float64 arrays, checked to be a curve."""
+    lags = np.asarray(lags, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if lags.ndim != 1 or values.ndim != 1:
+        raise ValueError(
+            f"lags and values must be 1-D, got shapes {lags.shape} and {values.shape}"
+        )
+    if lags.size == 0:
+        raise ValueError("lags is empty")
+    if values.size != lags.size:
+        raise ValueError(f"lags and values differ in length: {lags.size} and {values.size}")
+    if np.any(lags[1:] <= lags[:-1]):
+        raise ValueError("lags must be strictly ascending")
+    return lags, values
+
+
 def _select_sample(
-    lags: np.ndarray,
-    values: np.ndarray,
-    t_min: int,
-    t_max: int,
-    n_points: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced positive sample of (t, log V) in the fit range."""
+    lags, values, t_min: int, t_max: int | None, tau_mode: str, n_points: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Log-spaced positive sample ``(t, log V)`` in the fit range, and ``t_max``."""
+    lags, values = _curve_arrays(lags, values)
+    if t_max is None:
+        t_max = int(lags[-1])
+    if not 1 <= t_min <= t_max <= int(lags[-1]):
+        raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
+    if tau_mode not in ("free", "fixed_zero"):
+        raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
     sample = log_spaced_lags(t_min, t_max, n_points)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
@@ -250,7 +289,166 @@ def _select_sample(
         raise InsufficientPositivePoints(
             f"need >= 10 positive points in [{t_min}, {t_max}], got {int(good.sum())}"
         )
-    return sample[good].astype(np.float64), np.log(v[good])
+    return sample[good].astype(np.float64), np.log(v[good]), t_max
+
+
+def _evaluate(samples: list[tuple[np.ndarray, np.ndarray]], points: list[tuple]) -> list[float]:
+    """The loss of each point ``(s, row, p, tau)`` on the curve
+    ``samples[s] = (t, log_v)``, ``log_v[row]``: one :func:`_losses` call
+    per sample and branch."""
+    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    for i, (s, row, p, tau) in enumerate(points):
+        group = groups.setdefault((s, _branch(p, tau)), ([], [], [], []))
+        group[0].append(i)
+        group[1].append(row)
+        group[2].append(p)
+        group[3].append(tau)
+    out = [0.0] * len(points)
+    for (s, branch), (idx, rows, ps, taus) in groups.items():
+        t, log_v = samples[s]
+        losses = _losses(t, log_v[rows], np.array(ps), np.array(taus), branch)
+        for i, loss in zip(idx, losses.tolist()):
+            out[i] = loss
+    return out
+
+
+def _descend(
+    samples: list[tuple[np.ndarray, np.ndarray]], starts: list[tuple[int, int, np.ndarray]]
+) -> list[optimize.MinimizeResult]:
+    """One Nelder-Mead search per start ``(s, row, x0)``, all in lock step.
+
+    Search ``i`` minimizes the loss of curve ``row`` of ``samples[s]``
+    over ``x = (p, sqrt(tau))``, or over ``x = (p,)`` with ``tau = 0``.
+    Each round evaluates the point every live search asks for in one
+    :func:`_evaluate` call, so a search's result is what
+    :func:`volrelax.optimize.minimize` returns for it alone.
+    """
+    searches = [
+        optimize.search(x0, xatol=_XATOL, fatol=_XATOL**2, maxiter=_MAX_ITER, maxfev=_MAX_ITER)
+        for _, _, x0 in starts
+    ]
+    results: list = [None] * len(starts)
+    losses: list = [None] * len(starts)
+    live = range(len(starts))
+    while live:
+        asked, points = [], []
+        for i in live:
+            try:
+                x = searches[i].send(losses[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            s, row, _ = starts[i]
+            asked.append(i)
+            points.append((s, row, x[0], x[1] * x[1] if len(x) == 2 else 0.0))
+        for i, loss in zip(asked, _evaluate(samples, points)):
+            losses[i] = loss
+        live = asked
+    return results
+
+
+def _best_fit(
+    results: list[optimize.MinimizeResult],
+    t: np.ndarray,
+    log_v: np.ndarray,
+    fit_range: tuple[int, int],
+    free_tau: bool,
+) -> PowerLawFit:
+    """The fit from the first of the best searches, taken in start order."""
+    best: tuple[float, float, float] | None = None
+    for res in results:
+        if not res.success or res.fun >= _PENALTY / 2:
+            continue
+        if best is None or res.fun < best[0]:
+            tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
+            best = (float(res.fun), float(res.x[0]), tau_hat)
+        if best is not None and best[0] == 0.0:
+            break
+    if best is None:
+        raise NonConvergence(
+            f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
+        )
+    loss, p_hat, tau_hat = best
+    ln_g = _log_model(t, p_hat, tau_hat)
+    assert ln_g is not None
+    ln_a = float(np.mean(log_v - ln_g))
+    resid = log_v - ln_g - ln_a
+    return PowerLawFit(
+        A=float(np.exp(ln_a)),
+        p=p_hat,
+        tau=tau_hat,
+        fit_range=fit_range,
+        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
+        method="full_fit",
+    )
+
+
+def _fit_many(
+    curves: list[tuple[np.ndarray, np.ndarray]],
+    t_min: int,
+    t_max: int | None,
+    tau_mode: str,
+    n_points: int,
+) -> list[PowerLawFit | Exception]:
+    """Fit each ``(lags, values)`` curve as :func:`fit_offset_power_law`
+    does, and return per curve its fit or the error that fit raises.
+
+    Each curve is scored on the coarse grid, and its best three starts
+    are searched; every search of every curve runs in one
+    :func:`_descend`, on one stacked ``log V`` matrix per distinct
+    sample.  A curve's fit is chosen from its searches exactly as one
+    curve at a time would choose it (:func:`_best_fit`).
+    """
+    out: list = [None] * len(curves)
+    keys: dict[bytes, int] = {}
+    stacks: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    fitted: list[tuple[int, int, int, int]] = []  # curve, sample, row, t_max
+    for c, (lags, values) in enumerate(curves):
+        try:
+            t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode, n_points)
+        except (ValueError, VolrelaxError) as exc:
+            out[c] = exc
+            continue
+        s = keys.setdefault(t.tobytes(), len(stacks))
+        if s == len(stacks):
+            stacks.append((t, []))
+        stacks[s][1].append(log_v)
+        fitted.append((c, s, len(stacks[s][1]) - 1, t_hi))
+    samples = [(t, np.array(rows)) for t, rows in stacks]
+
+    free_tau = tau_mode == "free"
+    if free_tau:
+        grid = [(p0, tau0) for p0 in _P_GRID for tau0 in _TAU_GRID]
+    else:
+        grid = [(p0, 0.0) for p0 in _P_GRID]
+    # One errstate for all the fits, not one per loss evaluation: an
+    # overflowing model becomes _PENALTY, and exp(ln A) may overflow to
+    # inf, and neither warns.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scores = _evaluate(samples, [(s, row, *x) for _, s, row, _ in fitted for x in grid])
+        starts = []
+        for k, (_, s, row, _) in enumerate(fitted):
+            score = scores[k * len(grid) : (k + 1) * len(grid)]
+            for i in sorted(range(len(grid)), key=lambda i: (score[i], i))[:_N_STARTS]:
+                p0, tau0 = grid[i]
+                starts.append((s, row, np.array([p0, np.sqrt(tau0)] if free_tau else [p0])))
+        results = _descend(samples, starts)
+        n_starts = min(_N_STARTS, len(grid))
+        for k, (c, s, row, t_hi) in enumerate(fitted):
+            mine = results[k * n_starts : (k + 1) * n_starts]
+            try:
+                out[c] = _best_fit(
+                    mine, samples[s][0], samples[s][1][row], (int(t_min), int(t_hi)), free_tau
+                )
+            except (ValueError, VolrelaxError) as exc:
+                out[c] = exc
+    return out
+
+
+def _fit_or_raise(fit: PowerLawFit | Exception) -> PowerLawFit:
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def fit_offset_power_law(
@@ -263,84 +461,29 @@ def fit_offset_power_law(
 ) -> PowerLawFit:
     """Fit ``values ~ A*g(t; p, tau)`` over integer ``lags``.
 
-    ``lags`` must be sorted ascending; ``values`` is the curve to fit
-    (a cumulative profile or an Omori count).  The optimizer is
-    Nelder-Mead over ``(p, sqrt(tau))`` — the square-root transform
-    enforces ``tau >= 0`` — started from the best three points of a
-    coarse grid; with ``tau_mode='fixed_zero'`` the search is
-    one-dimensional in ``p``.  The descent is
+    ``lags`` must be 1-D and strictly ascending; ``values`` is the curve
+    to fit (a cumulative profile or an Omori count), one value per lag.
+    The optimizer is Nelder-Mead over ``(p, sqrt(tau))`` — the
+    square-root transform enforces ``tau >= 0`` — started from the best
+    three points of a coarse grid; with ``tau_mode='fixed_zero'`` the
+    search is one-dimensional in ``p``.  The three descents run in lock
+    step (:func:`volrelax.optimize.search`), as the many descents of a
+    bootstrap do; each is step for step the sequential
     :func:`volrelax.optimize.minimize`.
 
     Raises
     ------
+    ValueError
+        ``lags`` empty, not 1-D or not strictly ascending, ``values``
+        not 1-D or of another length, or the fit range or ``tau_mode``
+        invalid.
     InsufficientPositivePoints
         Fewer than 10 usable points, or more than 20% of the sampled
         points nonpositive.
     NonConvergence
         No start reached the optimizer tolerance within budget.
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if t_max is None:
-        t_max = int(lags[-1])
-    if not 1 <= t_min <= t_max <= int(lags[-1]):
-        raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
-    if tau_mode not in ("free", "fixed_zero"):
-        raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    t, log_v = _select_sample(lags, values, t_min, t_max, n_points)
-
-    free_tau = tau_mode == "free"
-    if free_tau:
-        starts = [(p0, tau0) for p0 in _P_GRID for tau0 in _TAU_GRID]
-    else:
-        starts = [(p0, 0.0) for p0 in _P_GRID]
-    # One errstate for the whole fit, not one per loss evaluation: an
-    # overflowing model becomes _PENALTY, and exp(ln A) may overflow to
-    # inf, and neither warns.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coarse = sorted(
-            range(len(starts)), key=lambda i: (_loss(t, log_v, *starts[i]), i)
-        )[:_N_STARTS]
-
-        best: tuple[float, float, float] | None = None
-        for i in coarse:
-            p0, tau0 = starts[i]
-            if free_tau:
-                x0 = np.array([p0, np.sqrt(tau0)])
-                fun = lambda x: _loss(t, log_v, x[0], x[1] * x[1])
-            else:
-                x0 = np.array([p0])
-                fun = lambda x: _loss(t, log_v, x[0], 0.0)
-            # Called through the module attribute: the benchmark tracer
-            # (perfbench/tracing.py) swaps optimize.minimize to count nfev.
-            res = optimize.minimize(
-                fun, x0, xatol=_XATOL, fatol=_XATOL**2, maxiter=_MAX_ITER, maxfev=_MAX_ITER
-            )
-            if not res.success or res.fun >= _PENALTY / 2:
-                continue
-            if best is None or res.fun < best[0]:
-                tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
-                best = (float(res.fun), float(res.x[0]), tau_hat)
-            if best is not None and best[0] == 0.0:
-                break
-        if best is None:
-            raise NonConvergence(
-                f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
-            )
-        loss, p_hat, tau_hat = best
-        ln_g = _log_model(t, p_hat, tau_hat)
-        assert ln_g is not None
-        ln_a = float(np.mean(log_v - ln_g))
-        resid = log_v - ln_g - ln_a
-        A = float(np.exp(ln_a))
-    return PowerLawFit(
-        A=A,
-        p=p_hat,
-        tau=tau_hat,
-        fit_range=(int(t_min), int(t_max)),
-        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
-        method="full_fit",
-    )
+    return _fit_or_raise(_fit_many([(lags, values)], t_min, t_max, tau_mode, n_points)[0])
 
 
 def fit_cumulative(
@@ -365,8 +508,7 @@ def tail_slope(
     Ordinary least squares of ``log V`` on ``log t`` over every
     positive point in ``[t_lo, t_hi]``; the offset is reported as 0.
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
+    lags, values = _curve_arrays(lags, values)
     if not 1 <= t_lo <= t_hi:
         raise ValueError(f"need 1 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     sel = (lags >= t_lo) & (lags <= t_hi)
@@ -400,10 +542,16 @@ def bootstrap_errors(
     """Bootstrap standard errors of ``p`` for both sides.
 
     Replica ``r`` resamples the events with replacement using
-    ``default_rng(seed + r)``, recomputes the profile and refits; the
-    standard error is the sample standard deviation of the replica
-    exponents.  The first ``B`` replicas are identical regardless of
-    any larger ``B`` requested later (seeding is per replica).
+    ``default_rng(seed + r)``, recomputes the profile and refits both
+    sides; the standard error is the sample standard deviation of the
+    replica exponents.  The first ``B`` replicas are identical
+    regardless of any larger ``B`` requested later (seeding is per
+    replica).  All ``2B`` refits run as one lock-step
+    :func:`_fit_many`, each equal to its own :func:`fit_cumulative`.
+    A replica fails, and counts once in ``n_failed``, when its profile
+    or a side's fit raises a :class:`VolrelaxError`: a failed profile or
+    ``-`` side leaves both exponents NaN, a failed ``+`` side keeps
+    ``p_minus[r]``.
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicas")
@@ -411,18 +559,30 @@ def bootstrap_errors(
         raise NoEvents("cannot bootstrap an empty event set")
     sigma = float(np.mean(vol.values))
     n_ev = len(events)
-    p_m = np.full(B, np.nan)
-    p_p = np.full(B, np.nan)
-    n_failed = 0
-    fit_args = (fit_config.t_min, fit_config.t_max, fit_config.tau_mode, fit_config.n_points)
+    cums: list[CumulativeProfile | None] = []
     for r in range(B):
         rng = np.random.default_rng(seed + r)
         idx = events.indices[rng.integers(0, n_ev, n_ev)]
         try:
             prof = _profile_from_indices(vol.values, idx, fit_config.max_lag, sigma)
-            cum = cumulative(prof)
-            for side, p in (("-", p_m), ("+", p_p)):
-                p[r] = fit_cumulative(cum, side, *fit_args).p
+        except VolrelaxError:
+            cums.append(None)
+        else:
+            cums.append(cumulative(prof))
+    fit_args = (fit_config.t_min, fit_config.t_max, fit_config.tau_mode, fit_config.n_points)
+    curves = [(cum.lags, cum.side(side)) for cum in cums if cum is not None for side in "-+"]
+    fits = iter(_fit_many(curves, *fit_args))
+    p_m = np.full(B, np.nan)
+    p_p = np.full(B, np.nan)
+    n_failed = 0
+    for r, cum in enumerate(cums):
+        if cum is None:
+            n_failed += 1
+            continue
+        fit_m, fit_p = next(fits), next(fits)
+        try:
+            p_m[r] = _fit_or_raise(fit_m).p
+            p_p[r] = _fit_or_raise(fit_p).p
         except VolrelaxError:
             n_failed += 1
     if n_failed > 0.1 * B:

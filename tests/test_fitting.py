@@ -1,8 +1,8 @@
 """Offset power-law fitting, tail slopes and bootstrap errors."""
 
 import re
-import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from volrelax.fitting import (
     read_fit_tsv,
     write_fit_tsv,
 )
-from volrelax.errors import MalformedRow
+from volrelax.errors import MalformedRow, VolrelaxError
 
 
 def _curve(p, tau, A=1.0, t_max=500):
@@ -122,6 +122,29 @@ def test_fit_range_validation():
         fit_offset_power_law(lags, V, t_min=1, t_max=101)
     with pytest.raises(ValueError):
         fit_offset_power_law(lags, V, t_min=1, tau_mode="pinned")
+
+
+_BAD_CURVES = {
+    "empty": (np.arange(0), np.arange(0.0), "lags is empty"),
+    "lengths": (np.arange(40), np.ones(39), "lags and values differ in length: 40 and 39"),
+    "values_2d": (np.arange(40), np.ones((40, 2)), "must be 1-D, got shapes (40,) and (40, 2)"),
+    "descending": (np.arange(40)[::-1], np.ones(40), "lags must be strictly ascending"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CURVES))
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda lags, V: fit_offset_power_law(lags, V, t_min=1, t_max=30),
+        lambda lags, V: tail_slope(lags, V, 1, 30),
+    ],
+    ids=["fit_offset_power_law", "tail_slope"],
+)
+def test_fits_reject_malformed_curves(fit, case):
+    lags, V, message = _BAD_CURVES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit(lags, V)
 
 
 def test_fit_rejects_nonpositive_curves():
@@ -449,11 +472,8 @@ def test_overflowing_amplitude_emits_no_warning():
     assert fit.A == np.inf
 
 
-@st.composite
-def _loss_problems(draw):
-    """``(t, log V)`` as the fit samples them, on clean and hostile curves."""
-    n = draw(st.integers(10, 40))
-    t = np.unique(np.rint(np.geomspace(1.0, draw(st.integers(n, 1000)), n)))
+def _draw_log_v(draw, t):
+    """A ``log V`` sample on ``t``, from a clean or a hostile curve."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["power", "noisy", "flat", "step", "saturating", "random"]))
     if kind in ("power", "noisy"):
@@ -468,26 +488,55 @@ def _loss_problems(draw):
         log_v = np.log1p(-np.exp(-t / draw(st.floats(1.0, 100.0))))
     else:
         log_v = rng.normal(0.0, 5.0, t.size)
-    return t, log_v
+    return log_v
+
+
+def _draw_t(draw):
+    n = draw(st.integers(10, 40))
+    return np.unique(np.rint(np.geomspace(1.0, draw(st.integers(n, 1000)), n)))
+
+
+@st.composite
+def _loss_problems(draw):
+    """``(t, log V)`` as the fit samples them, on clean and hostile curves."""
+    t = _draw_t(draw)
+    return t, _draw_log_v(draw, t)
+
+
+@st.composite
+def _sample_stacks(draw):
+    """1-3 samples ``(t, log_v)``, each with 1-3 curves stacked on one ``t``."""
+    stacks = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = _draw_t(draw)
+        rows = [_draw_log_v(draw, t) for _ in range(draw(st.integers(1, 3)))]
+        stacks.append((t, np.array(rows)))
+    return stacks
 
 
 def _fit_objective(t, log_v, dim):
-    """The objective ``fit_offset_power_law`` hands to the optimizer."""
+    """The objective a fit minimizes, over ``(p, sqrt(tau))`` or ``(p,)``."""
     if dim == 2:
-        return lambda x: fitting._loss(t, log_v, x[0], x[1] * x[1])
-    return lambda x: fitting._loss(t, log_v, x[0], 0.0)
+        return lambda x: _frozen_loss(t, log_v, x[0], x[1] * x[1])
+    return lambda x: _frozen_loss(t, log_v, x[0], 0.0)
 
 
 _BUDGETS = st.integers(1, 80) | st.just(10_000)
+# Zero coordinates take scipy's zdelt branch; p0 >= 1 with tau = 0
+# starts in the penalty region; p0 ~ 1 with tau > 0 in the log limit.
+_START_P = (
+    st.sampled_from([0.0, 1.0, 1.2])
+    | st.floats(-1.0, 3.0)
+    | st.floats(-2e-6, 2e-6).map(lambda e: 1.0 + e)
+)
+_START_ROOT_TAU = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
 
 
 @given(
     _loss_problems(),
     st.sampled_from([1, 2]),
-    # Zero coordinates take scipy's zdelt branch; p0 >= 1 with tau = 0
-    # starts in the penalty region.
-    st.sampled_from([0.0, 1.0, 1.2]) | st.floats(-1.0, 3.0),
-    st.sampled_from([0.0]) | st.floats(0.0, 10.0),
+    _START_P,
+    _START_ROOT_TAU,
     _BUDGETS,
     _BUDGETS,
     st.sampled_from([(1e-8, 1e-16), (1e-4, 1e-4)]),
@@ -509,6 +558,248 @@ def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, m
     assert got.success == want.success
 
 
+@st.composite
+def _descents(draw):
+    """Samples and 1-8 starts ``(s, row, x0)`` on them, of one or two dimensions."""
+    samples = draw(_sample_stacks())
+    starts = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = draw(st.integers(0, len(samples) - 1))
+        row = draw(st.integers(0, len(samples[s][1]) - 1))
+        x0 = np.array([draw(_START_P), draw(_START_ROOT_TAU)][: draw(st.sampled_from([1, 2]))])
+        starts.append((s, row, x0))
+    return samples, starts
+
+
+@given(_descents(), _BUDGETS)
+@settings(max_examples=100, deadline=None)
+def test_descend_equals_minimize_per_search(descents, budget):
+    # A small budget ends the searches of one lock step in different
+    # rounds, some partway through a shrink.
+    samples, starts = descents
+    with mock.patch.object(fitting, "_MAX_ITER", budget):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = fitting._descend(samples, starts)
+    assert len(got) == len(starts)
+    for (s, row, x0), res in zip(starts, got):
+        t, log_v = samples[s]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            want = volrelax.optimize.minimize(
+                _fit_objective(t, log_v[row], x0.size), x0, xatol=fitting._XATOL,
+                fatol=fitting._XATOL**2, maxiter=budget, maxfev=budget,
+            )
+        assert np.array_equal(res.x, want.x)
+        assert res.fun == want.fun or (np.isnan(res.fun) and np.isnan(want.fun))
+        assert res.nfev == want.nfev
+        assert res.nit == want.nit
+        assert res.success == want.success
+
+
+def _frozen_select_sample(lags, values, t_min, t_max, n_points):
+    """``_select_sample`` as it was before the lock-step driver."""
+    sample = log_spaced_lags(t_min, t_max, n_points)
+    pos = np.searchsorted(lags, sample)
+    ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
+    sample, pos = sample[ok], pos[ok]
+    if sample.size == 0:
+        raise InsufficientPositivePoints("no computed lags in the fit range")
+    v = values[pos]
+    good = np.isfinite(v) & (v > 0)
+    n_bad = int(sample.size - good.sum())
+    if n_bad > 0.2 * sample.size:
+        raise InsufficientPositivePoints(
+            f"{n_bad}/{sample.size} sampled points are nonpositive or undefined"
+        )
+    if int(good.sum()) < 10:
+        raise InsufficientPositivePoints(
+            f"need >= 10 positive points in [{t_min}, {t_max}], got {int(good.sum())}"
+        )
+    return sample[good].astype(np.float64), np.log(v[good])
+
+
+def _frozen_fit(
+    lags, values, t_min=5, t_max=None, tau_mode="free", n_points=30,
+    minimize=volrelax.optimize.minimize,
+):
+    """``fit_offset_power_law`` as it was before the lock-step driver: one
+    start after the other, each descended by ``minimize``."""
+    lags = np.asarray(lags, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if t_max is None:
+        t_max = int(lags[-1])
+    if not 1 <= t_min <= t_max <= int(lags[-1]):
+        raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
+    if tau_mode not in ("free", "fixed_zero"):
+        raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
+    t, log_v = _frozen_select_sample(lags, values, t_min, t_max, n_points)
+    free_tau = tau_mode == "free"
+    if free_tau:
+        starts = [(p0, tau0) for p0 in fitting._P_GRID for tau0 in fitting._TAU_GRID]
+    else:
+        starts = [(p0, 0.0) for p0 in fitting._P_GRID]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coarse = sorted(
+            range(len(starts)), key=lambda i: (_frozen_loss(t, log_v, *starts[i]), i)
+        )[: fitting._N_STARTS]
+        best = None
+        for i in coarse:
+            p0, tau0 = starts[i]
+            x0 = np.array([p0, np.sqrt(tau0)]) if free_tau else np.array([p0])
+            res = minimize(
+                _fit_objective(t, log_v, x0.size), x0, xatol=fitting._XATOL,
+                fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
+            )
+            if not res.success or res.fun >= fitting._PENALTY / 2:
+                continue
+            if best is None or res.fun < best[0]:
+                tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
+                best = (float(res.fun), float(res.x[0]), tau_hat)
+            if best is not None and best[0] == 0.0:
+                break
+        if best is None:
+            raise NonConvergence(
+                f"no start converged within {fitting._MAX_ITER} iterations "
+                f"at tolerance {fitting._XATOL}"
+            )
+        loss, p_hat, tau_hat = best
+        ln_g = _frozen_log_model(t, p_hat, tau_hat)
+        ln_a = float(np.mean(log_v - ln_g))
+        resid = log_v - ln_g - ln_a
+        A = float(np.exp(ln_a))
+    return fitting.PowerLawFit(
+        A=A,
+        p=p_hat,
+        tau=tau_hat,
+        fit_range=(int(t_min), int(t_max)),
+        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
+        method="full_fit",
+    )
+
+
+def _frozen_bootstrap(vol, events, cfg, B, seed):
+    """``bootstrap_errors`` as it was before the lock-step driver."""
+    sigma = float(np.mean(vol.values))
+    n_ev = len(events)
+    p_m = np.full(B, np.nan)
+    p_p = np.full(B, np.nan)
+    n_failed = 0
+    for r in range(B):
+        rng = np.random.default_rng(seed + r)
+        idx = events.indices[rng.integers(0, n_ev, n_ev)]
+        try:
+            cum = cumulative(fitting._profile_from_indices(vol.values, idx, cfg.max_lag, sigma))
+            for side, p in (("-", p_m), ("+", p_p)):
+                p[r] = _frozen_fit(
+                    cum.lags, cum.side(side), cfg.t_min, cfg.t_max, cfg.tau_mode, cfg.n_points
+                ).p
+        except VolrelaxError:
+            n_failed += 1
+    if n_failed > 0.1 * B:
+        raise BootstrapUnstable(f"{n_failed}/{B} bootstrap replicas failed to fit")
+    ok_m, ok_p = ~np.isnan(p_m), ~np.isnan(p_p)
+    return fitting.BootstrapResult(
+        p_minus=p_m,
+        p_plus=p_p,
+        stderr_minus=float(np.std(p_m[ok_m], ddof=1)),
+        stderr_plus=float(np.std(p_p[ok_p], ddof=1)),
+        n_failed=n_failed,
+        n_replicas=B,
+    )
+
+
+def _outcome(call):
+    """What ``call()`` gives, compared exactly: the repr of its result
+    (bit patterns for arrays), or the type and message of its error."""
+    try:
+        result = call()
+    except (ValueError, VolrelaxError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    if isinstance(result, fitting.BootstrapResult):
+        return (
+            result.p_minus.tobytes(), result.p_plus.tobytes(), repr(result.stderr_minus),
+            repr(result.stderr_plus), result.n_failed, result.n_replicas,
+        )
+    return repr(result)
+
+
+@st.composite
+def _curves(draw):
+    """A curve ``(lags, values)`` that fits, fits badly, or fails to fit."""
+    n = draw(st.integers(12, 400))
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    lags = np.arange(0, n * step, step, dtype=np.int64)
+    t = lags.astype(np.float64)
+    kind = draw(st.sampled_from(["offset", "pure", "log", "saturating", "noisy", "negative"]))
+    p = draw(st.floats(0.05, 1.5))
+    tau = draw(st.floats(0.5, 30.0))
+    if kind == "offset" and abs(1.0 - p) > 1e-3:
+        V = ((t + tau) ** (1.0 - p) - tau ** (1.0 - p)) / (1.0 - p)
+    elif kind in ("pure", "offset"):
+        V = t ** 0.6
+    elif kind == "log":
+        V = np.log1p(t / tau)
+    elif kind == "saturating":
+        V = 1.0 - np.exp(-t / tau)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        V = t ** p * np.exp(rng.normal(0.0, 0.3, t.size))
+        if kind == "negative":
+            V[rng.random(t.size) < draw(st.floats(0.0, 0.5))] *= -1.0
+    return lags, V
+
+
+@given(
+    st.lists(_curves(), min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.sampled_from([None, 30, 60]),
+    st.sampled_from(["free", "fixed_zero"]),
+    st.sampled_from([15, 30]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_many_equals_the_sequential_fit(curves, t_min, t_max, tau_mode, n_points):
+    got = fitting._fit_many(curves, t_min, t_max, tau_mode, n_points)
+    assert len(got) == len(curves)
+    for (lags, V), fit in zip(curves, got):
+        want = _outcome(lambda: _frozen_fit(lags, V, t_min, t_max, tau_mode, n_points))
+        assert _outcome(lambda: fit) == want
+
+
+def _planted_events(seed, threshold):
+    returns = gen_planted_relaxation(
+        PlantedRelaxationSpec(
+            n=6_000, sigma0=0.01, shock_rate=150.0, boost=3.0, p=0.3, tau=0.0,
+            shock_magnitude=10.0, seed=seed,
+        )
+    )
+    vol = VolatilitySeries(
+        values=np.abs(returns.values),
+        slot_index=returns.slot_index,
+        slots_per_day=1,
+        cadence="daily",
+    )
+    return vol, select_events(vol, threshold)
+
+
+@given(
+    st.sampled_from(["planted", "left", "right", "low"]),
+    st.integers(2, 8),
+    st.integers(0, 2**20),
+    st.sampled_from([(1, None), (2, 30), (5, 50)]),
+    st.sampled_from(["free", "fixed_zero"]),
+)
+@settings(max_examples=20, deadline=None)
+def test_bootstrap_equals_the_sequential_bootstrap(source, B, seed, fit_range, tau_mode):
+    if source == "planted":
+        vol, events = _planted_events(seed % 3, 5.0)
+    else:
+        vol, events, _ = _edge_vol_and_events(source)
+    cfg = FitConfig(max_lag=60, t_min=fit_range[0], t_max=fit_range[1], tau_mode=tau_mode)
+    got = _outcome(lambda: bootstrap_errors(vol, events, cfg, B, seed))
+    assert got == _outcome(lambda: _frozen_bootstrap(vol, events, cfg, B, seed))
+
+
 @pytest.mark.parametrize(
     ("V", "tau_mode"),
     [
@@ -520,15 +811,16 @@ def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, m
         (np.arange(501) ** 0.6 * np.exp(np.random.default_rng(4).normal(0, 0.2, 501)), "fixed_zero"),
     ],
 )
-def test_fit_equals_the_fit_with_scipy_nelder_mead(monkeypatch, V, tau_mode):
+def test_fit_equals_the_fit_with_scipy_nelder_mead(V, tau_mode):
+    # The lock-step fit against one start after the other, each descended
+    # by scipy's Nelder-Mead.
     lags = np.arange(V.size, dtype=np.int64)
     ours = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
 
     def scipy_minimize(fun, x0, **options):
         return optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
 
-    monkeypatch.setattr(fitting, "optimize", types.SimpleNamespace(minimize=scipy_minimize))
-    theirs = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
+    theirs = _frozen_fit(lags, V, t_min=2, tau_mode=tau_mode, minimize=scipy_minimize)
     assert ours == theirs
 
 
@@ -574,17 +866,27 @@ _OFFSETS = (
 )
 
 
-@given(_loss_problems(), _EXPONENTS, _OFFSETS)
+@given(_sample_stacks(), st.lists(st.tuples(_EXPONENTS, _OFFSETS), min_size=1, max_size=12))
 @settings(max_examples=400, deadline=None)
-def test_loss_equals_the_frozen_loss(problem, p, tau):
-    t, log_v = problem
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        got = fitting._loss(t, log_v, p, tau)
-        want = _frozen_loss(t, log_v, p, tau)
-    assert type(got) is float
-    assert got == want or (np.isnan(got) and np.isnan(want))
-    ln_g = fitting._log_model(t, p, tau)
-    frozen = _frozen_log_model(t, p, tau)
-    assert (ln_g is None) == (frozen is None)
-    if ln_g is not None:
-        assert np.array_equal(ln_g, frozen)
+def test_loss_equals_the_frozen_loss(stacks, params):
+    # Every (p, tau) on every curve: the rows of one _losses call share
+    # a sample and a branch, and each equals the frozen loss bit for bit.
+    t, log_v = stacks[0]
+    points = [(row, p, tau) for row in range(len(log_v)) for p, tau in params]
+    by_branch = {}
+    for point in points:
+        by_branch.setdefault(fitting._branch(*point[1:]), []).append(point)
+    for branch, group in by_branch.items():
+        rows, ps, taus = (list(c) for c in zip(*group))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = fitting._losses(t, log_v[rows], np.array(ps), np.array(taus), branch)
+            want = [_frozen_loss(t, log_v[row], p, tau) for row, p, tau in group]
+        assert got.shape == (len(group),)
+        for loss, frozen in zip(got.tolist(), want):
+            assert loss == frozen or (np.isnan(loss) and np.isnan(frozen))
+    for p, tau in params:
+        ln_g = fitting._log_model(t, p, tau)
+        frozen = _frozen_log_model(t, p, tau)
+        assert (ln_g is None) == (frozen is None)
+        if ln_g is not None:
+            assert np.array_equal(ln_g, frozen)
