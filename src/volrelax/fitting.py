@@ -12,8 +12,15 @@ squared residual of ``log V`` over a log-spaced subsample of the lag
 range, so every decade carries comparable weight.  The amplitude ``A``
 has a closed form per ``(p, tau)`` candidate; the remaining two (or
 one, with ``tau`` pinned to zero) parameters are found by multistart
-Nelder-Mead descent (:func:`volrelax.optimize.minimize`) from a coarse
-grid.
+Nelder-Mead descent from a coarse grid.
+
+All the descents of one fit call (three starts per curve, and ``2B``
+curves in :func:`bootstrap_errors`) run in lock step: each is a
+:func:`volrelax.optimize.search`, and every round evaluates the points
+the live searches ask for in one numpy call per sample and ``ln g``
+formula (:func:`_losses`).  Each search takes exactly the steps the
+sequential :func:`volrelax.optimize.minimize` takes on its own, so the
+fits are bit for bit those of one curve and one start at a time.
 """
 
 from __future__ import annotations
@@ -354,7 +361,9 @@ def _best_fit(
     fit_range: tuple[int, int],
     free_tau: bool,
 ) -> PowerLawFit:
-    """The fit from the first of the best searches, taken in start order."""
+    """A curve's fit from its searches, taken in start order: the first
+    converged search with the least loss, where a loss of 0 ends the
+    choice."""
     best: tuple[float, float, float] | None = None
     for res in results:
         if not res.success or res.fun >= _PENALTY / 2:
@@ -368,7 +377,7 @@ def _best_fit(
         raise NonConvergence(
             f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
         )
-    loss, p_hat, tau_hat = best
+    _, p_hat, tau_hat = best
     ln_g = _log_model(t, p_hat, tau_hat)
     assert ln_g is not None
     ln_a = float(np.mean(log_v - ln_g))

@@ -132,7 +132,12 @@ def search(
 
 def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> MinimizeResult:
     """Minimize ``fun`` by Nelder-Mead from the start ``x0``: :func:`search`
-    driven by ``fun``, which receives a list of floats."""
+    driven by ``fun``, which receives a list of floats.
+
+    The fits run their searches in lock step instead; this sequential
+    driver is what each of those searches is tested against, and the
+    benchmark tracer (``perfbench/tracing.py``) still wraps it.
+    """
     steps = search(x0, xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=maxfev)
     try:
         x = next(steps)
