@@ -60,9 +60,8 @@ def search(
         fsim[k] = yield sim[k]
         nfev += 1
     nit = 1
-    # An evaluation refused for want of budget ends the search: the
-    # `continue` and `break` below that skip the rest of an iteration
-    # return here, where the vertices are sorted and the loop ends.
+    # A refused evaluation (the budget is spent) skips the rest of its
+    # iteration with `continue`, back to this sort, after which the loop ends.
     while True:
         order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
@@ -114,13 +113,13 @@ def search(
             for j in range(1, n + 1):
                 sim[j] = [a + sigma * (b - a) for a, b in zip(s0, sim[j])]
                 if nfev >= maxfev:
-                    break  # the vertex moved, its value did not
+                    break  # the vertex moved, its value did not, nit stays
                 fsim[j] = yield sim[j]
                 nfev += 1
             else:
                 nit += 1
-            continue
-        nit += 1
+        else:
+            nit += 1
     return MinimizeResult(
         x=np.array(sim[0]),
         fun=fsim[-1] if fsim[-1] != fsim[-1] else fsim[0],  # np.min: NaN wins, and sorts last
