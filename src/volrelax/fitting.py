@@ -409,8 +409,7 @@ def _fit_many(
     curve at a time would choose it (:func:`_best_fit`).
     """
     out: list = [None] * len(curves)
-    keys: dict[bytes, int] = {}
-    stacks: list[tuple[np.ndarray, list[np.ndarray]]] = []
+    stacks: dict[bytes, tuple[int, np.ndarray, list[np.ndarray]]] = {}  # t -> (s, t, rows)
     fitted: list[tuple[int, int, int, int]] = []  # curve, sample, row, t_max
     for c, (lags, values) in enumerate(curves):
         try:
@@ -418,12 +417,10 @@ def _fit_many(
         except (ValueError, VolrelaxError) as exc:
             out[c] = exc
             continue
-        s = keys.setdefault(t.tobytes(), len(stacks))
-        if s == len(stacks):
-            stacks.append((t, []))
-        stacks[s][1].append(log_v)
-        fitted.append((c, s, len(stacks[s][1]) - 1, t_hi))
-    samples = [(t, np.array(rows)) for t, rows in stacks]
+        s, _, rows = stacks.setdefault(t.tobytes(), (len(stacks), t, []))
+        rows.append(log_v)
+        fitted.append((c, s, len(rows) - 1, t_hi))
+    samples = [(t, np.array(rows)) for _, t, rows in stacks.values()]
 
     free_tau = tau_mode == "free"
     if free_tau:
