@@ -134,7 +134,7 @@ def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> MinimizeResult:
     driven by ``fun``, which receives a list of floats.
 
     The fits run their searches in lock step instead; this sequential
-    driver is what each of those searches is tested against, and the
+    loop is what each of those searches is tested against, and the
     benchmark tracer (``perfbench/tracing.py``) still wraps it.
     """
     steps = search(x0, xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=maxfev)

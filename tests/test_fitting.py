@@ -596,7 +596,7 @@ def test_descend_equals_minimize_per_search(descents, budget):
 
 
 def _frozen_select_sample(lags, values, t_min, t_max, n_points):
-    """``_select_sample`` as it was before the lock-step driver."""
+    """``_select_sample`` as it was before the lock-step searches."""
     sample = log_spaced_lags(t_min, t_max, n_points)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
@@ -621,7 +621,7 @@ def _frozen_fit(
     lags, values, t_min=5, t_max=None, tau_mode="free", n_points=30,
     minimize=volrelax.optimize.minimize,
 ):
-    """``fit_offset_power_law`` as it was before the lock-step driver: one
+    """``fit_offset_power_law`` as it was before the lock-step searches: one
     start after the other, each descended by ``minimize``."""
     lags = np.asarray(lags, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -677,7 +677,7 @@ def _frozen_fit(
 
 
 def _frozen_bootstrap(vol, events, cfg, B, seed):
-    """``bootstrap_errors`` as it was before the lock-step driver."""
+    """``bootstrap_errors`` as it was before the lock-step searches."""
     sigma = float(np.mean(vol.values))
     n_ev = len(events)
     p_m = np.full(B, np.nan)
