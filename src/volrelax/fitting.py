@@ -186,6 +186,11 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
 
 # The shapes ln g takes, one formula each; _branch picks one per (p, tau).
 _OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
+# numpy's power takes a fast path for some exponents given as a scalar (a
+# reciprocal for -1, a square root for 0.5, a square for 2) that can differ
+# in the last bit from its general path on arrays.  A one-row fit raises a
+# scalar to a scalar, so rows with these exponents are raised one at a time.
+_FAST_POWERS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
 
 
 def _branch(p: float, tau: float) -> int:
@@ -211,9 +216,13 @@ def _ln_g(t: np.ndarray, p: np.ndarray, tau: np.ndarray, branch: int) -> np.ndar
     tau = tau[:, None]
     if branch == _LOG_LIMIT:
         return np.log(np.log1p(t / tau))
+    if _FAST_POWERS.isdisjoint(q[:, 0].tolist()):
+        power = np.power(tau, q)
+    else:
+        power = np.array([[np.power(a, b)] for a, b in zip(tau[:, 0].tolist(), q[:, 0].tolist())])
     # tau^q * expm1(q*log1p(t/tau)) / q: positive for all q != 0,
     # cancellation-free, and -> log1p(t/tau) as q -> 0.
-    return np.log(np.power(tau, q) * np.expm1(q * np.log1p(t / tau)) / q)
+    return np.log(power * np.expm1(q * np.log1p(t / tau)) / q)
 
 
 def _log_model(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:

@@ -525,7 +525,7 @@ _BUDGETS = st.integers(1, 80) | st.just(10_000)
 # Zero coordinates take scipy's zdelt branch; p0 >= 1 with tau = 0
 # starts in the penalty region; p0 ~ 1 with tau > 0 in the log limit.
 _START_P = (
-    st.sampled_from([0.0, 1.0, 1.2])
+    st.sampled_from([0.0, 1.0, 1.2, -1.0, 0.5, 2.0])
     | st.floats(-1.0, 3.0)
     | st.floats(-2e-6, 2e-6).map(lambda e: 1.0 + e)
 )
@@ -854,6 +854,7 @@ def _frozen_loss(t, log_v, p, tau):
 
 _EXPONENTS = (
     st.floats(-3.0, 3.0)
+    | st.sampled_from([-1.0, 0.5, 2.0])  # q = 2, 0.5, -1: powers numpy may special-case
     | st.floats(-2e-6, 2e-6).map(lambda e: 1.0 + e)  # around the log limit
     | st.floats(1.0, 500.0)  # p >= 1: the penalty region when tau = 0
     | st.floats(-1e200, -1e150)  # r * r overflows when tau = 0
@@ -864,6 +865,25 @@ _OFFSETS = (
     | st.floats(5e-324, 1e-300)  # denormal and tiny
     | st.floats(1e300, 1.7976931348623157e308)  # t / tau underflows, tau^q overflows
 )
+
+
+def test_losses_take_scalar_powers_at_simple_exponents():
+    # numpy's power can take a fast path for a simple scalar exponent (-1,
+    # 0.5 and 2 with numpy 2.4) that rounds differently from the same power
+    # on arrays; every row of _losses must be the one-row (scalar) result.
+    t = np.unique(np.rint(np.geomspace(1.0, 1000.0, 30)))
+    log_v = 0.4 * np.log(t + 3.0)
+    taus = np.geomspace(1e-3, 1e4, 200)
+    for q in sorted({k / 4 for k in range(-12, 13)} | {k / 3 for k in range(-6, 7)}):
+        if q == 0.0:
+            continue  # the log limit
+        p = 1.0 - q
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = fitting._losses(
+                t, np.tile(log_v, (taus.size, 1)), np.full(taus.size, p), taus, fitting._OFFSET
+            )
+            want = [_frozen_loss(t, log_v, p, tau) for tau in taus.tolist()]
+        assert got.tolist() == want, q
 
 
 @given(_sample_stacks(), st.lists(st.tuples(_EXPONENTS, _OFFSETS), min_size=1, max_size=12))
