@@ -187,9 +187,10 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
 # The shapes ln g takes, one formula each; _branch picks one per (p, tau).
 _OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
 # numpy's power takes a fast path for some exponents given as a scalar (a
-# reciprocal for -1, a square root for 0.5, a square for 2) that can differ
-# in the last bit from its general path on arrays.  A one-row fit raises a
-# scalar to a scalar, so rows with these exponents are raised one at a time.
+# reciprocal for -1, a square root for 0.5, a square for 2; its array
+# power's scalar fast path also covers 0 and 1) that can differ in the last
+# bit from its general path on arrays.  A one-row fit raises a scalar to a
+# scalar, so rows with these exponents are raised one at a time.
 _FAST_POWERS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
 
 
