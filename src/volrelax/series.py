@@ -2,9 +2,12 @@
 
 The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
-It is parsed in one vectorised ``np.loadtxt`` pass.  Quoted input, and
-input that pass rejects, goes through a ``csv.reader`` row path instead,
-which gives the same result and words each error with its file line.
+The text is UTF-8, with or without a byte-order mark.  ``np.loadtxt``
+parses it one chunk of about a mebibyte at a time: beyond the decoded
+text and the output arrays, the parse needs memory bounded by the
+chunk, not by the file.  Quoted input, and input that parse rejects,
+goes through a ``csv.reader`` row path instead, which gives the same
+result and words each error with its file line.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
 of its *left* timestamp so that intraday seasonality can be estimated
@@ -54,6 +57,12 @@ _COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
 # numpy reads any number of year digits and wraps years out of its
 # range, so a stamp must start with a year of exactly four digits.
 _FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
+# The column path hands loadtxt chunks of at least this many characters,
+# cut after a newline.  Its line strings and its 72-byte-per-record table
+# then grow with the chunk, not with the file.
+_CHUNK_CHARS = 1 << 20
+# Where "surrogateescape" decoding puts the bytes that are not UTF-8.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -242,14 +251,19 @@ def _assign_slots(
     if cadence == "daily":
         return 1, np.zeros(ts.size, dtype=np.int32)
     tod = _times_of_day(ts)
-    grid = np.unique(tod)
-    if grid.size >= 2:
-        if requested is not None and requested != grid.size:
+    # The grid is the sorted distinct times of day: a table of the seconds
+    # of a day that occur, whose running count is each second's slot.
+    present = np.zeros(_SECONDS_PER_DAY, dtype=bool)
+    present[tod] = True
+    slot_of_second = np.cumsum(present, dtype=np.int32) - 1
+    n_slots = int(slot_of_second[-1]) + 1
+    if n_slots >= 2:
+        if requested is not None and requested != n_slots:
             raise SlotMismatch(
-                f"data has {grid.size} distinct times of day, "
+                f"data has {n_slots} distinct times of day, "
                 f"but slots_per_day={requested} was requested"
             )
-        return int(grid.size), np.searchsorted(grid, tod).astype(np.int32)
+        return n_slots, slot_of_second[tod]
     # No usable times of day (e.g. bare dates declared intraday): fall
     # back to a positional grid.
     s = requested if requested is not None else 1
@@ -263,15 +277,22 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     ------
     MalformedRow
         Wrong field count, an unparseable or missing (``NaT``)
-        timestamp or price, or a timestamp whose year is not exactly
-        four digits, reported with its 1-based file line.
+        timestamp or price, a timestamp whose year is not exactly four
+        digits, or a bytes stream that is not UTF-8, reported with its
+        1-based file line.
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
     schema = schema or CsvSchema()
     raw = stream.read()
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _not_utf8(raw.decode("utf-8", "surrogateescape")) from None
+    # A byte-order mark would join the first stamp, and that line would
+    # be taken for a header.
+    raw = raw.removeprefix("\ufeff")
     # Quotes move field boundaries in a way only csv.reader follows, and
     # a trailing NUL would vanish from a bytes stamp.
     columns = None if '"' in raw or "\0" in raw else _read_columns(raw, schema)
@@ -299,48 +320,90 @@ def _parses_as_time(field: str) -> bool:
     return True
 
 
-def _first_record(lines: list[str], start: int, delimiter: str) -> int | None:
-    """Index of the first line from ``start`` on that csv.reader does not skip as blank."""
-    for i in range(start, len(lines)):
-        if delimiter in lines[i] or lines[i].strip():
-            return i
+def _not_utf8(text: str) -> MalformedRow:
+    """The error for text decoded with ``surrogateescape`` that holds a byte that is not UTF-8."""
+    at = _UNDECODABLE.search(text).start()
+    line = text.count("\n", 0, at) + 1
+    return MalformedRow(f"line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
+
+
+def _first_record(raw: str, delimiter: str) -> tuple[int, int] | None:
+    """Start and end of the first line that csv.reader does not skip as blank."""
+    pos = 0
+    while pos <= len(raw):
+        end = raw.find("\n", pos)
+        if end < 0:
+            end = len(raw)
+        line = raw[pos:end]
+        if delimiter in line or line.strip():
+            return pos, end
+        pos = end + 1
     return None
 
 
 def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and prices of unquoted text from one ``np.loadtxt`` pass.
+    """Timestamps and prices of unquoted text, read by ``np.loadtxt`` in chunks.
+
+    The header is found on the head of the text.  The rest is cut into
+    chunks of at least ``_CHUNK_CHARS`` characters, each ending just
+    after a newline (the last at the end of the text), so that a record
+    never straddles two chunks.  Each chunk is parsed and checked on its
+    own, which bounds the parse's line strings and loadtxt table by the
+    chunk.
 
     Returns ``None`` wherever :func:`_read_rows` could read the text
-    differently or would raise, so that the row path decides the
-    result and words the error.  Two differences are left.  csv.reader
-    refuses a field longer than ``csv.field_size_limit()`` (128 KiB by
-    default) in any column, and this path reads such a file.  A time of
-    day followed by blanks reads the same on both paths, but only here
-    does numpy warn that it took the blanks for a time zone.
+    differently or would raise, in any chunk, so that the row path
+    decides the result and words the error.  Two differences are left.
+    csv.reader refuses a field longer than ``csv.field_size_limit()``
+    (128 KiB by default) in any column, and this path reads such a file.
+    A time of day followed by blanks reads the same on both paths, but
+    only here does numpy warn that it took the blanks for a time zone.
     """
-    # Without quotes, csv.reader's records are the "\n"-separated lines;
-    # loadtxt drops the "\r" of a CRLF line end itself.
-    lines = raw.split("\n")
-    first = _first_record(lines, 0, schema.delimiter)
+    first = _first_record(raw, schema.delimiter)
     if first is None:
         return None
-    fields = lines[first].split(schema.delimiter)
+    line_start, line_end = first
+    fields = raw[line_start:line_end].split(schema.delimiter)
     if len(fields) <= max(schema.timestamp_col, schema.price_col):
         return None
     skip_header = schema.header
     if skip_header is None:
         skip_header = not _parses_as_time(fields[schema.timestamp_col].strip())
+    pos = 0
     if skip_header:
         # loadtxt never sees the dropped lines, so look in them for the
         # stray "\r" that csv.reader rejects.
-        if any("\r" in line[:-1] for line in lines[: first + 1]):
+        if any("\r" in line[:-1] for line in raw[:line_end].split("\n")):
             return None
-        if _first_record(lines, first + 1, schema.delimiter) is None:
+        pos = line_end + 1
+    ts_parts: list[np.ndarray] = []
+    px_parts: list[np.ndarray] = []
+    while pos < len(raw):
+        cut = raw.find("\n", pos + _CHUNK_CHARS)
+        end = len(raw) if cut < 0 else cut + 1
+        chunk = raw[pos:end]
+        pos = end
+        # Lines of "\r" and "\n" alone are blank to csv.reader, and
+        # loadtxt warns on a chunk that holds nothing else.
+        if not chunk.strip("\r\n"):
+            continue
+        columns = _read_chunk(chunk, schema)
+        if columns is None:
             return None
-        del lines[: first + 1]
+        ts_parts.append(columns[0])
+        px_parts.append(columns[1])
+    if sum(part.size for part in ts_parts) < 2:
+        return None
+    return np.concatenate(ts_parts), np.concatenate(px_parts)
+
+
+def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """One chunk of :func:`_read_columns`: its stamps and prices, or ``None`` on any doubt."""
+    # Without quotes, csv.reader's records are the "\n"-separated lines;
+    # loadtxt drops the "\r" of a CRLF line end itself.
     try:
         table = np.loadtxt(
-            lines,
+            chunk.split("\n"),
             dtype=_COLUMNS,
             usecols=(schema.timestamp_col, schema.price_col),
             delimiter=schema.delimiter,
@@ -355,12 +418,11 @@ def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     # skip of leading blanks loses the sign of a negative year.  A stamp
     # that fills its field to the last byte may have been cut short.
     padded = (stamp_bytes[:, 0] <= ord(" ")).any()
-    if ts.size < 2 or np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
+    if np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
         return None
     # The row path refuses a year that is not four digits (_FOUR_DIGIT_YEAR).
     # Counted one stamp byte at a time, so that no temporary outlives its
-    # count and the parse's peak memory stays put.  Bytes below "0" wrap
-    # to large values in uint8.
+    # count.  Bytes below "0" wrap to large values in uint8.
     digits = [np.count_nonzero(stamp_bytes[:, k] - np.uint8(ord("0")) < 10) for k in range(5)]
     if digits != [ts.size] * 4 + [0]:
         return None
@@ -428,9 +490,18 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
-    """Read a price CSV from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_price_csv(fh, schema)
+    """Read a price CSV from disk.
+
+    A file that is not UTF-8 is :class:`MalformedRow`, naming the line
+    of its first byte that is not.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_price_csv(fh, schema)
+    except UnicodeDecodeError:
+        # Read again with the same newline handling, to find the line.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            raise _not_utf8(fh.read()) from None
 
 
 def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> ReturnSeries:

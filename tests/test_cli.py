@@ -270,6 +270,16 @@ def test_data_errors_exit_2(tmp_path):
         assert main(["analyze", "--input", str(path), "--out", out]) == 2, path
 
 
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    # "\xa4" is the euro sign in Latin-9 and not UTF-8.
+    path.write_bytes(b"timestamp,price\n2000-01-03,1\n2000-01-04,2 \xa4\n")
+    assert main(["events", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: MalformedRow: line 3: byte 0xa4 is not UTF-8\n"
+    assert captured.out == ""
+
+
 def test_no_events_exits_3_with_markers(iid_csv, tmp_path):
     out = str(tmp_path / "out")
     rc = main(

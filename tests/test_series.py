@@ -2,7 +2,9 @@
 
 import io
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,6 +74,31 @@ def test_parse_intraday_slot_grid():
     assert prices.cadence == "1min"
     assert prices.slots_per_day == 3
     np.testing.assert_array_equal(prices.slot_index, [0, 1, 2, 0, 1, 2])
+
+
+def _slots_by_sorting(ts):
+    """The slot grid as the sorted distinct times of day: the reference."""
+    tod = series._times_of_day(ts)
+    grid = np.unique(tod)
+    return grid.size, np.searchsorted(grid, tod).astype(np.int32)
+
+
+_TIMES_OF_DAY = st.sampled_from([0, 1, 34200, 34260, 57540, 86399]) | st.integers(0, 86399)
+
+
+@given(st.lists(st.tuples(st.integers(-40_000, 40_000), _TIMES_OF_DAY), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_slot_grid_matches_sorted_distinct_times_of_day(stamps):
+    # Days before 1970 have negative epoch seconds.
+    seconds = np.array([day * 86400 + tod for day, tod in stamps], dtype=np.int64)
+    ts = seconds.astype("datetime64[s]")
+    n_slots, slot_index = series._assign_slots(ts, "1min", None)
+    expected_n, expected_index = _slots_by_sorting(ts)
+    if expected_n < 2:
+        expected_n, expected_index = 1, np.zeros(ts.size, dtype=np.int32)
+    assert n_slots == expected_n
+    assert slot_index.dtype == np.int32
+    np.testing.assert_array_equal(slot_index, expected_index)
 
 
 def test_parse_slot_count_conflict():
@@ -260,6 +287,16 @@ def test_plain_csv_takes_the_column_path(monkeypatch):
     assert prices.cadence == "1min"
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 2, 8])
+def test_plain_csv_takes_the_column_path_in_tiny_chunks(monkeypatch, chunk_chars):
+    # A chunk of blank lines alone is skipped, without loadtxt's warning
+    # that its input contained no data.
+    monkeypatch.setattr(series, "_CHUNK_CHARS", chunk_chars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_plain_csv_takes_the_column_path(monkeypatch)
+
+
 @pytest.mark.filterwarnings(_TZ_WARNING)
 @pytest.mark.parametrize(
     ("text", "schema"),
@@ -365,6 +402,28 @@ def test_column_path_matches_row_path(case):
     assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
 
 
+# Chunk sizes small enough that records straddle the nominal chunk ends.
+_SMALL_CHUNKS = st.integers(1, 64)
+
+
+def _check_small_chunks(text, schema, chunk_chars):
+    """In small chunks both paths still agree, and the column path reads all it read in one."""
+    whole = series._read_columns(text, schema)
+    with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
+        assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+        chunked = series._read_columns(text, schema)
+    if whole is not None:
+        assert chunked is not None
+        assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@given(_csv_cases(), _SMALL_CHUNKS)
+@settings(max_examples=400, deadline=None)
+def test_column_path_matches_row_path_in_small_chunks(case, chunk_chars):
+    _check_small_chunks(*case, chunk_chars)
+
+
 _CLEAN_CSV = "2000-01-03,1.5\n2000-01-04,2\n2000-01-05,2.5\n"
 _SPLICES = [
     ",", ";", "\t", " ", "\n", "\r\n", "\r", '"', "\0", "\x0c", "\x85", "\u2028",
@@ -388,6 +447,74 @@ def _spliced_csvs(draw):
 def test_column_path_matches_row_path_on_spliced_text(text, delim, header):
     schema = CsvSchema(delimiter=delim, header=header)
     assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@given(
+    _spliced_csvs(),
+    st.sampled_from([",", ";", "\t"]),
+    st.sampled_from([None, True, False]),
+    _SMALL_CHUNKS,
+)
+@settings(max_examples=400, deadline=None)
+def test_column_path_matches_row_path_on_spliced_text_in_small_chunks(text, delim, header, chunk_chars):
+    _check_small_chunks(text, CsvSchema(delimiter=delim, header=header), chunk_chars)
+
+
+def test_parse_peak_memory_is_bounded_by_the_chunk():
+    # 200k one-minute records, 5.4 MB of text.  Under numpy 2.4, reading
+    # all of it in one loadtxt call peaked at 39.7 MB (text, line strings
+    # and table), and 1 MiB chunks at 15.5 MB (text, output arrays and one
+    # chunk's work).  4 MiB chunks, more than half this text, gave 35.1 MB.
+    n = 200_000
+    stamps = np.datetime64("2000-01-03T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
+    prices = 100.0 + np.arange(n) % 997 / 8.0
+    text = "".join(f"{s},{p!r}\n" for s, p in zip(stamps.astype(str), prices.tolist()))
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        parsed = parse_price_csv(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == n
+    assert peak < 25e6
+
+
+_BOM_CASES = [
+    DAILY_CSV,
+    "timestamp,price\n" + DAILY_CSV,
+    # A quote sends the text to the row path.
+    DAILY_CSV.replace("121.0", '"121.0"'),
+    "timestamp,price\n" + DAILY_CSV.replace("121.0", '"121.0"'),
+]
+
+
+@pytest.mark.parametrize("text", _BOM_CASES)
+def test_byte_order_mark_is_not_read_as_data(text):
+    def parse_bytes(text, schema):
+        return parse_price_csv(io.BytesIO(text.encode("utf-8")), schema)
+
+    expected = _outcome(_parse, text, CsvSchema())
+    assert len(expected[3]) == 3
+    for parse in (_parse, parse_bytes):
+        assert _outcome(parse, "\ufeff" + text, CsvSchema()) == expected
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_bytes_that_are_not_utf8_name_their_line(eol):
+    raw = eol.join(["timestamp,price", "2000-01-03,1", "2000-01-04,2", "2000-01-05,caf\xe9"]).encode("latin-1")
+    with pytest.raises(MalformedRow, match=r"^line 4: byte 0xe9 is not UTF-8$"):
+        parse_price_csv(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_file_that_is_not_utf8_names_its_line(tmp_path, eol):
+    # The file is read in text mode, where a lone "\r" ends a line too.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(eol.join([b"2000-01-03,1", b"2000-01-04,2", b"2000-01-05,2\xff", b""]))
+    with pytest.raises(MalformedRow, match=r"^line 3: byte 0xff is not UTF-8$"):
+        series.read_price_csv(str(path))
 
 
 def test_log_returns_values():
