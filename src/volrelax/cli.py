@@ -92,6 +92,8 @@ def _floats(s: str) -> tuple[float, ...]:
 
 _RUN = ("analyze", "omori", "pattern", "events")
 _ALL = (*_RUN, "synth")
+_SELECT = ("analyze", "events")  # select events per threshold
+_FIT = ("analyze", "omori")  # compute profiles and fit them
 
 
 @dataclass(frozen=True)
@@ -126,19 +128,19 @@ _OPTIONS = (
     _Option("input", str, help="price CSV (timestamp,price)", required=True),
     _Option("cadence", str, None, "sampling cadence (default: infer)", choices=("1min", "5min", "daily")),
     _Option("slots_per_day", int, None, "intraday slots when not derivable from timestamps"),
-    _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)"),
+    _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)", _SELECT),
     _Option("no_intraday_removal", _bool, False, "keep the raw intraday pattern"),
-    _Option("labels", str, None, "label file, or builtin:<name>"),
-    _Option("max_lag", int, None, "profile horizon T (default 1000 intraday, 100 daily)", minimum=1),
-    _Option("fit_min", int, 5, "first lag used in fits (default 5)", minimum=1),
-    _Option("fit_max", int, None, "last lag used in fits (default: max lag)"),
-    _Option("tau", str, "free", "fit the offset or pin it to 0", choices=("free", "zero")),
-    _Option("bootstrap", int, 0, "bootstrap replicas for p stderr (0 = off)", minimum=0),
+    _Option("labels", str, None, "label file, or builtin:<name>", _SELECT),
+    _Option("max_lag", int, None, "profile horizon T (default 1000 intraday, 100 daily)", _FIT, minimum=1),
+    _Option("fit_min", int, 5, "first lag used in fits (default 5)", _FIT, minimum=1),
+    _Option("fit_max", int, None, "last lag used in fits (default: max lag)", _FIT),
+    _Option("tau", str, "free", "fit the offset or pin it to 0", _FIT, ("free", "zero")),
+    _Option("bootstrap", int, 0, "bootstrap replicas for p stderr (0 = off)", ("analyze",), minimum=0),
     _Option("seed", int, 0, "seed for surrogate/bootstrap (default 0)"),
     _Option("surrogate", str, "none", "replace returns by a shuffled surrogate", choices=("none", "shuffle")),
-    _Option("split", str, "all", "also compute crash/rally or endo/exo splits", choices=("all", "sign", "origin")),
+    _Option("split", str, "all", "also compute crash/rally or endo/exo splits", ("analyze",), ("all", "sign", "origin")),
     _Option("out", str, None, "output directory", required=True),
-    _Option("min_separation", int, 0, "decluster events closer than this many steps", minimum=0),
+    _Option("min_separation", int, 0, "decluster events closer than this many steps", _SELECT, minimum=0),
     _Option("drop_session_crossing", _bool, False, "drop overnight returns"),
     _Option("mode", str, commands=("synth",), choices=("iid", "planted", "modulated"), required=True),
     _Option("n", int, 100_000, "number of returns (default 100000)", ("synth",)),
@@ -201,14 +203,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if o.minimum is not None and value is not None and value < o.minimum:
             raise _ConfigError(f"{o.flag} must be >= {o.minimum}")
         setattr(c, o.key, value)
-    if command == "synth":
-        return c
-    t = c.thresholds
-    if not (t and 1 < t[0] and t[-1] < math.inf and all(a < b for a, b in zip(t, t[1:]))):
+    # Each check runs only for the commands that take its options.
+    t = getattr(c, "thresholds", None)
+    if t is not None and not (t and 1 < t[0] and t[-1] < math.inf and all(a < b for a, b in zip(t, t[1:]))):
         raise _ConfigError("thresholds must be finite, > 1 and strictly increasing")
-    if c.fit_max is not None and c.fit_max < c.fit_min:
+    if getattr(c, "fit_max", None) is not None and c.fit_max < c.fit_min:
         raise _ConfigError("--fit-max must be >= --fit-min")
-    if command == "omori":
+    if "main_threshold" in c:
         if not 1 < c.main_threshold < math.inf:
             raise _ConfigError("--main-threshold must be finite and > 1")
         for m1 in c.z1_thresholds:
@@ -217,7 +218,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
                     f"aftershock threshold {m1:g} must be above 0 and below the main "
                     f"threshold {c.main_threshold:g}"
                 )
-    if command == "analyze" and c.split == "origin" and not c.labels:
+    if getattr(c, "split", None) == "origin" and not c.labels:
         raise _ConfigError("--split origin requires --labels")
     return c
 
@@ -251,12 +252,12 @@ def _load_labels(spec: str):
 def _prepare_run(args: argparse.Namespace):
     """Configure, load and de-season; write ``config.echo`` and ``pattern.tsv``.
 
-    The configuration comes back with the cadence, slot count, ``max_lag``
-    and ``fit_max`` the data resolved.  Only analyze and omori check the
-    fit range; events writes no ``pattern.tsv``; pattern always writes one.
+    The configuration comes back with the data's cadence and slot count
+    and, for the commands that fit, ``max_lag`` and ``fit_max`` filled in and checked.
+    events writes no ``pattern.tsv``; pattern always writes one.
     """
     c = _run_config(args)
-    labels = _load_labels(c.labels) if c.labels and c.command in ("analyze", "events") else None
+    labels = _load_labels(c.labels) if getattr(c, "labels", None) else None
     schema = CsvSchema(cadence=c.cadence, slots_per_day=c.slots_per_day)
     try:
         prices = read_price_csv(c.input, schema)
@@ -280,14 +281,13 @@ def _prepare_run(args: argparse.Namespace):
         # Removal disabled or daily data: estimate anyway so the dump is useful.
         pattern = estimate_pattern(absolute_volatility(returns))
     c.cadence, c.slots_per_day = vol.cadence, vol.slots_per_day
-    if c.max_lag is None:
-        c.max_lag = 100 if vol.cadence == "daily" else 1000
-    if c.fit_max is None:
-        c.fit_max = c.max_lag
-    if c.command in ("analyze", "omori") and not c.fit_min <= c.fit_max <= c.max_lag:
-        raise _ConfigError(
-            f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
-        )
+    if "max_lag" in c:
+        c.max_lag = c.max_lag or (100 if vol.cadence == "daily" else 1000)
+        c.fit_max = c.max_lag if c.fit_max is None else c.fit_max
+        if not c.fit_min <= c.fit_max <= c.max_lag:
+            raise _ConfigError(
+                f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
+            )
     os.makedirs(c.out, exist_ok=True)
     with open(os.path.join(c.out, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(vars(c).items()):

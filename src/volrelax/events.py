@@ -115,9 +115,6 @@ class EventSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 def select_events(
     vol: VolatilitySeries, m: float, stats: SeriesStats | None = None

@@ -278,13 +278,21 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     MalformedRow
         Wrong field count, an unparseable or missing (``NaT``)
         timestamp or price, a timestamp whose year is not exactly four
-        digits, or a bytes stream that is not UTF-8, reported with its
-        1-based file line.
+        digits, or a stream that is not UTF-8, reported with its 1-based
+        file line.  For a stream already read from, the line is counted
+        from where the parse began reading; for a text stream, from where
+        its decoder had read to, which can lie past the lines it returned.
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
     schema = schema or CsvSchema()
-    raw = stream.read()
+    try:
+        raw = stream.read()
+    except UnicodeDecodeError as exc:
+        # The error holds the bytes the text stream was decoding, the whole
+        # file if unread before; decode them again as a text-mode read does.
+        text = io.TextIOWrapper(io.BytesIO(exc.object), encoding="utf-8", errors="surrogateescape")
+        raise _not_utf8(text.read()) from None
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -495,13 +503,8 @@ def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
     A file that is not UTF-8 is :class:`MalformedRow`, naming the line
     of its first byte that is not.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_price_csv(fh, schema)
-    except UnicodeDecodeError:
-        # Read again with the same newline handling, to find the line.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            raise _not_utf8(fh.read()) from None
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_price_csv(fh, schema)
 
 
 def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> ReturnSeries:

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 
@@ -95,53 +96,79 @@ def test_config_echo_reproduces_run(planted_csv, tmp_path):
     )
 
 
-_ECHO_HEAD = """\
-bootstrap = 0
-cadence = {cadence}
-command = {command}
-drop_session_crossing = false
-fit_max = {fit_max}
-fit_min = {fit_min}
-input = {input}
-labels = {labels}
-"""
-
-_ECHO_TAIL = """\
-min_separation = 0
-no_intraday_removal = false
-seed = 0
-slots_per_day = {slots}
-split = all
-surrogate = none
-tau = {tau}
-thresholds = {thresholds}
-"""
-
+# Each command echoes only the keys it takes.
 _ECHO_CASES = {
     "analyze": (
         ["--thresholds", "4,5", "--max-lag", "150", "--fit-min", "2", "--fit-max", "60",
          "--tau", "zero"],
-        _ECHO_HEAD + "max_lag = 150\n" + _ECHO_TAIL,
-        dict(cadence="daily", fit_max=60, fit_min=2, slots=1, tau="zero", thresholds="4.0,5.0"),
+        """\
+bootstrap = 0
+cadence = daily
+command = analyze
+drop_session_crossing = false
+fit_max = 60
+fit_min = 2
+input = {input}
+labels = {labels}
+max_lag = 150
+min_separation = 0
+no_intraday_removal = false
+seed = 0
+slots_per_day = 1
+split = all
+surrogate = none
+tau = zero
+thresholds = 4.0,5.0
+""",
     ),
     "omori": (
         ["--main-threshold", "6", "--z1-thresholds", "2,3", "--max-lag", "60", "--fit-min", "2",
          "--fit-max", "50", "--tau", "zero"],
-        _ECHO_HEAD + "main_threshold = 6.0\nmax_lag = 60\n" + _ECHO_TAIL
-        + "z1_thresholds = 2.0,3.0\n",
-        dict(cadence="daily", fit_max=50, fit_min=2, slots=1, tau="zero",
-             thresholds="2.0,4.0,6.0,8.0"),
+        """\
+cadence = daily
+command = omori
+drop_session_crossing = false
+fit_max = 50
+fit_min = 2
+input = {input}
+main_threshold = 6.0
+max_lag = 60
+no_intraday_removal = false
+seed = 0
+slots_per_day = 1
+surrogate = none
+tau = zero
+z1_thresholds = 2.0,3.0
+""",
     ),
     "pattern": (
         [],
-        _ECHO_HEAD + "max_lag = 1000\n" + _ECHO_TAIL,
-        dict(cadence="1min", fit_max=1000, fit_min=5, slots=30, tau="free",
-             thresholds="2.0,4.0,6.0,8.0"),
+        """\
+cadence = 1min
+command = pattern
+drop_session_crossing = false
+input = {input}
+no_intraday_removal = false
+seed = 0
+slots_per_day = 30
+surrogate = none
+""",
     ),
     "events": (
         ["--thresholds", "5"],
-        _ECHO_HEAD + "max_lag = 1000\n" + _ECHO_TAIL,
-        dict(cadence="1min", fit_max=1000, fit_min=5, slots=30, tau="free", thresholds="5.0"),
+        """\
+cadence = 1min
+command = events
+drop_session_crossing = false
+input = {input}
+labels = {labels}
+min_separation = 0
+no_intraday_removal = false
+seed = 0
+slots_per_day = 30
+surrogate = none
+thresholds = 5.0
+""",
     ),
 }
 
@@ -167,11 +194,11 @@ def intraday_csv(tmp_path_factory):
 def test_config_echo_text_and_round_trip(command, request, tmp_path):
     intraday = command in ("pattern", "events")
     csv = request.getfixturevalue("intraday_csv" if intraday else "planted_csv")
-    flags, template, fields = _ECHO_CASES[command]
+    flags, template = _ECHO_CASES[command]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main([command, "--input", csv, "--out", out1, *flags]) == 0
     echo = os.path.join(out1, "config.echo")
-    expected = template.format(command=command, input=csv, labels="", **fields)
+    expected = template.format(input=csv, labels="")  # keeps "labels = " unstripped
     assert open(echo, encoding="utf-8", newline="").read() == expected
     assert sorted(os.listdir(out1)) == _ECHO_FILES[command]
     assert main([command, "--config", echo, "--out", out2]) == 0
@@ -250,6 +277,62 @@ def test_unknown_config_key_exits_1(planted_csv, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"input = {planted_csv}\nverbosity = 11\n")
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+# The options each run subcommand takes besides --config, and for each
+# option that some of them lack, a value the others accept.
+_SHARED = ("input", "cadence", "slots_per_day", "no_intraday_removal", "seed", "surrogate",
+           "out", "drop_session_crossing")
+_SELECT = ("thresholds", "labels", "min_separation")
+_FIT = ("max_lag", "fit_min", "fit_max", "tau")
+_TAKES = {
+    "analyze": (*_SHARED, *_SELECT, *_FIT, "bootstrap", "split"),
+    "omori": (*_SHARED, *_FIT, "main_threshold", "z1_thresholds"),
+    "pattern": _SHARED,
+    "events": (*_SHARED, *_SELECT),
+}
+_VALUES = {
+    "thresholds": "5", "labels": "builtin:dax_daily", "min_separation": "3", "max_lag": "60",
+    "fit_min": "2", "fit_max": "50", "tau": "zero", "bootstrap": "5", "split": "sign",
+    "main_threshold": "6", "z1_thresholds": "2,3",
+}
+_NOT_TAKEN = [
+    (command, key) for command, keys in _TAKES.items() for key in _VALUES if key not in keys
+]
+
+
+@pytest.mark.parametrize("command,key", _NOT_TAKEN)
+def test_options_a_command_does_not_read_are_refused(command, key, planted_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    flag = "--" + key.replace("_", "-")
+    assert main([command, "--input", planted_csv, "--out", out, flag, _VALUES[key]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{key} = {_VALUES[key]}\n")
+    assert main([command, "--config", str(cfg), "--input", planted_csv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+    assert not os.path.exists(out)
+
+
+_ANALYZE_FLAGS = [
+    "--help", "--input", "--cadence", "--slots-per-day", "--thresholds",
+    "--no-intraday-removal", "--labels", "--max-lag", "--fit-min", "--fit-max", "--tau",
+    "--bootstrap", "--seed", "--surrogate", "--split", "--out", "--min-separation",
+    "--drop-session-crossing", "--config",
+]
+
+
+@pytest.mark.parametrize("command", sorted(_TAKES))
+def test_help_lists_exactly_the_options_taken(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+    taken = {"--help", "--config", *("--" + k.replace("_", "-") for k in _TAKES[command])}
+    assert sorted(listed) == sorted(taken)
+    if command == "analyze":
+        assert listed == _ANALYZE_FLAGS
 
 
 def test_config_command_mismatch_exits_1(planted_csv, tmp_path):

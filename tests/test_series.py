@@ -515,6 +515,9 @@ def test_file_that_is_not_utf8_names_its_line(tmp_path, eol):
     path.write_bytes(eol.join([b"2000-01-03,1", b"2000-01-04,2", b"2000-01-05,2\xff", b""]))
     with pytest.raises(MalformedRow, match=r"^line 3: byte 0xff is not UTF-8$"):
         series.read_price_csv(str(path))
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(MalformedRow, match=r"^line 3: byte 0xff is not UTF-8$"):
+            parse_price_csv(fh)
 
 
 def test_log_returns_values():
