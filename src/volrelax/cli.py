@@ -264,6 +264,7 @@ def _prepare_run(args: argparse.Namespace):
     except OSError as exc:
         raise _ConfigError(f"cannot read input {c.input}: {exc}") from None
     returns = log_returns(prices, include_session_crossing=not c.drop_session_crossing)
+    del prices  # read no more: free their 20 bytes a record before the profiles peak
     if c.surrogate == "shuffle":
         returns = shuffle_surrogate(returns, c.seed)
     vol = absolute_volatility(returns)
@@ -278,7 +279,7 @@ def _prepare_run(args: argparse.Namespace):
         vol = remove_pattern(vol, pattern)
     stats = mean_volatility(vol)
     if pattern is None and c.command == "pattern":
-        # Removal disabled or daily data: estimate anyway so the dump is useful.
+        # Intraday data with removal off: estimate only to dump; daily raises DailyCadence (exit 2).
         pattern = estimate_pattern(absolute_volatility(returns))
     c.cadence, c.slots_per_day = vol.cadence, vol.slots_per_day
     if "max_lag" in c:

@@ -42,7 +42,7 @@ class EmptySeries(DataError):
 
 
 class EmptySlot(DataError):
-    """An intraday slot has no observations, so no pattern factor exists."""
+    """An intraday slot has no observations, or only zero ones, so no pattern factor exists."""
 
 
 class DailyCadence(DataError):

@@ -53,7 +53,7 @@ def estimate_pattern(vol: VolatilitySeries) -> IntradayPattern:
         The series has a single slot per day, so there is no intraday
         pattern to estimate.
     EmptySlot
-        Some slot has no observations.
+        Some slot has no observations, or only zero ones.
     """
     s = vol.slots_per_day
     if s < 2:
@@ -63,6 +63,9 @@ def estimate_pattern(vol: VolatilitySeries) -> IntradayPattern:
         empty = np.flatnonzero(counts == 0)
         raise EmptySlot(f"no observations in slot(s) {empty.tolist()}")
     means = np.bincount(vol.slot_index, weights=vol.values, minlength=s) / counts
+    if np.any(means == 0):
+        zero = np.flatnonzero(means == 0)
+        raise EmptySlot(f"only zero volatility in slot(s) {zero.tolist()}")
     return IntradayPattern(factors=means / means.mean(), slots_per_day=s)
 
 

@@ -49,6 +49,10 @@ __all__ = [
 # added to the running sum.  Changing it, or summing along the lag axis
 # instead, changes the output bytes.
 _CHUNK_CELLS = 2_000_000
+# Cells gathered at once within a chunk, to bound the gather's memory.  A
+# block starts from the chunk's sum so far and the axis-0 sum adds its rows
+# in order, so the block size cannot change a byte.
+_BLOCK_CELLS = 1 << 16
 
 # Column name -> cell type, in file order.
 PROFILE_COLUMNS = {
@@ -190,9 +194,9 @@ def _conditional_sums(
     ``0.0`` wherever that range leaves the series.  The windows of all
     events are summed into one accumulator whose centre is lag 0 of
     both sides, read backwards for ``-`` and forwards for ``+``.  The
-    gather runs in chunks of events, so memory stays bounded and every
-    lag adds the events in the order ``indices`` lists them (see
-    ``_CHUNK_CELLS``).
+    sum runs in chunks of events, each gathered in blocks so memory stays
+    bounded, and every lag adds the events in the order ``indices`` lists
+    them (see ``_CHUNK_CELLS``).
 
     The counts need no gather: ``e + lag`` is in bounds for the events
     below ``n - lag`` and ``e - lag`` for those at or above ``lag``.
@@ -203,9 +207,17 @@ def _conditional_sums(
         np.pad(values, max_lag), 2 * max_lag + 1
     )
     acc = np.zeros(2 * max_lag + 1)
+    total = np.empty_like(acc)
     chunk = max(1, _CHUNK_CELLS // (max_lag + 1))
+    rows = max(1, _BLOCK_CELLS // (2 * max_lag + 1))
     for lo in range(0, indices.size, chunk):
-        acc += windows[indices[lo : lo + chunk]].sum(axis=0)
+        part = indices[lo : lo + chunk]
+        windows[part[:rows]].sum(axis=0, out=total)
+        for at in range(rows, part.size, rows):
+            block = windows[part[at : at + rows]]
+            block[0] += total
+            block.sum(axis=0, out=total)
+        acc += total
     ordered = np.sort(indices)
     cnts_p = np.searchsorted(ordered, n - lags)
     cnts_m = indices.size - np.searchsorted(ordered, lags)

@@ -3,11 +3,12 @@
 The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
 The text is UTF-8, with or without a byte-order mark.  ``np.loadtxt``
-parses it one chunk of about a mebibyte at a time: beyond the decoded
-text and the output arrays, the parse needs memory bounded by the
-chunk, not by the file.  Quoted input, and input that parse rejects,
-goes through a ``csv.reader`` row path instead, which gives the same
-result and words each error with its file line.
+parses it one chunk of about a mebibyte at a time, read from the stream
+as the parse goes: beyond the output arrays, the parse needs memory
+bounded by the chunk, not by the file.  Quoted input, and input that
+parse rejects, sends the parse back to where it began, to read the
+whole text through a ``csv.reader`` row path instead, which gives the
+same result and words each error with its file line.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
 of its *left* timestamp so that intraday seasonality can be estimated
@@ -16,11 +17,13 @@ and removed downstream.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -57,9 +60,9 @@ _COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
 # numpy reads any number of year digits and wraps years out of its
 # range, so a stamp must start with a year of exactly four digits.
 _FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
-# The column path hands loadtxt chunks of at least this many characters,
-# cut after a newline.  Its line strings and its 72-byte-per-record table
-# then grow with the chunk, not with the file.
+# The column path reads this many characters (or bytes) at a time and
+# hands loadtxt what it read up to the last newline.  Its line strings and
+# 72-byte-per-record table then grow with the chunk, not with the file.
 _CHUNK_CHARS = 1 << 20
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -278,14 +281,48 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     MalformedRow
         Wrong field count, an unparseable or missing (``NaT``)
         timestamp or price, a timestamp whose year is not exactly four
-        digits, or a stream that is not UTF-8, reported with its 1-based
-        file line.  For a stream already read from, the line is counted
-        from where the parse began reading; for a text stream, from where
-        its decoder had read to, which can lie past the lines it returned.
+        digits (a bare integer other than a year, among them), or a
+        stream that is not UTF-8, reported with its 1-based file line.
+        For a stream already read from, the line is counted from where
+        the parse began reading; for a text stream that cannot tell where
+        it stands (one iterated line by line, say), from where its
+        decoder had read to, which can lie past the lines it returned.
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
     schema = schema or CsvSchema()
+    try:
+        start = stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError):  # a bare reader, or a text stream iterated by lines
+        start = None
+    if start is None:
+        # The row path may need the text again, and this stream cannot go back to it.
+        text = _read_text(stream)
+        blocks: Iterable[str] = (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
+    else:
+        text, blocks = None, _blocks(stream)
+    try:
+        columns = _read_columns(blocks, schema)
+    except UnicodeDecodeError:
+        columns = None
+    if columns is None:
+        if text is None:
+            stream.seek(start)
+            text = _read_text(stream)
+        columns = _read_rows(text.removeprefix("\ufeff"), schema)
+    return _price_series(*columns, schema)
+
+
+def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
+    """The rest of ``stream`` as text, read ``_CHUNK_CHARS`` characters (or bytes) at a time."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    while block := stream.read(_CHUNK_CHARS):
+        yield block if isinstance(block, str) else decode(block)
+    yield decode(b"", final=True)
+
+
+def _read_text(stream: IO[str] | IO[bytes]) -> str:
+    """The rest of ``stream`` as text; a byte that is not UTF-8 is :class:`MalformedRow`."""
     try:
         raw = stream.read()
     except UnicodeDecodeError as exc:
@@ -298,14 +335,7 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
             raw = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _not_utf8(raw.decode("utf-8", "surrogateescape")) from None
-    # A byte-order mark would join the first stamp, and that line would
-    # be taken for a header.
-    raw = raw.removeprefix("\ufeff")
-    # Quotes move field boundaries in a way only csv.reader follows, and
-    # a trailing NUL would vanish from a bytes stamp.
-    columns = None if '"' in raw or "\0" in raw else _read_columns(raw, schema)
-    ts, px = columns if columns is not None else _read_rows(raw, schema)
-    return _price_series(ts, px, schema)
+    return raw
 
 
 def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
@@ -349,15 +379,28 @@ def _first_record(raw: str, delimiter: str) -> tuple[int, int] | None:
     return None
 
 
-def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+def _chunks(blocks: Iterable[str]) -> Iterator[str]:
+    """The text of ``blocks``, each cut after its last newline and the rest carried over."""
+    rest = ""
+    for block in blocks:
+        text = rest + block
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
+
+
+def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
     """Timestamps and prices of unquoted text, read by ``np.loadtxt`` in chunks.
 
-    The header is found on the head of the text.  The rest is cut into
-    chunks of at least ``_CHUNK_CHARS`` characters, each ending just
-    after a newline (the last at the end of the text), so that a record
-    never straddles two chunks.  Each chunk is parsed and checked on its
-    own, which bounds the parse's line strings and loadtxt table by the
-    chunk.
+    ``blocks`` gives the text in pieces of any size.  Each chunk is what
+    the blocks hold up to their last newline, so that a record never
+    straddles two chunks.  The first chunks are held until they show the
+    first record, which decides the header.  Each chunk is parsed and
+    checked on its own, which bounds the parse's line strings and
+    loadtxt table by the chunk.
 
     Returns ``None`` wherever :func:`_read_rows` could read the text
     differently or would raise, in any chunk, so that the row path
@@ -367,11 +410,18 @@ def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     A time of day followed by blanks reads the same on both paths, but
     only here does numpy warn that it took the blanks for a time zone.
     """
-    first = _first_record(raw, schema.delimiter)
-    if first is None:
-        return None
+    chunks = _chunks(blocks)
+    head, first = "", None
+    while first is None:
+        chunk = next(chunks, None)
+        if chunk is None:
+            return None
+        # A byte-order mark would join the first stamp, and that line
+        # would be taken for a header.
+        head = head + chunk if head else chunk.removeprefix("\ufeff")
+        first = _first_record(head, schema.delimiter)
     line_start, line_end = first
-    fields = raw[line_start:line_end].split(schema.delimiter)
+    fields = head[line_start:line_end].split(schema.delimiter)
     if len(fields) <= max(schema.timestamp_col, schema.price_col):
         return None
     skip_header = schema.header
@@ -381,16 +431,18 @@ def _read_columns(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     if skip_header:
         # loadtxt never sees the dropped lines, so look in them for the
         # stray "\r" that csv.reader rejects.
-        if any("\r" in line[:-1] for line in raw[:line_end].split("\n")):
+        if any("\r" in line[:-1] for line in head[:line_end].split("\n")):
             return None
         pos = line_end + 1
     ts_parts: list[np.ndarray] = []
     px_parts: list[np.ndarray] = []
-    while pos < len(raw):
-        cut = raw.find("\n", pos + _CHUNK_CHARS)
-        end = len(raw) if cut < 0 else cut + 1
-        chunk = raw[pos:end]
-        pos = end
+    for chunk in itertools.chain([head], chunks):
+        # Quotes move field boundaries in a way only csv.reader follows,
+        # and a trailing NUL would vanish from a bytes stamp.  The header
+        # leaves the first chunk only once this test has seen it.
+        if '"' in chunk or "\0" in chunk:
+            return None
+        chunk, pos = chunk[pos:], 0
         # Lines of "\r" and "\n" alone are blank to csv.reader, and
         # loadtxt warns on a chunk that holds nothing else.
         if not chunk.strip("\r\n"):
@@ -418,7 +470,12 @@ def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
             comments=None,
             ndmin=1,
         )
-        ts = table["timestamp"].astype("datetime64[s]")
+        # Casting more than 500 stamps at once, numpy 2.4 releases the
+        # interpreter lock, and a stamp that does not parse then crashes the
+        # process (SIGSEGV); 500 at a time, it raises.
+        ts = np.empty(table.size, "datetime64[s]")
+        for lo in range(0, table.size, 500):
+            ts[lo : lo + 500] = table["timestamp"][lo : lo + 500]
     except (ValueError, TypeError):
         return None
     stamp_bytes = table.view(np.uint8).reshape(table.size, _COLUMNS.itemsize)[:, :_STAMP_BYTES]
@@ -484,7 +541,8 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
         raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
     for s, lineno in zip(ts_strs, linenos):
         if not _FOUR_DIGIT_YEAR.match(s):
-            raise MalformedRow(f"line {lineno}: timestamp {s!r} has no four-digit year")
+            why = "is a bare integer, not an ISO date or time" if s.isdigit() else "has no four-digit year"
+            raise MalformedRow(f"line {lineno}: timestamp {s!r} {why}")
     try:
         px = np.array(px_strs, dtype=np.float64)
     except ValueError:

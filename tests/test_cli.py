@@ -363,6 +363,31 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _zero_slot_csv(path):
+    """Four one-minute slots a day for 200 days; every return from slot 1 is zero."""
+    rng = np.random.default_rng(3)
+    days = np.datetime64("2000-01-03T09:30") + np.arange(200).repeat(4) * np.timedelta64(1, "D")
+    stamps = days + np.tile(np.arange(4), 200) * np.timedelta64(1, "m")
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, stamps.size)))
+    prices[2::4] = prices[1::4]
+    path.write_text("".join(f"{t},{p!r}\n" for t, p in zip(stamps.astype(str), prices.tolist())))
+
+
+@pytest.mark.parametrize("command", ["analyze", "pattern"])
+def test_slot_of_zero_volatility_is_a_data_error(command, tmp_path, capsys):
+    csv = tmp_path / "zero_slot.csv"
+    _zero_slot_csv(csv)
+    assert main([command, "--input", str(csv), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "data error: EmptySlot: only zero volatility in slot(s) [1]\n"
+
+
+def test_pattern_of_daily_data_is_a_data_error(iid_csv, tmp_path, capsys):
+    # Daily data has no intraday pattern to dump, with removal on or off.
+    for extra in ([], ["--no-intraday-removal"]):
+        assert main(["pattern", "--input", iid_csv, "--out", str(tmp_path / "out"), *extra]) == 2
+        assert capsys.readouterr().err == "data error: DailyCadence: series has a single slot per day\n"
+
+
 def test_no_events_exits_3_with_markers(iid_csv, tmp_path):
     out = str(tmp_path / "out")
     rc = main(

@@ -58,6 +58,18 @@ def test_estimate_rejects_empty_slot():
         estimate_pattern(vol)
 
 
+@pytest.mark.parametrize(
+    ("values", "zero"),
+    [([1.0, 0.0, 2.0, 4.0, 0.0, 3.0], [1]), ([0.0] * 6, [0, 1, 2])],
+)
+def test_estimate_rejects_slot_of_zero_volatility(values, zero):
+    # A zero factor would divide by zero; all zeros would average to 0/0,
+    # a RuntimeWarning that the pytest configuration makes a failure.
+    vol = _vol(values, [0, 1, 2, 0, 1, 2], 3)
+    with pytest.raises(EmptySlot, match=rf"^only zero volatility in slot\(s\) \{zero}$"):
+        estimate_pattern(vol)
+
+
 def test_pattern_validates_factors():
     with pytest.raises(ValueError):
         IntradayPattern(factors=np.array([0.5, 2.0]), slots_per_day=2)  # mean != 1

@@ -1,5 +1,6 @@
 """Conditioned profiles, cumulatives and two-threshold counts."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,62 @@ def test_conditional_sums_bit_identical_to_chunked_where_gather(case):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def _one_gather_per_chunk_sums(values, indices, max_lag, chunk_cells):
+    """Each chunk of events gathered and summed at once: the accumulation
+    that block-wise gathering replaced, frozen as the reference."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(values, max_lag), 2 * max_lag + 1)
+    acc = np.zeros(2 * max_lag + 1)
+    chunk = max(1, chunk_cells // (max_lag + 1))
+    for lo in range(0, indices.size, chunk):
+        acc += windows[indices[lo : lo + chunk]].sum(axis=0)
+    return acc[max_lag::-1], acc[max_lag:]
+
+
+@st.composite
+def _blocks_case(draw):
+    values, indices, max_lag, chunk_cells = draw(_sums_case())
+    # Values over many decades, so that any change in the order of the
+    # additions shows in the last bits.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = values * 10.0 ** rng.integers(-8, 9, values.size)
+    return values, indices, max_lag, chunk_cells, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_case())
+def test_conditional_sums_in_blocks_bit_identical_to_one_gather_per_chunk(case):
+    values, indices, max_lag, chunk_cells, block_cells = case
+    want = _one_gather_per_chunk_sums(values, indices, max_lag, chunk_cells)
+    # Small chunks and blocks put both kinds of boundary inside the event list.
+    with mock.patch.object(profiles, "_CHUNK_CELLS", chunk_cells), mock.patch.object(
+        profiles, "_BLOCK_CELLS", block_cells
+    ):
+        sums_m, _, sums_p, _ = _conditional_sums(values, indices, max_lag)
+    assert sums_m.tobytes() == want[0].tobytes()
+    assert sums_p.tobytes() == want[1].tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditional_sums_memory_does_not_grow_with_events():
+    # One chunk gathered at once held events x (2*max_lag + 1) cells: 32 MB
+    # for the 20,000 events here.  Gathered in blocks, 20 times as many
+    # events cost only their sorted copy.
+    rng = np.random.default_rng(5)
+    values = rng.exponential(0.01, 100_000)
+    few, many = (rng.integers(0, values.size, k) for k in (1_000, 20_000))
+    peak_few = _traced_peak(_conditional_sums, values, few, 100)
+    peak_many = _traced_peak(_conditional_sums, values, many, 100)
+    assert peak_many < peak_few + 2 * many.nbytes
 
 
 def test_profile_normalization_is_exact():

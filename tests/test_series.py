@@ -147,6 +147,15 @@ def test_bad_timestamp_names_its_file_line(text):
         _parse(text)
 
 
+def test_bad_timestamp_among_many_records_names_its_line():
+    # Cast to datetime64 all at once, more than 500 stamps of which one did
+    # not parse crashed the process under numpy 2.4.
+    rows = [f"2000-01-03T{9 + i // 60:02d}:{i % 60:02d}:00,{100 + i}" for i in range(600)]
+    rows[300] = "not-a-date,101"
+    with pytest.raises(MalformedRow, match=r"^line 301: unparseable timestamp 'not-a-date'$"):
+        _parse("\n".join(rows) + "\n")
+
+
 @pytest.mark.parametrize(
     ("text", "line"),
     [
@@ -180,13 +189,30 @@ def test_parse_rejects_nat_timestamp(text, line):
         ("-2000-01-03,1\n2000-01-04,2\n", 1),
         ("2000-01-03,1\n999-01-04T09:30:00,2\n", 2),
         ("-200-01-03,1\n2000-01-04,2\n", 1),
-        ("0999,1\n999,2\n", 2),
         ('2000-01-03,1\n"99999999999999999999-01-01",2\n', 2),
     ],
 )
 def test_year_not_four_digits_is_malformed_on_both_paths(text, line):
     # numpy wraps such a year instead of refusing it.
     message = rf"^line {line}: timestamp '.*' has no four-digit year$"
+    with pytest.raises(MalformedRow, match=message):
+        _parse(text)
+    with pytest.raises(MalformedRow, match=message):
+        _row_path(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line"),
+    [
+        ("0999,1\n999,2\n", 2),
+        ("1,100\n2,101\n", 1),
+        ("2000-01-03,1\n946857600,2\n", 2),
+        ("timestamp,price\n20000103,1\n20000104,2\n", 2),
+    ],
+)
+def test_bare_integer_stamp_is_malformed_on_both_paths(text, line):
+    # numpy reads the digits as a year; only a four-digit one is taken.
+    message = rf"^line {line}: timestamp '[0-9]+' is a bare integer, not an ISO date or time$"
     with pytest.raises(MalformedRow, match=message):
         _parse(text)
     with pytest.raises(MalformedRow, match=message):
@@ -408,10 +434,10 @@ _SMALL_CHUNKS = st.integers(1, 64)
 
 def _check_small_chunks(text, schema, chunk_chars):
     """In small chunks both paths still agree, and the column path reads all it read in one."""
-    whole = series._read_columns(text, schema)
+    whole = series._read_columns([text], schema)
     with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
         assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
-        chunked = series._read_columns(text, schema)
+        chunked = series._read_columns(series._blocks(io.StringIO(text)), schema)
     if whole is not None:
         assert chunked is not None
         assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
@@ -518,6 +544,186 @@ def test_file_that_is_not_utf8_names_its_line(tmp_path, eol):
     with open(path, encoding="utf-8") as fh:
         with pytest.raises(MalformedRow, match=r"^line 3: byte 0xff is not UTF-8$"):
             parse_price_csv(fh)
+
+
+def _whole_text_parse(stream, schema=None):
+    """The parse as it was before it read the stream in blocks, frozen as
+    the reference: the whole text read first, then cut into chunks of at
+    least ``_CHUNK_CHARS`` characters."""
+    schema = schema or CsvSchema()
+    try:
+        raw = stream.read()
+    except UnicodeDecodeError as exc:
+        text = io.TextIOWrapper(io.BytesIO(exc.object), encoding="utf-8", errors="surrogateescape")
+        raise series._not_utf8(text.read()) from None
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise series._not_utf8(raw.decode("utf-8", "surrogateescape")) from None
+    raw = raw.removeprefix("\ufeff")
+    columns = None if '"' in raw or "\0" in raw else _whole_text_columns(raw, schema)
+    ts, px = columns if columns is not None else series._read_rows(raw, schema)
+    return series._price_series(ts, px, schema)
+
+
+def _whole_text_columns(raw, schema):
+    first = series._first_record(raw, schema.delimiter)
+    if first is None:
+        return None
+    line_start, line_end = first
+    fields = raw[line_start:line_end].split(schema.delimiter)
+    if len(fields) <= max(schema.timestamp_col, schema.price_col):
+        return None
+    skip_header = schema.header
+    if skip_header is None:
+        skip_header = not series._parses_as_time(fields[schema.timestamp_col].strip())
+    pos = 0
+    if skip_header:
+        if any("\r" in line[:-1] for line in raw[:line_end].split("\n")):
+            return None
+        pos = line_end + 1
+    ts_parts, px_parts = [], []
+    while pos < len(raw):
+        cut = raw.find("\n", pos + series._CHUNK_CHARS)
+        end = len(raw) if cut < 0 else cut + 1
+        chunk = raw[pos:end]
+        pos = end
+        if not chunk.strip("\r\n"):
+            continue
+        columns = series._read_chunk(chunk, schema)
+        if columns is None:
+            return None
+        ts_parts.append(columns[0])
+        px_parts.append(columns[1])
+    if sum(part.size for part in ts_parts) < 2:
+        return None
+    return np.concatenate(ts_parts), np.concatenate(px_parts)
+
+
+_ROWS = [f"2000-01-03T{9 + i // 60:02d}:{i % 60:02d}:00,{100 + i / 8!r}" for i in range(80)]
+# Row 70 of 80, edited to send the parse back after many streamed chunks.
+_LATE_FAULTS = {
+    "none": lambda row: row,
+    "quote": lambda row: row.replace(",", ',"') + '"',
+    "NaT": lambda row: "NaT" + row[row.index(","):],
+    "five-digit year": lambda row: "2" + row,
+    "stray CR": lambda row: row[:-1] + "\r" + row[-1],
+    "bad price": lambda row: row + "x",
+    "not UTF-8": lambda row: row + "\udcff",
+    "UTF-8 cut at the end": lambda row: row,
+}
+_NOT_UTF8 = {"not UTF-8", "UTF-8 cut at the end"}
+# csv.reader refuses a quoted header of one field, which a split would
+# not, and a stray "\r" in a header, which loadtxt never sees.
+_PREFIXES = [
+    "", "\ufeff", "timestamp,price\n", "\ufefftimestamp,price\n", '"time,stamp"\n',
+    "time\rstamp,price\n", "\n" * 100, " \n" * 60 + "t,p\n",
+]
+
+
+class _Unseekable:
+    """A stream that can only be read, as a pipe."""
+
+    def __init__(self, stream):
+        self.read = stream.read
+
+    def seekable(self):
+        return False
+
+
+def _open(kind, data, path):
+    """A stream over ``data`` (bytes) of the given kind, read partway for the ``partway`` kinds."""
+    if kind.startswith("text file"):
+        stream = open(path, encoding="utf-8")
+    elif kind == "binary file":
+        stream = open(path, "rb")
+    elif kind.startswith("str"):
+        stream = io.StringIO(data.decode("utf-8"))
+    else:
+        stream = io.BytesIO(data)
+    if kind.endswith("partway"):
+        stream.readline()
+    return _Unseekable(stream) if kind.startswith("unseekable") else stream
+
+
+_KINDS = [
+    "str", "str partway", "bytes", "text file", "text file partway", "binary file",
+    "unseekable str", "unseekable bytes",
+]
+
+
+@pytest.mark.filterwarnings(_TZ_WARNING)
+@given(
+    st.sampled_from(sorted(_LATE_FAULTS)),
+    st.sampled_from(_PREFIXES),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.sampled_from(_KINDS),
+    st.sampled_from([1, 7, 64, 300, 1 << 20]),
+)
+@settings(max_examples=300, deadline=None)
+def test_streamed_parse_matches_whole_text_parse(
+    tmp_path_factory, fault, prefix, eol, last_eol, kind, chunk_chars
+):
+    rows = list(_ROWS)
+    rows[70] = _LATE_FAULTS[fault](rows[70])
+    data = (prefix + eol.join(rows) + (eol if last_eol else "")).encode("utf-8", "surrogateescape")
+    if fault == "UTF-8 cut at the end":
+        data += "\u20ac".encode("utf-8")[:2]
+    if "str" in kind and fault in _NOT_UTF8:
+        kind = kind.replace("str", "bytes")
+    if kind == "text file partway" and fault in _NOT_UTF8:
+        kind = "text file"  # counted from where the parse began: see the next test
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_bytes(data)
+    results = []
+    for parse in (parse_price_csv, _whole_text_parse):
+        stream = _open(kind, data, path)
+        with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
+            series, "_read_rows", wraps=series._read_rows
+        ) as read_rows:
+            outcome = _outcome(lambda _text, schema: parse(stream, schema), None, CsvSchema())
+        # The stream goes back to the row path exactly where the whole text did.
+        results.append((outcome, read_rows.call_count))
+        getattr(stream, "close", lambda: None)()
+    assert results[0] == results[1]
+
+
+def test_text_stream_read_partway_names_the_line_from_where_the_parse_began(tmp_path):
+    # A bad byte on file line 801, after one line was read: line 800 of
+    # what the parse read.  A whole-text read counted it from where the
+    # decoder had buffered to instead ("line 460").
+    rows = [f"2000-01-03T{9 + i // 60:02d}:{i % 60:02d}:00,{100 + i}" for i in range(900)]
+    rows[800] += "\udcff"
+    path = tmp_path / "prices.csv"
+    path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        with pytest.raises(MalformedRow, match=r"^line 800: byte 0xff is not UTF-8$"):
+            parse_price_csv(fh)
+
+
+def test_parse_peak_memory_holds_no_copy_of_the_file(tmp_path):
+    # 200k one-minute records, 5.4 MB of text read in 64 KiB blocks.  Read
+    # whole, the text alone was held twice, as bytes and as a string.
+    # Streamed, the peak is the stamps and prices twice (the chunks' parts
+    # and their concatenation) and a few chunks' work.
+    n = 200_000
+    stamps = np.datetime64("2000-01-03T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
+    prices = 100.0 + np.arange(n) % 997 / 8.0
+    path = tmp_path / "prices.csv"
+    path.write_text("".join(f"{s},{p!r}\n" for s, p in zip(stamps.astype(str), prices.tolist())))
+    with mock.patch.object(series, "_CHUNK_CHARS", 1 << 16):
+        tracemalloc.start()
+        try:
+            parsed = series.read_price_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(parsed) == n
+    assert peak < 2 * (parsed.timestamps.nbytes + parsed.prices.nbytes) + 16 * (1 << 16)
+    assert peak < 2 * path.stat().st_size
 
 
 def test_log_returns_values():
