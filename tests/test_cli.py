@@ -497,6 +497,141 @@ def test_omori_command(planted_csv, tmp_path):
     assert cols["N_plus"][-1] > 0
 
 
+@pytest.fixture(scope="module")
+def daily_csv(tmp_path_factory):
+    """The 50-year daily series of the benchmark's daily workload."""
+    path = str(tmp_path_factory.mktemp("data") / "daily.csv")
+    assert main(
+        ["synth", "--mode", "planted", "--n", "12500", "--seed", "1", "--shock-rate", "500",
+         "--out", path]
+    ) == 0
+    return path
+
+
+_FIT_HEADER = (
+    "side\tzeta_multiple\torigin_filter\tsign_filter\tp\tp_stderr\ttau\tA\tt_min\tt_max\t"
+    "method\trms_log_residual\n"
+)
+_OMORI_FIT = ["--max-lag", "60", "--fit-min", "2", "--fit-max", "50", "--tau", "zero"]
+
+
+def _marker(side, m, error):
+    return f"{side}\t{m}\tall\tall\tnan\tnan\tnan\tnan\t0\t0\tfailed:{error}\tnan\n"
+
+
+def _run(capsys, argv):
+    """Exit code, stdout lines and fits.tsv text of one in-process run."""
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = argv[argv.index("--out") + 1]
+    with open(os.path.join(out, "fits.tsv"), encoding="utf-8", newline="") as fh:
+        return rc, captured.out.splitlines(), fh.read()
+
+
+def test_bootstrap_failure_keeps_the_point_fits(daily_csv, tmp_path, capsys):
+    # 2 of 5 replicas of the two z=6 events fail to fit: BootstrapUnstable.
+    out = str(tmp_path / "out")
+    rc, stdout, fits = _run(
+        capsys, ["analyze", "--input", daily_csv, "--out", out, "--thresholds", "6", "--bootstrap", "5"]
+    )
+    assert rc == 3
+    assert stdout == [
+        "z6 all: bootstrap failed: BootstrapUnstable: 2/5 bootstrap replicas failed to fit",
+        "z6 all -: p=0.61 tau=7.189 A=0.58 range=[5,100] rms=0.108 (full_fit)",
+        "z6 all +: p=116 tau=596.8 A=inf range=[5,100] rms=0.208 (full_fit)",
+        "signal check: 0/2 profiles consistent with zero signal",
+        f"wrote {out}",
+    ]
+    assert fits == _FIT_HEADER + (
+        "-\t6.0\tall\tall\t0.6104052486579392\tnan\t7.18881027555861\t0.5799834172379666\t5\t100\t"
+        "full_fit\t0.10755184306536754\n"
+        "+\t6.0\tall\tall\t116.32124126707076\tnan\t596.8203993426314\tinf\t5\t100\t"
+        "full_fit\t0.20758239917034593\n"
+    )
+
+
+def test_omori_without_mainshocks_writes_marker_rows(daily_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    rc, stdout, fits = _run(
+        capsys,
+        ["omori", "--input", daily_csv, "--out", out, "--main-threshold", "1000",
+         "--z1-thresholds", "2,3", *_OMORI_FIT],
+    )
+    assert rc == 3
+    assert stdout == ["mainshock selection failed: NoEvents: cannot condition on an empty event set"]
+    assert fits == _FIT_HEADER + "".join(
+        _marker(side, m, "NoEvents") for m in ("2.0", "3.0") for side in "-+"
+    )
+    assert sorted(os.listdir(out)) == ["config.echo", "fits.tsv"]
+
+
+def test_omori_fit_failure_keeps_the_other_fits(daily_csv, tmp_path, capsys):
+    # Two mainshocks above 6 sigma; none of their neighbours reaches 5.9 sigma.
+    out = str(tmp_path / "out")
+    rc, stdout, fits = _run(
+        capsys,
+        ["omori", "--input", daily_csv, "--out", out, "--main-threshold", "6",
+         "--z1-thresholds", "2,5.9", *_OMORI_FIT],
+    )
+    assert rc == 3
+    assert stdout == [
+        "2 mainshocks above 6 sigma",
+        "z1=2 -: p=-0.00411 tau=0 A=0.2796 range=[2,50] rms=0.117 (full_fit)",
+        "z1=2 +: p=0.257 tau=0 A=0.4162 range=[2,50] rms=0.15 (full_fit)",
+        "z1=5.9 -: fit failed: InsufficientPositivePoints",
+        "z1=5.9 +: fit failed: InsufficientPositivePoints",
+        f"wrote {out}",
+    ]
+    assert fits == _FIT_HEADER + (
+        "-\t2.0\tall\tall\t-0.004112929105758667\tnan\t0.0\t0.27958590463370303\t2\t50\t"
+        "full_fit\t0.1174846580619359\n"
+        "+\t2.0\tall\tall\t0.25674607872962946\tnan\t0.0\t0.4161874780992989\t2\t50\t"
+        "full_fit\t0.14955675326346624\n"
+        + _marker("-", "5.9", "InsufficientPositivePoints")
+        + _marker("+", "5.9", "InsufficientPositivePoints")
+    )
+    assert sorted(os.listdir(out)) == ["config.echo", "fits.tsv", "omori_z6_z12.tsv", "omori_z6_z15.9.tsv"]
+
+
+def test_min_separation_declusters_events(daily_csv, tmp_path, capsys):
+    counts = {}
+    for sep in ("0", "30"):
+        capsys.readouterr()
+        out = str(tmp_path / f"events{sep}")
+        argv = ["events", "--input", daily_csv, "--out", out, "--thresholds", "2,4,6"]
+        assert main([*argv, "--min-separation", sep]) == 0
+        counts[sep] = capsys.readouterr().out.splitlines()
+        assert counts[sep][-1] == f"wrote {out}"
+    assert counts["0"][:3] == ["z2: 1422 events", "z4: 120 events", "z6: 2 events"]
+    assert counts["30"][:3] == ["z2: 304 events", "z4: 63 events", "z6: 2 events"]
+    stamps = np.loadtxt(
+        os.path.join(tmp_path, "events30", "events_z4.tsv"), dtype=np.int64, usecols=0, skiprows=1
+    )
+    assert np.all(np.diff(stamps) >= 30)
+
+    out = str(tmp_path / "analyze")
+    rc, stdout, fits = _run(
+        capsys,
+        ["analyze", "--input", daily_csv, "--out", out, "--thresholds", "4",
+         "--min-separation", "30", *_OMORI_FIT],
+    )
+    assert rc == 0
+    assert stdout == [
+        "z4 all -: p=0.357 tau=0 A=0.1097 range=[2,50] rms=0.0691 (full_fit)",
+        "z4 all +: p=0.407 tau=0 A=0.2166 range=[2,50] rms=0.051 (full_fit)",
+        "signal check: 0/2 profiles consistent with zero signal",
+        f"wrote {out}",
+    ]
+    assert fits == _FIT_HEADER + (
+        "-\t4.0\tall\tall\t0.35656461119651794\tnan\t0.0\t0.10971773601836089\t2\t50\t"
+        "full_fit\t0.06907569665877784\n"
+        "+\t4.0\tall\tall\t0.4067969486117363\tnan\t0.0\t0.2166297395198873\t2\t50\t"
+        "full_fit\t0.051006248814563344\n"
+    )
+
+
 def test_pattern_command(tmp_path):
     csv = str(tmp_path / "mod.csv")
     assert main(

@@ -1,5 +1,6 @@
 """Conditioned profiles, cumulatives and two-threshold counts."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -318,6 +319,22 @@ def test_omori_hand_case():
     np.testing.assert_array_equal(omori.N_minus, np.zeros(7))
     assert omori.n_mainshocks == 1
     assert omori.zeta1 == pytest.approx(0.3 * stats.sigma)
+
+
+def test_side_is_the_curve_before_or_after():
+    values = np.array([1, 1, 1, 100, 1, 5, 1, 1, 5, 1, 1, 1], dtype=np.float64)
+    vol = _vol(values)
+    stats = mean_volatility(vol)
+    mainshocks = select_events(vol, 5.0, stats)
+    cum = cumulative(remanent_profile(vol, mainshocks, 6))
+    omori = omori_counts(vol, mainshocks, 0.3, stats, 6)
+    for curves, minus, plus in ((cum, cum.V_minus, cum.V_plus), (omori, omori.N_minus, omori.N_plus)):
+        assert curves.side("-") is minus
+        assert curves.side("+") is plus
+        for bad in ("x", "", "+-", "before"):
+            message = f"side must be '-' or '+', got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                curves.side(bad)
 
 
 def test_omori_matches_brute_on_random_series():

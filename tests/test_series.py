@@ -1,5 +1,6 @@
 """CSV ingestion, log-returns, volatility and surrogate tests."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -781,6 +782,28 @@ def test_reverse_round_trip():
     np.testing.assert_array_equal(rev.slot_index, returns.slot_index[::-1])
     back = reverse(rev)
     np.testing.assert_array_equal(back.values, returns.values)
+
+
+@pytest.mark.parametrize("cls", ["ReturnSeries", "VolatilitySeries"])
+def test_grid_fields_are_coerced_and_must_align_with_values(cls):
+    cls = getattr(series, cls)
+    extra = ["adjusted"] if cls is series.VolatilitySeries else []
+    assert [f.name for f in dataclasses.fields(cls)] == [
+        "values", "slot_index", "slots_per_day", "cadence", *extra, "timestamps",
+    ]
+    days = np.datetime64("2000-01-03") + np.arange(3)
+    grid = {"slots_per_day": 1, "cadence": "daily"}
+    made = cls(values=[0.5, 1, 2], slot_index=[0, 0, 0], timestamps=days, **grid)
+    assert made.values.dtype == np.float64 and made.slot_index.dtype == np.int32
+    assert made.timestamps.dtype == np.dtype("datetime64[s]")
+    assert len(made) == 3
+    assert cls(values=[0.5, 1, 2], slot_index=[0, 0, 0], **grid).timestamps is None
+    with pytest.raises(ValueError, match="^timestamps must align with values$"):
+        cls(values=[0.5, 1, 2], slot_index=[0, 0], timestamps=days[:2], **grid)
+    with pytest.raises(ValueError, match="^slot_index must align with values$"):
+        cls(values=[0.5, 1, 2], slot_index=[0, 0], timestamps=days, **grid)
+    with pytest.raises(ValueError, match="^slot_index must align with values$"):
+        cls(values=[0.5, 1, 2], slot_index=[0, 0, 0, 0], **grid)
 
 
 def test_shuffle_surrogate_permutes_deterministically():
