@@ -14,8 +14,9 @@ the option keys, and writes ``config.echo`` into the output directory.
 That file records the effective configuration and is itself a valid
 config file.  ``synth`` writes no output directory and no echo.
 
-Exit codes: 0 success, 1 invalid configuration, 2 data error, 3 one or
-more fits failed (partial outputs are kept, with marker rows).
+Exit codes: 0 success, 1 invalid configuration or a file it names that
+cannot be used, 2 data error, 3 one or more fits failed (partial outputs
+are kept, with marker rows).  Exits 1 and 2 print one error line.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DataError, FitError, VolrelaxError
+from .errors import DataError, FitError, LabelDateUnmatched, MalformedRow
 
 # The benchmark tracer (perfbench/tracing.py) swaps several of these names
 # in this module to time each layer, so call them through these globals.
@@ -44,7 +46,8 @@ from .fitting import (
 from .intraday import estimate_pattern, remove_pattern, write_pattern_tsv
 from .profiles import cumulative, omori_counts, remanent_profile, write_omori_tsv, write_profile_tsv
 from .series import (
-    CsvSchema, absolute_volatility, log_returns, mean_volatility, read_price_csv, shuffle_surrogate,
+    CsvSchema, _read_text, absolute_volatility, log_returns, mean_volatility, read_price_csv,
+    shuffle_surrogate,
 )
 from .synth import (
     PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
@@ -163,14 +166,18 @@ _OPTIONS = (
 )
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_file(kind: str, path: str) -> str:
+    """The text of a config or factors file; one that cannot be read is exit 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _ConfigError(f"cannot read config file {path}: {exc}") from None
+            return _read_text(fh)
+    except (OSError, MalformedRow) as exc:
+        raise _ConfigError(f"cannot read {kind} file {path}: {exc}") from None
+
+
+def _read_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_file("config", path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -238,13 +245,12 @@ def _echo_value(value) -> str:
 
 
 def _load_labels(spec: str):
-    if spec.startswith("builtin:"):
-        try:
-            return load_packaged_labels(spec[len("builtin:") :])
-        except KeyError as exc:
-            raise _ConfigError(str(exc)) from None
     try:
+        if spec.startswith("builtin:"):
+            return load_packaged_labels(spec[len("builtin:") :])
         return read_label_file(spec)
+    except KeyError as exc:
+        raise _ConfigError(str(exc)) from None
     except OSError as exc:
         raise _ConfigError(f"cannot read label file {spec}: {exc}") from None
 
@@ -289,7 +295,10 @@ def _prepare_run(args: argparse.Namespace):
             raise _ConfigError(
                 f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
             )
-    os.makedirs(c.out, exist_ok=True)
+    try:
+        os.makedirs(c.out, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError(f"cannot create output directory {c.out}: {exc}") from None
     with open(os.path.join(c.out, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(vars(c).items()):
             if key != "out":
@@ -299,9 +308,9 @@ def _prepare_run(args: argparse.Namespace):
     return c, labels, returns, vol, stats
 
 
-def _fit_config(c: RunConfig) -> FitConfig:
-    tau_mode = "fixed_zero" if c.tau == "zero" else "free"
-    return FitConfig(max_lag=c.max_lag, t_min=c.fit_min, t_max=c.fit_max, tau_mode=tau_mode)
+def _fit_args(c: RunConfig) -> tuple[int, int, str]:
+    """``t_min, t_max, tau_mode`` of every fit of the run."""
+    return c.fit_min, c.fit_max, "fixed_zero" if c.tau == "zero" else "free"
 
 
 # --split value -> (name, origin filter, sign filter) of each event subset
@@ -314,21 +323,50 @@ _SPLITS = {
 }
 
 
-def _select_and_tag(c: RunConfig, vol, returns, stats, labels, m: float) -> EventSet:
-    events = select_events(vol, m, stats)
-    if len(events):
-        events = classify_sign(events, returns)
-    if c.min_separation:
-        events = decluster(events, c.min_separation)
-    if labels is not None and len(events):
-        events = apply_labels(events, labels, returns.timestamps)
-    return events
+def _select_and_tag(c: RunConfig, vol, returns, stats, labels) -> Iterator[tuple[float, EventSet]]:
+    """Each threshold with its events, signed, declustered and labelled; a
+    label date that matches no event prints one ``warning:`` line a run."""
+    warned: set[str] = set()
+    for m in c.thresholds:
+        events = select_events(vol, m, stats)
+        if len(events):
+            events = classify_sign(events, returns)
+        if c.min_separation:
+            events = decluster(events, c.min_separation)
+        if labels is not None and len(events):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", LabelDateUnmatched)
+                events = apply_labels(events, labels, returns.timestamps)
+            for note in (str(w.message) for w in caught):
+                if note not in warned:
+                    print(f"warning: {note}", file=sys.stderr)
+                warned.add(note)
+        yield m, events
 
 
-def _failed_rows(m: float, origin: str | None, sign: str | None, exc: Exception, sides="-+"):
-    """Marker rows for the fits ``exc`` stopped."""
-    name = type(exc).__name__
-    return [fit_report_row(side, m, origin or "all", sign or "all", None, name) for side in sides]
+def _failed_rows(exc: Exception, m: float, origin: str = "all", sign: str = "all") -> list[tuple]:
+    """Marker rows for the two fits ``exc`` stopped."""
+    return [fit_report_row(side, m, origin, sign, None, type(exc).__name__) for side in "-+"]
+
+
+def _fit_sides(tag: str, fit_side, rows: list, m: float, origin="all", sign="all", boot=None) -> bool:
+    """Fit both sides of one curve with ``fit_side(side)``, append their rows
+    (a marker row for a failed fit) and print their lines; return whether a
+    side failed.  ``boot``, if given, holds the stderr of ``p``."""
+    failed = False
+    for side in "-+":
+        try:
+            fit = fit_side(side)
+        except FitError as exc:
+            failed = True
+            rows.append(fit_report_row(side, m, origin, sign, None, type(exc).__name__))
+            print(f"{tag} {side}: fit failed: {type(exc).__name__}")
+            continue
+        if boot is not None:
+            fit = replace(fit, p_stderr=boot.stderr_minus if side == "-" else boot.stderr_plus)
+        rows.append(fit_report_row(side, m, origin, sign, fit))
+        print(f"{tag} {side}: {fit.summary()}")
+    return failed
 
 
 def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple]:
@@ -351,53 +389,34 @@ def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple]
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     c, labels, returns, vol, stats = _prepare_run(args)
-    fit_cfg = _fit_config(c)
+    fit_args = _fit_args(c)
     fit_rows: list[tuple] = []
     signal_rows: list[tuple] = []
     failed = False
-    for m in c.thresholds:
-        try:
-            events = _select_and_tag(c, vol, returns, stats, labels, m)
-        except DataError as exc:
-            for _, origin, sign in _SPLITS[c.split]:
-                fit_rows += _failed_rows(m, origin, sign, exc)
-            failed = True
-            print(f"z{m:g}: event selection failed: {exc}")
-            continue
+    for m, events in _select_and_tag(c, vol, returns, stats, labels):
         for split, origin, sign in _SPLITS[c.split]:
             subset = filter_events(events, sign=sign, origin=origin)
             suffix = "" if split == "all" else f"_{split}"
+            key = (m, origin or "all", sign or "all")
             try:
                 profile = remanent_profile(vol, subset, c.max_lag)
             except DataError as exc:
-                fit_rows += _failed_rows(m, origin, sign, exc)
+                fit_rows += _failed_rows(exc, *key)
                 failed = True
                 print(f"z{m:g} {split}: profile failed: {type(exc).__name__}: {exc}")
                 continue
             cum = cumulative(profile)
             write_profile_tsv(cum, os.path.join(c.out, f"profile_z{m:g}{suffix}.tsv"))
             signal_rows += _null_check_rows(m, split, profile, c.max_lag)
-
-            stderrs = {"-": None, "+": None}
+            boot = None
             if c.bootstrap >= 2:
                 try:
-                    boot = bootstrap_errors(vol, subset, fit_cfg, c.bootstrap, c.seed)
-                    stderrs = {"-": boot.stderr_minus, "+": boot.stderr_plus}
+                    boot = bootstrap_errors(vol, subset, FitConfig(c.max_lag, *fit_args), c.bootstrap, c.seed)
                 except (FitError, DataError) as exc:
                     failed = True
                     print(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
-            for side in ("-", "+"):
-                try:
-                    fit = fit_cumulative(cum, side, fit_cfg.t_min, fit_cfg.t_max, fit_cfg.tau_mode)
-                except FitError as exc:
-                    fit_rows += _failed_rows(m, origin, sign, exc, side)
-                    failed = True
-                    print(f"z{m:g} {split} {side}: fit failed: {type(exc).__name__}")
-                    continue
-                if stderrs[side] is not None:
-                    fit = replace(fit, p_stderr=stderrs[side])
-                fit_rows.append(fit_report_row(side, m, origin or "all", sign or "all", fit))
-                print(f"z{m:g} {split} {side}: {fit.summary()}")
+            fit_side = lambda side: fit_cumulative(cum, side, *fit_args)  # noqa: E731
+            failed |= _fit_sides(f"z{m:g} {split}", fit_side, fit_rows, *key, boot)
     write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
     header = ("zeta_multiple", "split", "side", "mean_v", "flag")
     write_tsv(os.path.join(c.out, "signal_check.tsv"), header, zip(*signal_rows))
@@ -409,36 +428,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_omori(args: argparse.Namespace) -> int:
     c, _, _, vol, stats = _prepare_run(args)
-    fit_cfg = _fit_config(c)
+    fit_args = _fit_args(c)
     m = c.main_threshold
     fit_rows: list[tuple] = []
     try:
         mainshocks = select_events(vol, m, stats)
-        profile = remanent_profile(vol, mainshocks, c.max_lag)
+        cum = cumulative(remanent_profile(vol, mainshocks, c.max_lag))
     except DataError as exc:
-        for m1 in c.z1_thresholds:
-            fit_rows += _failed_rows(m1, None, None, exc)
+        fit_rows = [row for m1 in c.z1_thresholds for row in _failed_rows(exc, m1)]
         write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
         print(f"mainshock selection failed: {type(exc).__name__}: {exc}")
         return 3
-    cum = cumulative(profile)
     print(f"{len(mainshocks)} mainshocks above {m:g} sigma")
     failed = False
     for m1 in c.z1_thresholds:
         omori = omori_counts(vol, mainshocks, m1, stats, c.max_lag)
         write_omori_tsv(cum, omori, os.path.join(c.out, f"omori_z{m:g}_z1{m1:g}.tsv"))
-        for side in ("-", "+"):
-            try:
-                fit = fit_offset_power_law(
-                    cum.lags, omori.side(side), fit_cfg.t_min, fit_cfg.t_max, fit_cfg.tau_mode
-                )
-            except FitError as exc:
-                fit_rows += _failed_rows(m1, None, None, exc, side)
-                failed = True
-                print(f"z1={m1:g} {side}: fit failed: {type(exc).__name__}")
-                continue
-            fit_rows.append(fit_report_row(side, m1, "all", "all", fit))
-            print(f"z1={m1:g} {side}: {fit.summary()}")
+        fit_side = lambda side: fit_offset_power_law(cum.lags, omori.side(side), *fit_args)  # noqa: E731
+        failed |= _fit_sides(f"z1={m1:g}", fit_side, fit_rows, m1)
     write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
     print(f"wrote {c.out}")
     return 3 if failed else 0
@@ -452,8 +459,7 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     c, labels, returns, vol, stats = _prepare_run(args)
-    for m in c.thresholds:
-        events = _select_and_tag(c, vol, returns, stats, labels, m)
+    for m, events in _select_and_tag(c, vol, returns, stats, labels):
         stamps = np.datetime_as_string(returns.timestamps[events.indices], unit="s")
         signs = [sign_label(s) for s in events.signs]
         columns = [events.indices, stamps, events.magnitudes, signs, events.origins]
@@ -470,11 +476,7 @@ def _slot_factors(c: RunConfig) -> np.ndarray:
     if not c.factors:
         x = 2.0 * (np.arange(c.slots_per_day) + 0.5) / c.slots_per_day - 1.0
         return 0.6 + 0.8 * x * x
-    try:
-        with open(c.factors, "r", encoding="utf-8") as fh:
-            return np.asarray([float(word) for word in fh.read().split()], dtype=np.float64)
-    except OSError as exc:
-        raise _ConfigError(f"cannot read factors file {c.factors}: {exc}") from None
+    return np.asarray([float(word) for word in _read_file("factors", c.factors).split()], dtype=np.float64)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -490,10 +492,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
     prices = returns_to_prices(rets)
-    out_dir = os.path.dirname(c.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    write_price_csv(prices, c.out)
+    try:
+        os.makedirs(os.path.dirname(c.out) or ".", exist_ok=True)
+        write_price_csv(prices, c.out)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {c.out}: {exc}") from None
     print(f"wrote {c.out} ({len(prices)} records)")
     return 0
 
@@ -534,12 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FitError as exc:
-        print(f"fit error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except VolrelaxError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

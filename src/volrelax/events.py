@@ -12,7 +12,6 @@ applying a label file marks the listed dates ``'exogenous'`` or
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -21,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import LabelDateUnmatched, MalformedRow, ZeroReturnEvent
-from .series import ReturnSeries, SeriesStats, VolatilitySeries, mean_volatility
+from .series import ReturnSeries, SeriesStats, VolatilitySeries, _read_text, mean_volatility
 
 __all__ = [
     "CRASH",
@@ -216,10 +215,15 @@ def _subset(events: EventSet, mask: np.ndarray) -> EventSet:
 
 
 def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
-    """Parse ``YYYY-MM-DD,origin[,note]`` rows; ``#`` starts a comment line."""
-    raw = stream.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+    """Parse ``YYYY-MM-DD,origin[,note]`` rows; ``#`` starts a comment line.
+
+    The text is UTF-8; a leading byte-order mark is dropped, and a byte
+    that is not UTF-8 is :class:`MalformedRow`, naming its line.
+    """
+    try:
+        raw = _read_text(stream)
+    except MalformedRow as exc:
+        raise MalformedRow(f"label {exc}") from None
     labels: list[EventLabel] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()
@@ -256,9 +260,9 @@ def load_packaged_labels(name: str) -> list[EventLabel]:
     """Load one of the label tables shipped with the package."""
     path = resources.files(__package__).joinpath("labels", f"{name}.csv")
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open("r", encoding="utf-8") as fh:
+            return parse_label_file(fh)
     except FileNotFoundError:
         raise KeyError(
             f"no packaged label table {name!r}; available: {packaged_label_names()}"
         ) from None
-    return parse_label_file(io.StringIO(text))

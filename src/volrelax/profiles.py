@@ -133,11 +133,7 @@ class CumulativeProfile:
 
     def side(self, side: str) -> np.ndarray:
         """The ``V`` array for side ``'-'`` (before) or ``'+'`` (after)."""
-        if side == "-":
-            return self.V_minus
-        if side == "+":
-            return self.V_plus
-        raise ValueError(f"side must be '-' or '+', got {side!r}")
+        return _side(side, self.V_minus, self.V_plus)
 
 
 @dataclass(frozen=True)
@@ -172,11 +168,14 @@ class OmoriProfile:
             raise ValueError("need 0 < zeta1 < zeta_main")
 
     def side(self, side: str) -> np.ndarray:
-        if side == "-":
-            return self.N_minus
-        if side == "+":
-            return self.N_plus
+        """The ``N`` array for side ``'-'`` (before) or ``'+'`` (after)."""
+        return _side(side, self.N_minus, self.N_plus)
+
+
+def _side(side: str, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    if side not in ("-", "+"):
         raise ValueError(f"side must be '-' or '+', got {side!r}")
+    return minus if side == "-" else plus
 
 
 def _conditional_sums(

@@ -151,7 +151,31 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
+class _OnSlotGrid:
+    """Values on an intraday slot grid; each subclass ends its fields with
+    ``timestamps``, the left stamps of the values or ``None``."""
+
+    values: np.ndarray
+    slot_index: np.ndarray
+    slots_per_day: int
+    cadence: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "slot_index", np.asarray(self.slot_index, dtype=np.int32))
+        if self.timestamps is not None:
+            object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype="datetime64[s]"))
+            if self.timestamps.shape != self.values.shape:
+                raise ValueError("timestamps must align with values")
+        if self.slot_index.shape != self.values.shape:
+            raise ValueError("slot_index must align with values")
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+
+@dataclass(frozen=True)
+class ReturnSeries(_OnSlotGrid):
     """Log-returns on the grid inherited from the parent price series.
 
     ``timestamps`` are the left stamps of each return (``None`` for
@@ -159,61 +183,27 @@ class ReturnSeries:
     ones).
     """
 
-    values: np.ndarray
-    slot_index: np.ndarray
-    slots_per_day: int
-    cadence: str
     timestamps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        sl = np.asarray(self.slot_index, dtype=np.int32)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "slot_index", sl)
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-            object.__setattr__(self, "timestamps", ts)
-            if ts.shape != v.shape:
-                raise ValueError("timestamps must align with values")
-        if sl.shape != v.shape:
-            raise ValueError("slot_index must align with values")
-        if not np.all(np.isfinite(v)):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("returns must be finite")
         if self.slots_per_day < 1:
             raise ValueError("slots_per_day must be >= 1")
 
-    def __len__(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass(frozen=True)
-class VolatilitySeries:
+class VolatilitySeries(_OnSlotGrid):
     """Absolute returns, optionally intraday-adjusted."""
 
-    values: np.ndarray
-    slot_index: np.ndarray
-    slots_per_day: int
-    cadence: str
     adjusted: bool = False
     timestamps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        sl = np.asarray(self.slot_index, dtype=np.int32)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "slot_index", sl)
-        if self.timestamps is not None:
-            ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-            object.__setattr__(self, "timestamps", ts)
-            if ts.shape != v.shape:
-                raise ValueError("timestamps must align with values")
-        if sl.shape != v.shape:
-            raise ValueError("slot_index must align with values")
-        if v.size and not np.all(np.isfinite(v) & (v >= 0)):
+        super().__post_init__()
+        if self.values.size and not np.all(np.isfinite(self.values) & (self.values >= 0)):
             raise ValueError("volatility must be finite and non-negative")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -309,20 +299,30 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
         if text is None:
             stream.seek(start)
             text = _read_text(stream)
-        columns = _read_rows(text.removeprefix("\ufeff"), schema)
+        columns = _read_rows(text, schema)
     return _price_series(*columns, schema)
 
 
 def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
-    """The rest of ``stream`` as text, read ``_CHUNK_CHARS`` characters (or bytes) at a time."""
+    """The rest of ``stream`` as text, read ``_CHUNK_CHARS`` characters (or bytes) at a
+    time, without the leading byte-order mark that would join the first stamp."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
+    first = True
     while block := stream.read(_CHUNK_CHARS):
-        yield block if isinstance(block, str) else decode(block)
+        text = block if isinstance(block, str) else decode(block)
+        if first and text:
+            text, first = text.removeprefix("\ufeff"), False
+        yield text
     yield decode(b"", final=True)
 
 
 def _read_text(stream: IO[str] | IO[bytes]) -> str:
-    """The rest of ``stream`` as text; a byte that is not UTF-8 is :class:`MalformedRow`."""
+    """The rest of ``stream`` as text without a leading byte-order mark.
+
+    The label, config and factors files are read through here, and a price
+    CSV that cannot be streamed or that the column path refuses.  A byte
+    that is not UTF-8 is :class:`MalformedRow`, naming its line.
+    """
     try:
         raw = stream.read()
     except UnicodeDecodeError as exc:
@@ -335,7 +335,7 @@ def _read_text(stream: IO[str] | IO[bytes]) -> str:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _not_utf8(raw.decode("utf-8", "surrogateescape")) from None
-    return raw
+    return raw.removeprefix("\ufeff")
 
 
 def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
@@ -416,9 +416,7 @@ def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray,
         chunk = next(chunks, None)
         if chunk is None:
             return None
-        # A byte-order mark would join the first stamp, and that line
-        # would be taken for a header.
-        head = head + chunk if head else chunk.removeprefix("\ufeff")
+        head += chunk
         first = _first_record(head, schema.delimiter)
     line_start, line_end = first
     fields = head[line_start:line_end].split(schema.delimiter)

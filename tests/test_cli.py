@@ -1,13 +1,18 @@
 """End-to-end CLI tests: exit codes, outputs, config layering, determinism."""
 
+import contextlib
 import filecmp
+import io
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import volrelax
 from volrelax.cli import main
@@ -363,6 +368,103 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _labels_of_events(csv, tmp_path):
+    """A label file naming every other z=5 event date of ``csv`` exogenous."""
+    out = str(tmp_path / "events")
+    assert main(["events", "--input", csv, "--out", out, "--thresholds", "5"]) == 0
+    with open(os.path.join(out, "events_z5.tsv"), encoding="utf-8") as fh:
+        dates = [line.split("\t")[1][:10] for line in fh.read().splitlines()[1:]]
+    return "# dates, origins\n" + "".join(f"{d},exogenous\n" for d in dates[::2])
+
+
+def test_byte_order_mark_is_dropped_from_label_config_and_factors_files(planted_csv, tmp_path):
+    # Each file is run as written, then with a BOM prepended, at the same path.
+    labels, config = tmp_path / "labels.csv", tmp_path / "run.cfg"
+    argv = ["--input", planted_csv, "--labels", str(labels), "--config", str(config)]
+    files = {
+        labels: _labels_of_events(planted_csv, tmp_path),
+        config: "thresholds = 5\nmax-lag = 150\nfit-min = 2\nfit-max = 60\ntau = zero\nsplit = origin\n",
+    }
+    for path, text in files.items():
+        path.write_text(text, encoding="utf-8")
+    assert main(["analyze", *argv, "--out", str(tmp_path / "plain")]) == 0
+    for path, text in files.items():
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        out = str(tmp_path / f"bom_{path.name}")
+        assert main(["analyze", *argv, "--out", out]) == 0
+        assert _dir_snapshot(out) == _dir_snapshot(str(tmp_path / "plain"))
+        path.write_text(text, encoding="utf-8")
+    assert "profile_z5_exogenous.tsv" in os.listdir(out)
+
+    factors = tmp_path / "factors.txt"
+    csvs = []
+    for prefix in ("", "\ufeff"):
+        factors.write_text(prefix + "2.0\n0.5\n1.0\n0.5\n", encoding="utf-8")
+        csvs.append(tmp_path / f"mod{len(csvs)}.csv")
+        assert main(
+            ["synth", "--mode", "modulated", "--n", "400", "--slots-per-day", "4",
+             "--factors", str(factors), "--out", str(csvs[-1])]
+        ) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+def test_input_files_that_are_not_utf8_exit_with_one_line(planted_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    # Line 2 ends in "\xa4", the euro sign in Latin-9 and not UTF-8.
+    bad.write_bytes(b"# a comment\n2000-01-05,exogenous \xa4\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["events", "--input", planted_csv, "--out", out, "--labels", str(bad)]) == 2
+    assert capsys.readouterr().err == "data error: MalformedRow: label line 2: byte 0xa4 is not UTF-8\n"
+    assert main(["events", "--input", planted_csv, "--out", out, "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config file {bad}: line 2: byte 0xa4 is not UTF-8\n"
+    assert not os.path.exists(out)
+    csv = str(tmp_path / "mod.csv")
+    argv = ["synth", "--mode", "modulated", "--slots-per-day", "2", "--factors", str(bad), "--out", csv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot read factors file {bad}: line 2: byte 0xa4 is not UTF-8\n"
+    assert not os.path.exists(csv)
+
+
+def test_unmatched_label_dates_print_one_warning_line_each(planted_csv, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1962-05-29,exogenous\n1962-05-30,endogenous\n1962-05-29,exogenous\n")
+    want = (
+        "warning: label date 1962-05-29 matched no event\n"
+        "warning: label date 1962-05-30 matched no event\n"
+    )
+    capsys.readouterr()
+    for run in range(2):
+        out = str(tmp_path / f"out{run}")
+        # Each run warns again; a warning filter set to "error" does not end it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if run else "default")
+            assert main(
+                ["events", "--input", planted_csv, "--out", out, "--thresholds", "4,5", "--labels", str(labels)]
+            ) == 0
+        assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("command", ["analyze", "omori", "pattern", "events", "synth"])
+def test_out_that_cannot_be_created_exits_1(command, planted_csv, intraday_csv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    if command == "synth":
+        cases = [(str(blocker / "x.csv"), "cannot write"), (str(tmp_path), "cannot write")]
+        argv = ["synth", "--mode", "iid", "--n", "100"]
+    else:
+        cases = [(str(blocker), "cannot create output directory"),
+                 (str(blocker / "sub"), "cannot create output directory")]
+        argv = [command, "--input", intraday_csv if command == "pattern" else planted_csv]
+    capsys.readouterr()
+    for out, message in cases:
+        assert main([*argv, "--out", out]) == 1, out
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message} {out}: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert blocker.read_text() == "keep"
+
+
 def _zero_slot_csv(path):
     """Four one-minute slots a day for 200 days; every return from slot 1 is zero."""
     rng = np.random.default_rng(3)
@@ -606,10 +708,10 @@ def test_min_separation_declusters_events(daily_csv, tmp_path, capsys):
         assert counts[sep][-1] == f"wrote {out}"
     assert counts["0"][:3] == ["z2: 1422 events", "z4: 120 events", "z6: 2 events"]
     assert counts["30"][:3] == ["z2: 304 events", "z4: 63 events", "z6: 2 events"]
-    stamps = np.loadtxt(
+    indices = np.loadtxt(
         os.path.join(tmp_path, "events30", "events_z4.tsv"), dtype=np.int64, usecols=0, skiprows=1
     )
-    assert np.all(np.diff(stamps) >= 30)
+    assert np.all(np.diff(indices) >= 30)
 
     out = str(tmp_path / "analyze")
     rc, stdout, fits = _run(
@@ -689,6 +791,7 @@ def test_synth_invalid_args_exit_1(tmp_path, capsys):
 
 _WITHOUT_SCIPY = """
 import sys
+import warnings
 import volrelax.cli
 assert "scipy" not in sys.modules, "importing volrelax.cli imported scipy"
 sys.modules["scipy"] = None  # from here on every scipy import raises ImportError
@@ -714,3 +817,97 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode in (0, 3), proc.stderr
     assert os.path.getsize(os.path.join(out, "fits.tsv")) > 0
+
+
+# The input-file fuzz: each kind of label file, config file and --out
+# target, with analyze and events on small daily and intraday series.
+_FUZZ_LABELS = {
+    "valid": "# matched or not\n{dates}",
+    "bom": "\ufeff{dates}",
+    "not utf-8": "{dates}1999-01-04,exogenous,caf\udce9\n",
+    "unmatched": "1962-05-29,exogenous\n1962-05-30,endogenous\n",
+}
+_FUZZ_CONFIGS = {
+    "bom": "\ufeff# run\nseed = 3\n",
+    "not utf-8": "seed = 3\n# r\udce9sum\udce9\n",
+    "unknown key": "seed = 3\nverbosity = 11\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small daily and intraday CSVs, each with ten of its dates as label lines."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inputs = {}
+    for name, argv in (
+        ("daily", ["--mode", "planted", "--n", "3000", "--seed", "2", "--shock-rate", "500"]),
+        ("intraday", ["--mode", "modulated", "--n", "3000", "--slots-per-day", "30", "--seed", "2"]),
+    ):
+        path = str(root / f"{name}.csv")
+        assert main(["synth", *argv, "--out", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            days = sorted({line[:10] for line in fh})[::7][:10]
+        inputs[name] = (path, "".join(f"{d},{('exogenous', 'endogenous')[i % 2]}\n" for i, d in enumerate(days)))
+    return inputs
+
+
+def _fuzz_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@given(
+    command=st.sampled_from(["analyze", "events"]),
+    data=st.sampled_from(["daily", "intraday"]),
+    labels=st.sampled_from([None, *_FUZZ_LABELS]),
+    config=st.sampled_from([None, *_FUZZ_CONFIGS]),
+    out_kind=st.sampled_from(["new", "directory", "file"]),
+    split=st.sampled_from(["all", "origin"]),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_input_files_give_a_tree_or_one_error_line(
+    fuzz_inputs, tmp_path_factory, command, data, labels, config, out_kind, split
+):
+    root = tmp_path_factory.mktemp("case")
+    csv, dates = fuzz_inputs[data]
+    argv = [command, "--input", csv, "--thresholds", "4"]
+    if command == "analyze":
+        argv += ["--max-lag", "40", "--fit-min", "2", "--fit-max", "30", "--tau", "zero", "--split", split]
+    files = {}
+    if labels is not None:
+        files[root / "labels.csv"] = _FUZZ_LABELS[labels].format(dates=dates)
+        argv += ["--labels", str(root / "labels.csv")]
+    if config is not None:
+        files[root / "run.cfg"] = _FUZZ_CONFIGS[config]
+        argv += ["--config", str(root / "run.cfg")]
+    for path, text in files.items():
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    out = root / "out"
+    if out_kind == "directory":
+        out.mkdir()
+        (out / "stale.txt").write_text("left alone")
+    elif out_kind == "file":
+        out.write_text("left alone")
+
+    rc, stdout, stderr = _fuzz_run([*argv, "--out", str(out)])
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2, 3)
+    lines = stderr.splitlines()
+    assert all(line.startswith("warning: label date ") for line in lines[: len(lines) - (rc in (1, 2))])
+    if rc in (1, 2):
+        assert not lines[-1].startswith("warning:"), stderr
+        return
+    written = sorted(os.listdir(out))
+    wanted = "fits.tsv" if command == "analyze" else "events_z4.tsv"
+    assert wanted in written
+    # A rerun into a fresh directory, with every BOM taken out of the files, writes the same tree.
+    for path, text in files.items():
+        path.write_bytes(text.removeprefix("\ufeff").encode("utf-8", "surrogateescape"))
+    again = root / "again"
+    rerun = _fuzz_run([*argv, "--out", str(again)])
+    assert rerun == (rc, stdout.replace(str(out), str(again)), stderr)
+    snapshot = _dir_snapshot(str(out))
+    snapshot.pop("stale.txt", None)
+    assert snapshot == _dir_snapshot(str(again))

@@ -24,6 +24,7 @@ from volrelax import (
     mean_volatility,
     packaged_label_names,
     parse_label_file,
+    read_label_file,
     select_events,
 )
 from volrelax.events import sign_label
@@ -176,6 +177,39 @@ def test_parse_label_file_rejects_bad_rows():
         parse_label_file(io.StringIO("not-a-date,exogenous\n"))
     with pytest.raises(MalformedRow):
         parse_label_file(io.StringIO("2008-09-19,mysterious\n"))
+
+
+_LABELS = "# note\n2008-09-19,exogenous,crisis\n1997-05-22,endogenous\n"
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "file"])
+def test_label_file_byte_order_mark_is_dropped(kind, tmp_path):
+    def parse(text):
+        if kind == "str":
+            return parse_label_file(io.StringIO(text))
+        if kind == "bytes":
+            return parse_label_file(io.BytesIO(text.encode("utf-8")))
+        path = tmp_path / "labels.csv"
+        path.write_text(text, encoding="utf-8")
+        return read_label_file(str(path))
+
+    assert parse("\ufeff" + _LABELS) == parse(_LABELS)
+    assert [lab.date for lab in parse("\ufeff" + _LABELS[7:])] == [
+        np.datetime64("2008-09-19"), np.datetime64("1997-05-22")
+    ]
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_label_file_that_is_not_utf8_names_its_line(eol, tmp_path):
+    raw = eol.join([b"# r\xc3\xa9sum\xc3\xa9", b"2008-09-19,exogenous,caf\xe9", b""])
+    message = r"^label line 2: byte 0xe9 is not UTF-8$"
+    if eol != b"\r":  # read as text, a file ends a line at a lone "\r" too; a byte stream does not
+        with pytest.raises(MalformedRow, match=message):
+            parse_label_file(io.BytesIO(raw))
+    path = tmp_path / "labels.csv"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedRow, match=message):
+        read_label_file(str(path))
 
 
 def test_apply_labels_matches_dates():
