@@ -255,6 +255,13 @@ def _load_labels(spec: str):
         raise _ConfigError(f"cannot read label file {spec}: {exc}") from None
 
 
+def _make_out_dir(out: str) -> None:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError(f"cannot create output directory {out}: {exc}") from None
+
+
 def _prepare_run(args: argparse.Namespace):
     """Configure, load and de-season; write ``config.echo`` and ``pattern.tsv``.
 
@@ -265,6 +272,11 @@ def _prepare_run(args: argparse.Namespace):
     c = _run_config(args)
     labels = _load_labels(c.labels) if getattr(c, "labels", None) else None
     schema = CsvSchema(cadence=c.cadence, slots_per_day=c.slots_per_day)
+    head = c.out  # the deepest part of --out that exists: a file there is refused before the read
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        _make_out_dir(c.out)  # fails, creating nothing
     try:
         prices = read_price_csv(c.input, schema)
     except OSError as exc:
@@ -295,10 +307,7 @@ def _prepare_run(args: argparse.Namespace):
             raise _ConfigError(
                 f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
             )
-    try:
-        os.makedirs(c.out, exist_ok=True)
-    except OSError as exc:
-        raise _ConfigError(f"cannot create output directory {c.out}: {exc}") from None
+    _make_out_dir(c.out)
     with open(os.path.join(c.out, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(vars(c).items()):
             if key != "out":

@@ -220,10 +220,7 @@ def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
     The text is UTF-8; a leading byte-order mark is dropped, and a byte
     that is not UTF-8 is :class:`MalformedRow`, naming its line.
     """
-    try:
-        raw = _read_text(stream)
-    except MalformedRow as exc:
-        raise MalformedRow(f"label {exc}") from None
+    raw = _read_text(stream, "label ")
     labels: list[EventLabel] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.strip()

@@ -312,7 +312,7 @@ def _select_sample(
 def _evaluate(samples: list[tuple[np.ndarray, np.ndarray]], points: list[tuple]) -> list[float]:
     """The loss of each point ``(s, row, p, tau)`` on the curve
     ``samples[s] = (t, log_v)``, ``log_v[row]``: one :func:`_losses` call
-    per sample and branch."""
+    per sample, branch and block of rows."""
     groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
     for i, (s, row, p, tau) in enumerate(points):
         group = groups.setdefault((s, _branch(p, tau)), ([], [], [], []))
@@ -323,9 +323,11 @@ def _evaluate(samples: list[tuple[np.ndarray, np.ndarray]], points: list[tuple])
     out = [0.0] * len(points)
     for (s, branch), (idx, rows, ps, taus) in groups.items():
         t, log_v = samples[s]
-        losses = _losses(t, log_v[rows], np.array(ps), np.array(taus), branch)
-        for i, loss in zip(idx, losses.tolist()):
-            out[i] = loss
+        for lo in range(0, len(idx), 256):  # 256 rows at a time bound the temporaries
+            block = slice(lo, lo + 256)
+            losses = _losses(t, log_v[rows[block]], np.array(ps[block]), np.array(taus[block]), branch)
+            for i, loss in zip(idx[block], losses.tolist()):
+                out[i] = loss
     return out
 
 

@@ -8,13 +8,16 @@ itself, written as a generator that asks its caller for each loss, so
 that one caller can advance many searches in lock step and evaluate
 their points together; :func:`minimize` drives one search with a
 function.  A differential test pins it to scipy bit for bit; scipy
-itself is needed by the tests only.
+itself is needed by the tests only.  A stalled search (simplex within
+``xatol``, values not within ``fatol``) can cycle to the end of its budget;
+once a state repeats bit for bit, all but a period or two are counted, not run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator
 from math import inf
+from struct import pack
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +47,10 @@ def search(
     of the vertices with NaN last (numpy's argsort is one on the <= 3
     vertices of a 1-D or 2-D simplex), the stopping test, and the
     evaluation cut-off, which can stop a shrink partway and does not
-    count the interrupted iteration.  ``success`` is False when the
-    search ran out of ``maxfev`` evaluations or ``maxiter`` iterations.
+    count the interrupted iteration.  ``nfev`` and ``nit`` are scipy's
+    counts, skipped periods of a cycle included (a search's future depends
+    on its counts only through the budget tests); ``success`` is False when
+    the search ran out of ``maxfev`` evaluations or ``maxiter`` iterations.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(x0)
@@ -60,6 +65,7 @@ def search(
         fsim[k] = yield sim[k]
         nfev += 1
     nit = 1
+    stalled, last, mark = 0, None, None  # stalled heads; (state bits, nit, nfev) of the last and the mark
     # A refused evaluation (the budget is spent) skips the rest of its
     # iteration with `continue`, back to this sort, after which the loop ends.
     while True:
@@ -71,6 +77,16 @@ def search(
         x_close = all(abs(c - c0) <= xatol for v in sim[1:] for c, c0 in zip(v, s0))
         if x_close and all(abs(f0 - fv) <= fatol for fv in fsim[1:]):
             break
+        if x_close:  # stalled: on a repeat, skip all but a period or two (this head passed its budget tests)
+            bits = pack(f"{(n + 1) ** 2}d", *fsim, *(c for v in sim for c in v))
+            for seen in (last, mark):  # last finds a one-iteration cycle at once, mark any other
+                if seen and seen[0] == bits:
+                    di, df = nit - seen[1], nfev - seen[2]
+                    k = max(min((maxfev - nfev) // df, (maxiter - nit) // di) - 1, 0)
+                    nit, nfev = nit + k * di, nfev + k * df
+                    break
+            stalled, last = stalled + 1, (bits, nit, nfev)
+            mark = last if stalled & (stalled - 1) == 0 else mark  # Brent's: at stalled heads 1, 2, 4, ...
         xbar = s0
         for v in sim[1:-1]:
             xbar = [a + b for a, b in zip(xbar, v)]

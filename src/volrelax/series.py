@@ -316,12 +316,12 @@ def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
     yield decode(b"", final=True)
 
 
-def _read_text(stream: IO[str] | IO[bytes]) -> str:
+def _read_text(stream: IO[str] | IO[bytes], where: str = "") -> str:
     """The rest of ``stream`` as text without a leading byte-order mark.
 
-    The label, config and factors files are read through here, and a price
-    CSV that cannot be streamed or that the column path refuses.  A byte
-    that is not UTF-8 is :class:`MalformedRow`, naming its line.
+    The label, config, factors and output table files are read through here,
+    and a price CSV that cannot be streamed or the column path refuses.  A byte
+    that is not UTF-8 is :class:`MalformedRow`, naming its line after ``where``.
     """
     try:
         raw = stream.read()
@@ -329,12 +329,12 @@ def _read_text(stream: IO[str] | IO[bytes]) -> str:
         # The error holds the bytes the text stream was decoding, the whole
         # file if unread before; decode them again as a text-mode read does.
         text = io.TextIOWrapper(io.BytesIO(exc.object), encoding="utf-8", errors="surrogateescape")
-        raise _not_utf8(text.read()) from None
+        raise _not_utf8(text.read(), where) from None
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise _not_utf8(raw.decode("utf-8", "surrogateescape")) from None
+            raise _not_utf8(raw.decode("utf-8", "surrogateescape"), where) from None
     return raw.removeprefix("\ufeff")
 
 
@@ -358,11 +358,11 @@ def _parses_as_time(field: str) -> bool:
     return True
 
 
-def _not_utf8(text: str) -> MalformedRow:
-    """The error for text decoded with ``surrogateescape`` that holds a byte that is not UTF-8."""
+def _not_utf8(text: str, where: str = "") -> MalformedRow:
+    """The error for a byte that is not UTF-8 in ``surrogateescape`` text; lines end as in text mode."""
     at = _UNDECODABLE.search(text).start()
-    line = text.count("\n", 0, at) + 1
-    return MalformedRow(f"line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
+    line = text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at) + 1
+    return MalformedRow(f"{where}line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 
 def _first_record(raw: str, delimiter: str) -> tuple[int, int] | None:

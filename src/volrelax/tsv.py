@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import MalformedRow
+from .series import _read_text
 
 __all__ = ["write_tsv", "read_tsv"]
 
@@ -52,12 +53,12 @@ def read_tsv(path: str, columns: Mapping[str, Callable[[str], object]]) -> dict[
     Raises
     ------
     MalformedRow
-        The header differs from ``columns``, or a row has the wrong
-        number of fields or a cell its converter rejects; the message
-        names the file and the 1-based line.
+        The header differs from ``columns`` (after a byte-order mark), a
+        row has the wrong number of fields or a cell its converter rejects,
+        or a byte is not UTF-8; the message names the file and the 1-based line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = _read_text(fh, f"{path} ").splitlines()
     names = tuple(columns)
     header = "\t".join(names)
     if not lines or lines[0] != header:

@@ -465,6 +465,31 @@ def test_out_that_cannot_be_created_exits_1(command, planted_csv, intraday_csv, 
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("command", ["analyze", "omori", "pattern", "events"])
+def test_out_blocked_by_a_file_is_refused_before_the_input_is_read(command, tmp_path, monkeypatch, capsys):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(volrelax.cli, "read_price_csv", no_read)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    capsys.readouterr()
+    for out in (blocker, blocker / "sub", blocker / "sub" / "deeper"):
+        assert main([command, "--input", str(tmp_path / "never_read.csv"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["file"] and blocker.read_text() == "keep"
+
+
+def test_out_is_created_only_after_the_input_parses(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,price\n2000-01-03,1\n2000-01-04,oops\n")
+    for out in (tmp_path / "out", tmp_path / "new" / "out"):
+        assert main(["analyze", "--input", str(bad), "--out", str(out)]) == 2
+        assert not out.exists() and not (tmp_path / "new").exists()
+
+
 def _zero_slot_csv(path):
     """Four one-minute slots a day for 200 days; every return from slot 1 is zero."""
     rng = np.random.default_rng(3)

@@ -203,9 +203,11 @@ def test_label_file_byte_order_mark_is_dropped(kind, tmp_path):
 def test_label_file_that_is_not_utf8_names_its_line(eol, tmp_path):
     raw = eol.join([b"# r\xc3\xa9sum\xc3\xa9", b"2008-09-19,exogenous,caf\xe9", b""])
     message = r"^label line 2: byte 0xe9 is not UTF-8$"
-    if eol != b"\r":  # read as text, a file ends a line at a lone "\r" too; a byte stream does not
-        with pytest.raises(MalformedRow, match=message):
-            parse_label_file(io.BytesIO(raw))
+    # A byte stream counts lines as a text-mode read does: a lone "\r" ends one too.
+    with pytest.raises(MalformedRow, match=message):
+        parse_label_file(io.BytesIO(raw))
+    with pytest.raises(MalformedRow, match=message):
+        parse_label_file(io.BytesIO(b"# a\r2008-09-19,exogenous,caf\xe9\r"))
     path = tmp_path / "labels.csv"
     path.write_bytes(raw)
     with pytest.raises(MalformedRow, match=message):

@@ -1,12 +1,13 @@
 """Offset power-law fitting, tail slopes and bootstrap errors."""
 
 import re
+import struct
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -438,6 +439,24 @@ def test_fit_report_reader_rejects_foreign_files(tmp_path):
     assert len(FIT_COLUMNS) == 12
 
 
+def test_fit_report_reader_decodes_as_the_input_readers_do(tmp_path):
+    lags, V = _curve(0.47, 9.06)
+    rows = [fit_report_row("-", 4.0, "all", "all", fit_offset_power_law(lags, V, t_min=1))]
+    path = tmp_path / "fits.tsv"
+    write_fit_tsv(rows, str(path))
+    written = path.read_bytes()
+    # A byte-order mark is dropped.
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + written)
+    assert repr(read_fit_tsv(str(bom))) == repr(read_fit_tsv(str(path)))  # p_stderr is nan
+    # A byte that is not UTF-8 names the file and its line, in any line ending.
+    for eol in (b"\n", b"\r\n", b"\r"):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(written.replace(b"full_fit", b"full_fit\xe9").replace(b"\n", eol))
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(bad))} line 2: byte 0xe9 is not UTF-8$"):
+            read_fit_tsv(str(bad))
+
+
 def test_fit_cumulative_runs_on_real_profiles():
     returns = gen_planted_relaxation(
         PlantedRelaxationSpec(
@@ -556,6 +575,63 @@ def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, m
     assert got.nfev == want.nfev
     assert got.nit == want.nit
     assert got.success == want.success
+
+
+def _bowl_with_bit_noise(modulus, calls):
+    """``(x - 1)^2 [+ (y - 2)^2]`` plus ``1e-15 * (bits % modulus)`` per
+    coordinate.  Near the minimum neighbouring points differ by a few ULP
+    of loss, more than the fits' ``fatol``, so a collapsed simplex can
+    cycle to the end of its budget, as the fits' searches at ``tau = 0`` do."""
+
+    def fun(x):
+        calls.append(None)
+        coords = [float(c) for c in x]
+        bowl = sum((c - centre) ** 2 for c, centre in zip(coords, (1.0, 2.0)))
+        return bowl + 1e-15 * sum(struct.unpack("<q", struct.pack("<d", c))[0] % modulus for c in coords)
+
+    return fun
+
+
+_STALL_BUDGETS = st.integers(150, 1500) | st.just(10_000)
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.sampled_from([7, 13]),
+    _STALL_BUDGETS,
+    _STALL_BUDGETS,
+)
+@example(2, (0.3, 0.7), 7, 10_000, 10_000)
+@example(1, (2.644407133494, 0.0), 13, 10_000, 10_000)
+@settings(max_examples=60, deadline=None)
+def test_stalled_search_matches_scipy(dim, start, modulus, maxfev, maxiter):
+    # A cycle's skipped periods leave every count and the stop where scipy has them.
+    x0 = np.array(start[:dim])
+    options = {"xatol": fitting._XATOL, "fatol": fitting._XATOL**2, "maxiter": maxiter, "maxfev": maxfev}
+    want = optimize.minimize(_bowl_with_bit_noise(modulus, []), x0, method="Nelder-Mead", options=options)
+    calls: list = []
+    got = volrelax.optimize.minimize(_bowl_with_bit_noise(modulus, calls), x0, **options)
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun
+    assert got.nfev == want.nfev
+    assert got.nit == want.nit
+    assert got.success == want.success
+    if maxfev == maxiter == 10_000:
+        assert len(calls) < 1_000
+
+
+def test_fit_budget_counts_a_stalled_search_without_running_it():
+    # The fits' cap of _MAX_ITER evaluations is scipy's nfev: a search that
+    # stalls reaches it, though it asks for far fewer losses.
+    for dim, x0, modulus in ((2, [0.3, 0.7], 7), (1, [2.644407133494], 13)):
+        calls: list = []
+        res = volrelax.optimize.minimize(
+            _bowl_with_bit_noise(modulus, calls), np.array(x0), xatol=fitting._XATOL,
+            fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
+        )
+        assert res.nfev == fitting._MAX_ITER and not res.success
+        assert len(calls) < 1_000
 
 
 @st.composite
@@ -884,6 +960,15 @@ def test_losses_take_scalar_powers_at_simple_exponents():
             )
             want = [_frozen_loss(t, log_v, p, tau) for tau in taus.tolist()]
         assert got.tolist() == want, q
+
+
+def test_evaluate_in_blocks_equals_one_point_at_a_time():
+    # More points than one block of rows, all on one sample and branch.
+    t = np.unique(np.rint(np.geomspace(1.0, 300.0, 30)))
+    log_v = np.array([0.7 * np.log(t + 3.0), 0.4 * np.log(t)])
+    points = [(0, k % 2, 0.05 + 0.001 * k, 1.0 + 0.01 * k) for k in range(700)]
+    got = fitting._evaluate([(t, log_v)], points)
+    assert got == [fitting._evaluate([(t, log_v)], [point])[0] for point in points]
 
 
 @given(_sample_stacks(), st.lists(st.tuples(_EXPONENTS, _OFFSETS), min_size=1, max_size=12))

@@ -528,7 +528,7 @@ def test_byte_order_mark_is_not_read_as_data(text):
         assert _outcome(parse, "\ufeff" + text, CsvSchema()) == expected
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
 def test_bytes_that_are_not_utf8_name_their_line(eol):
     raw = eol.join(["timestamp,price", "2000-01-03,1", "2000-01-04,2", "2000-01-05,caf\xe9"]).encode("latin-1")
     with pytest.raises(MalformedRow, match=r"^line 4: byte 0xe9 is not UTF-8$"):
