@@ -282,7 +282,9 @@ def _prepare_run(args: argparse.Namespace):
     except OSError as exc:
         raise _ConfigError(f"cannot read input {c.input}: {exc}") from None
     returns = log_returns(prices, include_session_crossing=not c.drop_session_crossing)
-    del prices  # read no more: free their 20 bytes a record before the profiles peak
+    del prices  # the returns view its slots and stamps; free its 8-byte prices
+    if labels is None and c.command != "events":  # nothing else reads the stamps: free 8 bytes a record
+        returns = replace(returns, timestamps=None)
     if c.surrogate == "shuffle":
         returns = shuffle_surrogate(returns, c.seed)
     vol = absolute_volatility(returns)

@@ -176,7 +176,9 @@ def apply_labels(
 def filter_events(
     events: EventSet, sign: str | None = None, origin: str | None = None
 ) -> EventSet:
-    """Subset by sign (``'crash'``/``'rally'``) and/or origin."""
+    """Subset by sign (``'crash'``/``'rally'``) and/or origin; with neither, ``events`` itself."""
+    if sign is None and origin is None:
+        return events
     mask = np.ones(len(events), dtype=bool)
     if sign is not None:
         code = {"crash": CRASH, "rally": RALLY}.get(sign)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DailyCadence, EmptySlot, SlotMismatch
-from .series import VolatilitySeries
+from .series import _BLOCK, VolatilitySeries
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -70,12 +70,16 @@ def estimate_pattern(vol: VolatilitySeries) -> IntradayPattern:
 
 
 def remove_pattern(vol: VolatilitySeries, pattern: IntradayPattern) -> VolatilitySeries:
-    """Divide each observation by its slot factor."""
+    """Divide each observation by its slot factor, gathered a block at a time."""
     if pattern.slots_per_day != vol.slots_per_day:
         raise SlotMismatch(
             f"pattern has {pattern.slots_per_day} slots, series has {vol.slots_per_day}"
         )
-    return replace(vol, values=vol.values / pattern.factors[vol.slot_index], adjusted=True)
+    values = np.empty_like(vol.values)
+    for lo in range(0, values.size, _BLOCK):
+        at = slice(lo, lo + _BLOCK)
+        np.divide(vol.values[at], pattern.factors[vol.slot_index[at]], out=values[at])
+    return replace(vol, values=values, adjusted=True)
 
 
 PATTERN_COLUMNS = {"slot": int, "factor": float}

@@ -187,33 +187,46 @@ def _conditional_sums(
     resample events with replacement); each occurrence contributes
     independently.
 
-    ``values`` is padded with ``max_lag`` zeros on each side, so the
-    sliding window of width ``2*max_lag + 1`` starting at padded
-    position ``e`` holds ``values[e - max_lag .. e + max_lag]``, with
-    ``0.0`` wherever that range leaves the series.  The windows of all
-    events are summed into one accumulator whose centre is lag 0 of
-    both sides, read backwards for ``-`` and forwards for ``+``.  The
-    sum runs in chunks of events, each gathered in blocks so memory stays
-    bounded, and every lag adds the events in the order ``indices`` lists
-    them (see ``_CHUNK_CELLS``).
+    The sliding window of width ``2*max_lag + 1`` of event ``e`` holds
+    ``values[e - max_lag .. e + max_lag]``, with ``0.0`` wherever that
+    range leaves the series.  The windows of all events are summed into
+    one accumulator whose centre is lag 0 of both sides, read backwards
+    for ``-`` and forwards for ``+``.  The sum runs in chunks of events,
+    each gathered in blocks so memory stays bounded, and every lag adds
+    the events in the order ``indices`` lists them (see ``_CHUNK_CELLS``).
+    A window slides over ``values`` itself, but for the events within
+    ``max_lag`` of an edge: theirs slides over zero-padded copies of the
+    first and last ``2*max_lag`` values, not of the series.
 
     The counts need no gather: ``e + lag`` is in bounds for the events
     below ``n - lag`` and ``e - lag`` for those at or above ``lag``.
     """
-    n = values.size
+    n, span = values.size, 2 * max_lag + 1
     lags = np.arange(max_lag + 1, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(values, max_lag), 2 * max_lag + 1
-    )
-    acc = np.zeros(2 * max_lag + 1)
+    view = np.lib.stride_tricks.sliding_window_view
+    inner = view(values, span) if n >= span else np.empty((0, span))
+    lead, ends = max(0, n - 2 * max_lag), np.pad(values[: 2 * max_lag], max_lag)
+    edges = view(np.concatenate([ends, np.pad(values[lead:], max_lag)]), span)
+    near = (indices < max_lag) | (indices >= n - max_lag)
+
+    def gather(part: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        if not edge.any():
+            return inner[part - max_lag]
+        # Clipped, the edge events take some interior window, overwritten below.
+        block = inner[np.clip(part - max_lag, 0, len(inner) - 1)] if len(inner) else np.empty((part.size, span))
+        at = part[edge]
+        block[edge] = edges[np.where(at < max_lag, at, at - lead + ends.size)]
+        return block
+
+    acc = np.zeros(span)
     total = np.empty_like(acc)
     chunk = max(1, _CHUNK_CELLS // (max_lag + 1))
-    rows = max(1, _BLOCK_CELLS // (2 * max_lag + 1))
+    rows = max(1, _BLOCK_CELLS // span)
     for lo in range(0, indices.size, chunk):
-        part = indices[lo : lo + chunk]
-        windows[part[:rows]].sum(axis=0, out=total)
+        part, edge = indices[lo : lo + chunk], near[lo : lo + chunk]
+        gather(part[:rows], edge[:rows]).sum(axis=0, out=total)
         for at in range(rows, part.size, rows):
-            block = windows[part[at : at + rows]]
+            block = gather(part[at : at + rows], edge[at : at + rows])
             block[0] += total
             block.sum(axis=0, out=total)
         acc += total

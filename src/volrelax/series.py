@@ -4,15 +4,15 @@ The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
 The text is UTF-8, with or without a byte-order mark.  ``np.loadtxt``
 parses it one chunk of about a mebibyte at a time, read from the stream
-as the parse goes: beyond the output arrays, the parse needs memory
-bounded by the chunk, not by the file.  Quoted input, and input that
-parse rejects, sends the parse back to where it began, to read the
-whole text through a ``csv.reader`` row path instead, which gives the
-same result and words each error with its file line.
+as the parse goes and written straight into the output columns: beyond
+them, the parse needs memory bounded by the chunk, not by the file.
+Quoted input, and input that parse rejects, sends the parse back to
+where it began, to read the whole text through a ``csv.reader`` row path
+instead, which gives the same result and words each error with its line.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
-of its *left* timestamp so that intraday seasonality can be estimated
-and removed downstream.
+of its *left* timestamp, a view of the prices' own, so that intraday
+seasonality can be estimated and removed downstream.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ _FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
 # hands loadtxt what it read up to the last newline.  Its line strings and
 # 72-byte-per-record table then grow with the chunk, not with the file.
 _CHUNK_CHARS = 1 << 20
+_BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -133,8 +134,8 @@ class PriceSeries:
         nat = np.flatnonzero(np.isnat(ts))
         if nat.size:
             raise NonMonotoneTimestamp(f"record {int(nat[0])}: timestamp is NaT, not a time")
-        if not np.all(np.diff(ts.astype("int64")) > 0):
-            bad = int(np.flatnonzero(np.diff(ts.astype("int64")) <= 0)[0]) + 1
+        if not np.all(ts[1:] > ts[:-1]):
+            bad = int(np.flatnonzero(~(ts[1:] > ts[:-1]))[0]) + 1
             raise NonMonotoneTimestamp(
                 f"timestamps must be strictly increasing (record {bad}: {ts[bad]})"
             )
@@ -224,11 +225,11 @@ class SeriesStats:
 
 
 def _times_of_day(ts: np.ndarray) -> np.ndarray:
-    return (ts - ts.astype("datetime64[D]")).astype("timedelta64[s]").astype(np.int64)
+    return ts.view(np.int64) % _SECONDS_PER_DAY  # a floor modulo: right before 1970 too
 
 
 def _infer_cadence(ts: np.ndarray) -> str:
-    step = int(np.median(np.diff(ts.astype("int64"))))
+    step = int(np.median(np.diff(ts.view(np.int64)), overwrite_input=True))
     if step >= _SECONDS_PER_DAY:
         return "daily"
     if step == 60:
@@ -292,7 +293,13 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     else:
         text, blocks = None, _blocks(stream)
     try:
-        columns = _read_columns(blocks, schema)
+        from os import fstat
+
+        size = len(text) if text is not None else fstat(stream.fileno()).st_size
+    except (AttributeError, OSError):  # an in-memory stream has no file to measure
+        size = None
+    try:
+        columns = _read_columns(blocks, schema, size)
     except UnicodeDecodeError:
         columns = None
     if columns is None:
@@ -392,7 +399,9 @@ def _chunks(blocks: Iterable[str]) -> Iterator[str]:
         yield rest
 
 
-def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_columns(
+    blocks: Iterable[str], schema: CsvSchema, size: int | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Timestamps and prices of unquoted text, read by ``np.loadtxt`` in chunks.
 
     ``blocks`` gives the text in pieces of any size.  Each chunk is what
@@ -401,6 +410,11 @@ def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray,
     first record, which decides the header.  Each chunk is parsed and
     checked on its own, which bounds the parse's line strings and
     loadtxt table by the chunk.
+
+    The first chunk's columns are the output's, and later chunks are written
+    straight into them.  One that outruns them sizes them anew at the rows per
+    character read so far over ``size`` (the text's length, if known; doubled if
+    not), capped at ``size`` bytes so that short first rows cannot over-allocate.
 
     Returns ``None`` wherever :func:`_read_rows` could read the text
     differently or would raise, in any chunk, so that the row path
@@ -432,8 +446,7 @@ def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray,
         if any("\r" in line[:-1] for line in head[:line_end].split("\n")):
             return None
         pos = line_end + 1
-    ts_parts: list[np.ndarray] = []
-    px_parts: list[np.ndarray] = []
+    n = read = 0
     for chunk in itertools.chain([head], chunks):
         # Quotes move field boundaries in a way only csv.reader follows,
         # and a trailing NUL would vanish from a bytes stamp.  The header
@@ -448,11 +461,21 @@ def _read_columns(blocks: Iterable[str], schema: CsvSchema) -> tuple[np.ndarray,
         columns = _read_chunk(chunk, schema)
         if columns is None:
             return None
-        ts_parts.append(columns[0])
-        px_parts.append(columns[1])
-    if sum(part.size for part in ts_parts) < 2:
+        k, read = columns[0].size, read + len(chunk)
+        if not n:
+            (ts, px), n = columns, k
+            continue
+        if n + k > ts.size:
+            rows = min((n + k) * size // read, size // 16) if size else 2 * ts.size
+            for column in (ts, px):
+                column.resize(max(n + k, rows), refcheck=False)
+        ts[n : n + k], px[n : n + k] = columns
+        n += k
+    if n < 2:
         return None
-    return np.concatenate(ts_parts), np.concatenate(px_parts)
+    for column in (ts, px):
+        column.resize(n, refcheck=False)
+    return ts, px
 
 
 def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
@@ -489,7 +512,7 @@ def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     digits = [np.count_nonzero(stamp_bytes[:, k] - np.uint8(ord("0")) < 10) for k in range(5)]
     if digits != [ts.size] * 4 + [0]:
         return None
-    return ts, np.ascontiguousarray(table["price"])
+    return ts, table["price"].copy()
 
 
 def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -502,7 +525,10 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
     ts_strs: list[str] = []
     px_strs: list[str] = []
     linenos: list[int] = []
-    rows = csv.reader(io.StringIO(raw), delimiter=schema.delimiter)
+    # The lines of io.StringIO(raw), split at "\n" only, a chunk of text at a time: a StringIO
+    # of the whole text would copy it at 4 bytes a character.
+    pieces = _chunks(raw[i : i + _CHUNK_CHARS] for i in range(0, len(raw), _CHUNK_CHARS))
+    rows = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)), delimiter=schema.delimiter)
     next_line = 1
     try:
         for row in rows:
@@ -568,11 +594,14 @@ def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> R
 
     With ``include_session_crossing=False`` (intraday data only) the
     overnight return between the last record of one day and the first
-    of the next is dropped.
+    of the next is dropped; otherwise the slots and stamps view the prices'.
     """
-    values = np.diff(np.log(prices.prices))
-    slots = prices.slot_index[:-1].copy()
-    stamps = prices.timestamps[:-1].copy()
+    logs = np.log(prices.prices)
+    values = logs[:-1]  # np.diff's subtraction, in blocks so that numpy copies one block of the overlap
+    for lo in range(0, values.size, _BLOCK):
+        np.subtract(logs[lo + 1 : lo + 1 + _BLOCK], values[lo : lo + _BLOCK], out=values[lo : lo + _BLOCK])
+    slots = prices.slot_index[:-1]
+    stamps = prices.timestamps[:-1]
     if not include_session_crossing and prices.cadence != "daily":
         days = prices.timestamps.astype("datetime64[D]")
         keep = days[1:] == days[:-1]

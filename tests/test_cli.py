@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import volrelax
+from volrelax import cli
 from volrelax.cli import main
 from volrelax.fitting import read_fit_tsv
 from volrelax.intraday import read_pattern_tsv
@@ -544,6 +545,45 @@ def test_events_command_lists_events(planted_csv, tmp_path):
         assert origin == "unlabeled"
         assert float(magnitude) > 0
         assert stamp.startswith("2000") or stamp > "2000"
+
+
+@pytest.mark.parametrize(
+    ("argv", "kept"),
+    [
+        (["analyze", "--thresholds", "5"], False),
+        (["omori"], False),
+        (["events", "--thresholds", "5"], True),
+        (["analyze", "--thresholds", "5", "--labels", "builtin:dax_daily"], True),
+    ],
+)
+def test_return_stamps_are_kept_only_to_label_or_list_events(planted_csv, tmp_path, argv, kept):
+    # 8 bytes a return that an analyze without labels never reads.
+    args = cli._build_parser().parse_args([*argv, "--input", planted_csv, "--out", str(tmp_path / "out")])
+    _, _, returns, vol, _ = cli._prepare_run(args)
+    if kept:
+        stamps = volrelax.read_price_csv(planted_csv).timestamps[:-1]
+        assert returns.timestamps.tobytes() == stamps.tobytes()
+        assert np.shares_memory(vol.timestamps, returns.timestamps)
+    else:
+        assert returns.timestamps is None and vol.timestamps is None
+
+
+def test_events_list_and_labels_read_the_return_stamps(planted_csv, tmp_path):
+    stamps = np.datetime_as_string(volrelax.read_price_csv(planted_csv).timestamps, unit="s")
+
+    def events(*extra):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["events", "--input", planted_csv, "--out", str(out), "--thresholds", "5", *extra]) == 0
+        return [line.split("\t") for line in (out / "events_z5.tsv").read_text().splitlines()[1:]]
+
+    rows = events()
+    assert len(rows) > 30
+    assert [row[1] for row in rows] == [stamps[int(row[0])] for row in rows]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{row[1][:10]},exogenous\n" for row in rows[::3]))
+    labelled = events("--labels", str(labels))
+    assert [row[:4] for row in labelled] == [row[:4] for row in rows]
+    assert [row[4] for row in labelled] == ["endogenous" if i % 3 else "exogenous" for i in range(len(rows))]
 
 
 def test_origin_split_with_labels(planted_csv, tmp_path):

@@ -132,6 +132,8 @@ def test_filter_by_sign_and_origin():
     np.testing.assert_array_equal(
         filter_events(events, sign="rally", origin="exogenous").indices, [12]
     )
+    # With no filter the events come back as they are, not as a copy.
+    assert filter_events(events) is events
     with pytest.raises(ValueError):
         filter_events(events, sign="up")
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Intraday seasonality pattern estimation/removal tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from volrelax import (
     gen_intraday_modulated,
     remove_pattern,
 )
+from volrelax import intraday
 from volrelax.intraday import read_pattern_tsv, write_pattern_tsv
 
 from _reference import brute_pattern
@@ -89,6 +92,28 @@ def test_remove_flattens_slot_means():
     assert adjusted.adjusted
     slot_means = np.bincount(slots, weights=adjusted.values) / np.bincount(slots)
     assert np.ptp(slot_means) < 1e-10 * slot_means.mean()
+
+
+@given(
+    st.integers(1, 300),
+    st.integers(2, 12),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_remove_pattern_in_blocks_equals_one_gather(n, slots_per_day, block, seed):
+    # Blocks of 1 to 64 values: the series is below one block, a multiple
+    # of it, or not.
+    rng = np.random.default_rng(seed)
+    factors = rng.uniform(0.3, 3.0, slots_per_day)
+    pattern = IntradayPattern(factors=factors / factors.mean(), slots_per_day=slots_per_day)
+    slots = rng.integers(0, slots_per_day, n).astype(np.int32)
+    vol = _vol(rng.exponential(0.01, n) * 10.0 ** rng.integers(-8, 9, n), slots, slots_per_day)
+    want = vol.values / pattern.factors[vol.slot_index]
+    with mock.patch.object(intraday, "_BLOCK", block):
+        got = remove_pattern(vol, pattern)
+    assert got.values.tobytes() == want.tobytes()
+    assert got.adjusted and got.slot_index is vol.slot_index
 
 
 def test_remove_rejects_mismatched_grid():

@@ -146,10 +146,15 @@ def _chunked_where_sums(values, indices, max_lag, chunk_cells):
 
 @st.composite
 def _sums_case(draw):
-    n = draw(st.integers(1, 300))
+    # Series shorter and longer than a window (2*max_lag + 1), events within
+    # max_lag of either edge or both, and repeats, in any order.
+    n = draw(st.integers(1, 300) | st.integers(301, 3000))
     max_lag = draw(st.integers(1, 400))
     indices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60))
     indices += draw(st.lists(st.sampled_from([0, n - 1]), max_size=3))
+    near_edge = st.integers(0, min(n, max_lag) - 1) | st.integers(max(0, n - max_lag), n - 1)
+    indices += draw(st.lists(near_edge, max_size=8))
+    indices += draw(st.lists(st.sampled_from(indices), max_size=5))
     indices = draw(st.permutations(indices))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -228,6 +233,17 @@ def test_conditional_sums_memory_does_not_grow_with_events():
     peak_few = _traced_peak(_conditional_sums, values, few, 100)
     peak_many = _traced_peak(_conditional_sums, values, many, 100)
     assert peak_many < peak_few + 2 * many.nbytes
+
+
+def test_conditional_sums_hold_no_padded_copy_of_the_series():
+    # A padded copy of this 400k series alone took 3.2 MB, twice the bound.
+    # Interior windows view the series; the edges' padded copies take 4*max_lag
+    # values each; the block gathered takes 64K cells.
+    rng = np.random.default_rng(6)
+    values = rng.exponential(0.01, 400_000)
+    indices = np.concatenate(([0, 7, 999, values.size - 1000, values.size - 1], rng.integers(0, values.size, 5_000)))
+    peak = _traced_peak(_conditional_sums, values, indices, 1000)
+    assert peak < values.nbytes / 2
 
 
 def test_profile_normalization_is_exact():

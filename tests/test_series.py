@@ -708,8 +708,9 @@ def test_text_stream_read_partway_names_the_line_from_where_the_parse_began(tmp_
 def test_parse_peak_memory_holds_no_copy_of_the_file(tmp_path):
     # 200k one-minute records, 5.4 MB of text read in 64 KiB blocks.  Read
     # whole, the text alone was held twice, as bytes and as a string.
-    # Streamed, the peak is the stamps and prices twice (the chunks' parts
-    # and their concatenation) and a few chunks' work.
+    # Streamed, the stamps and prices are written into their columns as
+    # the chunks are parsed; the peak is the columns, the slots and the
+    # times of day the slots are found from.
     n = 200_000
     stamps = np.datetime64("2000-01-03T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
     prices = 100.0 + np.arange(n) % 997 / 8.0
@@ -725,6 +726,183 @@ def test_parse_peak_memory_holds_no_copy_of_the_file(tmp_path):
     assert len(parsed) == n
     assert peak < 2 * (parsed.timestamps.nbytes + parsed.prices.nbytes) + 16 * (1 << 16)
     assert peak < 2 * path.stat().st_size
+
+
+def _minute_text(n):
+    stamps = np.datetime64("2000-01-03T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
+    prices = 100.0 + np.arange(n) % 997 / 8.0
+    return "".join(f"{s},{p!r}\n" for s, p in zip(stamps.astype(str), prices.tolist()))
+
+
+def test_row_path_holds_no_copy_of_the_text():
+    # 200k one-minute records, 5.4 MB of text with its last price quoted,
+    # so that the row path reads all of it.  Its field strings, their lists
+    # and the parsed columns peak at about 7.5 bytes a character; a StringIO
+    # of the whole text added 4 more (60.9 MB against 41.0 MB here).
+    text = _minute_text(200_000)
+    cut = text.rindex(",") + 1
+    quoted = text[:cut] + '"' + text[cut:-1] + '"\n'
+    tracemalloc.start()
+    try:
+        ts, px = series._read_rows(quoted, CsvSchema())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_ts, want_px = series._read_columns([text], CsvSchema())
+    assert ts.tobytes() == want_ts.tobytes() and px.tobytes() == want_px.tobytes()
+    assert peak < 9 * len(text)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slots_and_checks_add_no_int64_copy_of_the_stamps():
+    # 400k stamps from before 1970 on: 3.2 MB.  The old day floor, order
+    # check and cadence each held one to three int64 copies of them.
+    n = 400_000
+    ts = np.datetime64("1969-12-01T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
+    prices = 100.0 + np.arange(n) % 997 / 8.0
+    n_slots, slots = series._assign_slots(ts, "1min", None)
+    assert n_slots == 1440
+    # The times of day (int64) and the slots are the results; the tables
+    # of the seconds of a day take 5 bytes a second.
+    tables = 5 * 86_400
+    assert _traced_peak(series._assign_slots, ts, "1min", None) < ts.nbytes + slots.nbytes + tables + 65_536
+    # The cadence takes the steps (int64) and finds their median in place.
+    assert _traced_peak(series._infer_cadence, ts) < ts.nbytes + 65_536
+    assert series._infer_cadence(ts) == "1min"
+    # The checks hold boolean masks only, one byte a record.
+    assert _traced_peak(PriceSeries, ts, prices, "1min", n_slots, slots) < ts.nbytes / 2
+
+
+def test_log_returns_and_pattern_removal_hold_one_new_array_and_one_block():
+    # Gathered or differenced whole, the old code held a second float64 array.
+    from volrelax.intraday import estimate_pattern, remove_pattern
+
+    n = 200_000
+    ts = np.datetime64("2000-01-03T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
+    prices = PriceSeries(
+        timestamps=ts,
+        prices=100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 1e-3, n))),
+        cadence="1min",
+        slots_per_day=1440,
+        slot_index=series._assign_slots(ts, "1min", None)[1],
+    )
+    # One new float64 array, and the larger of one block and the checks of
+    # the new series, which hold up to three boolean masks.
+    bound = 8 * n + max(8 * series._BLOCK, 3 * n) + 65_536
+    assert _traced_peak(log_returns, prices) < bound
+    returns = log_returns(prices)
+    # The slots and stamps are views of the prices'.
+    assert np.shares_memory(returns.slot_index, prices.slot_index)
+    assert np.shares_memory(returns.timestamps, prices.timestamps)
+    vol = absolute_volatility(returns)
+    pattern = estimate_pattern(vol)
+    assert _traced_peak(remove_pattern, vol, pattern) < bound
+
+
+def _copied_returns(prices, include_session_crossing):
+    """The returns as they were formed before the slots and stamps became
+    views and the differences were taken in place, frozen as the reference."""
+    values = np.diff(np.log(prices.prices))
+    slots = prices.slot_index[:-1].copy()
+    stamps = prices.timestamps[:-1].copy()
+    if not include_session_crossing and prices.cadence != "daily":
+        days = prices.timestamps.astype("datetime64[D]")
+        keep = days[1:] == days[:-1]
+        values, slots, stamps = values[keep], slots[keep], stamps[keep]
+    return values, slots, stamps
+
+
+@given(
+    st.lists(st.tuples(st.floats(1e-3, 1e6), st.sampled_from([60, 60, 60, 3600, 64_800])), min_size=2, max_size=300),
+    st.booleans(),
+    st.integers(1, 70),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_returns_equal_the_differences_of_copies(records, include_session_crossing, block):
+    steps = np.array([step for _, step in records], dtype=np.int64)
+    ts = (np.datetime64("1969-12-31T09:30:00") + np.cumsum(steps).astype("timedelta64[s]")).astype("datetime64[s]")
+    prices = series._price_series(ts, np.array([p for p, _ in records]), CsvSchema())
+    want = _copied_returns(prices, include_session_crossing)
+    with mock.patch.object(series, "_BLOCK", block):
+        try:
+            got = log_returns(prices, include_session_crossing)
+        except TooShort:
+            assert want[0].size == 0
+            return
+    for g, w in zip((got.values, got.slot_index, got.timestamps), want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@given(
+    st.lists(
+        st.integers(-4_000_000_000, 4_000_000_000)
+        | st.sampled_from([-86_401, -86_400, -86_399, -1, 0, 1, 86_399, 86_400]),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_times_of_day_equal_the_day_floor(seconds):
+    ts = np.array(seconds, dtype=np.int64).astype("datetime64[s]")
+    want = (ts - ts.astype("datetime64[D]")).astype("timedelta64[s]").astype(np.int64)
+    got = series._times_of_day(ts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _grown_text(first, later, n_first, n_later):
+    """``n_first`` daily records of the ``first`` form, then ``n_later`` of the ``later`` one."""
+    days = (np.datetime64("2000-01-03") + np.arange(n_first + n_later)).astype(str)
+    return "".join((first if i < n_first else later).format(day, i + 1) for i, day in enumerate(days))
+
+
+# Short rows take fewer bytes than their 16-byte record in the columns.
+_SHORT, _LONG = "{0},{1}\n", "{0}T09:30:00,{1}.250000000000000000000000000000\n"
+
+
+@pytest.mark.parametrize(
+    "kind", ["str", "bytes", "text file", "text file partway", "binary file", "binary file partway"]
+)
+@pytest.mark.parametrize(("first", "later"), [(_SHORT, _LONG), (_LONG, _SHORT), (_SHORT, _SHORT)])
+@pytest.mark.parametrize("chunk_chars", [64, 1000])
+def test_preallocated_parse_matches_whole_text_parse(tmp_path, kind, first, later, chunk_chars):
+    # Short rows first: the columns sized from the first chunk would outrun
+    # the rows, and the file's size caps them; long rows first: they fall
+    # short and grow.  In-memory streams have no file to size them from and
+    # grow from the first chunk's rows.
+    data = ("timestamp,price\n" + _grown_text(first, later, 40, 400)).encode()
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    results = []
+    for parse in (parse_price_csv, _whole_text_parse):
+        if kind.startswith("text file"):
+            stream = open(path, encoding="utf-8")
+        elif kind.startswith("binary file"):
+            stream = open(path, "rb")
+        else:
+            stream = io.StringIO(data.decode()) if kind == "str" else io.BytesIO(data)
+        if kind.endswith("partway"):
+            stream.readline()
+        with stream, mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
+            series, "_read_rows", side_effect=AssertionError("the row path read plain text")
+        ):
+            results.append(parse(stream))
+    got, want = results
+    assert len(got) == 440
+    for g, w in ((got.timestamps, want.timestamps), (got.prices, want.prices), (got.slot_index, want.slot_index)):
+        assert g.tobytes() == w.tobytes()
+    # The columns hold their rows and no slack.
+    for column in (got.timestamps, got.prices):
+        while column.base is not None:
+            column = column.base
+        assert column.size == 440
 
 
 def test_log_returns_values():
