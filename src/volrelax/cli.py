@@ -130,7 +130,7 @@ class _Option:
 _OPTIONS = (
     _Option("input", str, help="price CSV (timestamp,price)", required=True),
     _Option("cadence", str, None, "sampling cadence (default: infer)", choices=("1min", "5min", "daily")),
-    _Option("slots_per_day", int, None, "intraday slots when not derivable from timestamps"),
+    _Option("slots_per_day", int, None, "intraday slots when not derivable from timestamps", minimum=1),
     _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)", _SELECT),
     _Option("no_intraday_removal", _bool, False, "keep the raw intraday pattern"),
     _Option("labels", str, None, "label file, or builtin:<name>", _SELECT),
@@ -139,7 +139,7 @@ _OPTIONS = (
     _Option("fit_max", int, None, "last lag used in fits (default: max lag)", _FIT),
     _Option("tau", str, "free", "fit the offset or pin it to 0", _FIT, ("free", "zero")),
     _Option("bootstrap", int, 0, "bootstrap replicas for p stderr (0 = off)", ("analyze",), minimum=0),
-    _Option("seed", int, 0, "seed for surrogate/bootstrap (default 0)"),
+    _Option("seed", int, 0, "seed for surrogate/bootstrap (default 0)", minimum=0),
     _Option("surrogate", str, "none", "replace returns by a shuffled surrogate", choices=("none", "shuffle")),
     _Option("split", str, "all", "also compute crash/rally or endo/exo splits", ("analyze",), ("all", "sign", "origin")),
     _Option("out", str, None, "output directory", required=True),
@@ -148,8 +148,8 @@ _OPTIONS = (
     _Option("mode", str, commands=("synth",), choices=("iid", "planted", "modulated"), required=True),
     _Option("n", int, 100_000, "number of returns (default 100000)", ("synth",)),
     _Option("sigma0", float, 0.01, "mean |return| scale (default 0.01)", ("synth",)),
-    _Option("seed", int, 0, commands=("synth",)),
-    _Option("slots_per_day", int, 1, commands=("synth",)),
+    _Option("seed", int, 0, commands=("synth",), minimum=0),
+    _Option("slots_per_day", int, 1, commands=("synth",), minimum=1),
     _Option("shock_rate", float, 50.0, "expected shocks per 1e5 steps", ("synth",)),
     _Option("boost", float, 3.0, "relaxation kernel amplitude B", ("synth",)),
     _Option("p", float, 0.3, "planted exponent", ("synth",)),
@@ -227,6 +227,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
                 )
     if getattr(c, "split", None) == "origin" and not c.labels:
         raise _ConfigError("--split origin requires --labels")
+    if getattr(c, "bootstrap", 0) == 1:  # bootstrap_errors needs two replicas
+        raise _ConfigError("--bootstrap must be 0 or >= 2")
     return c
 
 
@@ -324,13 +326,11 @@ def _fit_args(c: RunConfig) -> tuple[int, int, str]:
     return c.fit_min, c.fit_max, "fixed_zero" if c.tau == "zero" else "free"
 
 
-# --split value -> (name, origin filter, sign filter) of each event subset
+# --split value -> (name, origin filter, sign filter) of each event subset besides all events
 _SPLITS = {
-    "all": (("all", None, None),),
-    "sign": (("all", None, None), ("crash", None, "crash"), ("rally", None, "rally")),
-    "origin": (
-        ("all", None, None), ("endogenous", "endogenous", None), ("exogenous", "exogenous", None)
-    ),
+    "all": (),
+    "sign": (("crash", None, "crash"), ("rally", None, "rally")),
+    "origin": (("endogenous", "endogenous", None), ("exogenous", "exogenous", None)),
 }
 
 
@@ -405,7 +405,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     signal_rows: list[tuple] = []
     failed = False
     for m, events in _select_and_tag(c, vol, returns, stats, labels):
-        for split, origin, sign in _SPLITS[c.split]:
+        for split, origin, sign in (("all", None, None), *_SPLITS[c.split]):
             subset = filter_events(events, sign=sign, origin=origin)
             suffix = "" if split == "all" else f"_{split}"
             key = (m, origin or "all", sign or "all")
@@ -420,7 +420,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             write_profile_tsv(cum, os.path.join(c.out, f"profile_z{m:g}{suffix}.tsv"))
             signal_rows += _null_check_rows(m, split, profile, c.max_lag)
             boot = None
-            if c.bootstrap >= 2:
+            if c.bootstrap:
                 try:
                     boot = bootstrap_errors(vol, subset, FitConfig(c.max_lag, *fit_args), c.bootstrap, c.seed)
                 except (FitError, DataError) as exc:

@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import LabelDateUnmatched, MalformedRow, ZeroReturnEvent
-from .series import ReturnSeries, SeriesStats, VolatilitySeries, _read_text, mean_volatility
+from .series import ReturnSeries, SeriesStats, VolatilitySeries, _array_fields, _read_text, mean_volatility
 
 __all__ = [
     "CRASH",
@@ -88,17 +88,12 @@ class EventSet:
     origins: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        mag = np.asarray(self.magnitudes, dtype=np.float64)
-        sgn = np.asarray(self.signs, dtype=np.int8)
-        org = np.asarray(self.origins, dtype="U10")
+        idx, mag, sgn, org = _array_fields(
+            self, indices=np.int64, magnitudes=np.float64, signs=np.int8, origins="U10"
+        )
         for name, arr in (("magnitudes", mag), ("signs", sgn), ("origins", org)):
             if arr.shape != idx.shape:
                 raise ValueError(f"{name} must align with indices")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "magnitudes", mag)
-        object.__setattr__(self, "signs", sgn)
-        object.__setattr__(self, "origins", org)
         if not (np.isfinite(self.zeta_abs) and self.zeta_abs > 0):
             raise ValueError("zeta_abs must be finite and > 0")
         if idx.size:

@@ -451,9 +451,8 @@ def _fit_many(
                 p0, tau0 = grid[i]
                 starts.append((s, row, np.array([p0, np.sqrt(tau0)] if free_tau else [p0])))
         results = _descend(samples, starts)
-        n_starts = min(_N_STARTS, len(grid))
         for k, (c, s, row, t_hi) in enumerate(fitted):
-            mine = results[k * n_starts : (k + 1) * n_starts]
+            mine = results[k * _N_STARTS : (k + 1) * _N_STARTS]
             try:
                 out[c] = _best_fit(
                     mine, samples[s][0], samples[s][1][row], (int(t_min), int(t_hi)), free_tau

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DailyCadence, EmptySlot, SlotMismatch
-from .series import _BLOCK, VolatilitySeries
+from .series import _BLOCK, VolatilitySeries, _array_fields
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -34,8 +34,7 @@ class IntradayPattern:
     slots_per_day: int
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.factors, dtype=np.float64)
-        object.__setattr__(self, "factors", f)
+        (f,) = _array_fields(self, factors=np.float64)
         if f.size != self.slots_per_day:
             raise ValueError("need exactly one factor per slot")
         if not np.all(np.isfinite(f) & (f > 0)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateZ, EmptySeries, NoEvents
 from .events import EventSet
-from .series import SeriesStats, VolatilitySeries
+from .series import SeriesStats, VolatilitySeries, _array_fields
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -81,17 +81,12 @@ class ConditionedProfile:
     n_events: int
 
     def __post_init__(self) -> None:
-        vm = np.asarray(self.v_minus, dtype=np.float64)
-        vp = np.asarray(self.v_plus, dtype=np.float64)
-        cm = np.asarray(self.counts_minus, dtype=np.int64)
-        cp = np.asarray(self.counts_plus, dtype=np.int64)
+        vm, vp, cm, cp = _array_fields(
+            self, v_minus=np.float64, v_plus=np.float64, counts_minus=np.int64, counts_plus=np.int64
+        )
         for name, arr in (("v_minus", vm), ("v_plus", vp), ("counts_minus", cm), ("counts_plus", cp)):
             if arr.shape != (self.max_lag + 1,):
                 raise ValueError(f"{name} must have max_lag+1 entries")
-        object.__setattr__(self, "v_minus", vm)
-        object.__setattr__(self, "v_plus", vp)
-        object.__setattr__(self, "counts_minus", cm)
-        object.__setattr__(self, "counts_plus", cp)
         if self.max_lag < 1:
             raise ValueError("max_lag must be >= 1")
         if self.n_events < 1:
@@ -117,10 +112,7 @@ class CumulativeProfile:
     V_plus: np.ndarray
 
     def __post_init__(self) -> None:
-        vm = np.asarray(self.V_minus, dtype=np.float64)
-        vp = np.asarray(self.V_plus, dtype=np.float64)
-        object.__setattr__(self, "V_minus", vm)
-        object.__setattr__(self, "V_plus", vp)
+        vm, vp = _array_fields(self, V_minus=np.float64, V_plus=np.float64)
         n = self.profile.max_lag + 1
         if vm.shape != (n,) or vp.shape != (n,):
             raise ValueError("cumulative arrays must align with the profile")
@@ -150,10 +142,7 @@ class OmoriProfile:
     n_mainshocks: int
 
     def __post_init__(self) -> None:
-        nm = np.asarray(self.N_minus, dtype=np.float64)
-        np_ = np.asarray(self.N_plus, dtype=np.float64)
-        object.__setattr__(self, "N_minus", nm)
-        object.__setattr__(self, "N_plus", np_)
+        nm, np_ = _array_fields(self, N_minus=np.float64, N_plus=np.float64)
         if nm.shape != (self.max_lag + 1,) or np_.shape != (self.max_lag + 1,):
             raise ValueError("count arrays must have max_lag+1 entries")
         if nm[0] != 0.0 or np_[0] != 0.0:

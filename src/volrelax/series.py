@@ -101,6 +101,8 @@ class CsvSchema:
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.slots_per_day is not None and self.slots_per_day < 1:
+            raise ValueError(f"slots_per_day must be >= 1, got {self.slots_per_day!r}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,7 @@ class PriceSeries:
     slot_index: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-        px = np.asarray(self.prices, dtype=np.float64)
-        sl = np.asarray(self.slot_index, dtype=np.int32)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "prices", px)
-        object.__setattr__(self, "slot_index", sl)
+        ts, px, sl = _array_fields(self, timestamps="datetime64[s]", prices=np.float64, slot_index=np.int32)
         if ts.size < 2:
             raise TooShort(f"need at least 2 records, got {ts.size}")
         if px.shape != ts.shape or sl.shape != ts.shape:
@@ -162,14 +159,15 @@ class _OnSlotGrid:
     cadence: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "slot_index", np.asarray(self.slot_index, dtype=np.int32))
+        _array_fields(self, values=np.float64, slot_index=np.int32)
         if self.timestamps is not None:
-            object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype="datetime64[s]"))
+            _array_fields(self, timestamps="datetime64[s]")
             if self.timestamps.shape != self.values.shape:
                 raise ValueError("timestamps must align with values")
         if self.slot_index.shape != self.values.shape:
             raise ValueError("slot_index must align with values")
+        if self.slots_per_day < 1:
+            raise ValueError("slots_per_day must be >= 1")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -190,8 +188,6 @@ class ReturnSeries(_OnSlotGrid):
         super().__post_init__()
         if not np.all(np.isfinite(self.values)):
             raise ValueError("returns must be finite")
-        if self.slots_per_day < 1:
-            raise ValueError("slots_per_day must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,6 +218,22 @@ class SeriesStats:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise EmptySeries(f"sigma must be finite and > 0, got {self.sigma!r}")
+
+
+def _array_fields(obj, **dtypes) -> list[np.ndarray]:
+    """Store each named field of the frozen ``obj`` as an array of its dtype; return the arrays."""
+    arrays = []
+    for name, dtype in dtypes.items():
+        arrays.append(np.asarray(getattr(obj, name), dtype=dtype))
+        object.__setattr__(obj, name, arrays[-1])
+    return arrays
+
+
+def _positional_slots(n: int, slots_per_day: int) -> np.ndarray:
+    """The positional grid of ``n`` records: record ``i`` is in slot ``i % slots_per_day``."""
+    if slots_per_day < 1:
+        raise ValueError("slots_per_day must be >= 1")
+    return (np.arange(n, dtype=np.int64) % slots_per_day).astype(np.int32)
 
 
 def _times_of_day(ts: np.ndarray) -> np.ndarray:
@@ -260,8 +272,8 @@ def _assign_slots(
         return n_slots, slot_of_second[tod]
     # No usable times of day (e.g. bare dates declared intraday): fall
     # back to a positional grid.
-    s = requested if requested is not None else 1
-    return int(s), (np.arange(ts.size, dtype=np.int64) % s).astype(np.int32)
+    s = int(requested) if requested is not None else 1
+    return s, _positional_slots(ts.size, s)
 
 
 def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None) -> PriceSeries:
@@ -329,19 +341,16 @@ def _read_text(stream: IO[str] | IO[bytes], where: str = "") -> str:
     The label, config, factors and output table files are read through here,
     and a price CSV that cannot be streamed or the column path refuses.  A byte
     that is not UTF-8 is :class:`MalformedRow`, naming its line after ``where``.
+    Bytes and text streams take one error path: the error holds the bytes that
+    did not decode (for a text stream, those it was decoding, the whole file if
+    unread before), and :func:`_not_utf8` counts their lines as text mode would.
     """
     try:
         raw = stream.read()
-    except UnicodeDecodeError as exc:
-        # The error holds the bytes the text stream was decoding, the whole
-        # file if unread before; decode them again as a text-mode read does.
-        text = io.TextIOWrapper(io.BytesIO(exc.object), encoding="utf-8", errors="surrogateescape")
-        raise _not_utf8(text.read(), where) from None
-    if isinstance(raw, bytes):
-        try:
+        if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _not_utf8(raw.decode("utf-8", "surrogateescape"), where) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc.object.decode("utf-8", "surrogateescape"), where) from None
     return raw.removeprefix("\ufeff")
 
 

@@ -11,15 +11,20 @@ expected magnitude of every other step by ``1 + B*(d + tau)^(-p)``,
 where ``d >= 1`` is the distance to the *nearest* shock.  The kernel
 may differ on the two sides of a shock (``*_before`` overrides), which
 emulates an asymmetric before/after relaxation.
+
+Synthetic records sit on the positional slot grid that
+:mod:`volrelax.series` also gives bare dates declared intraday: record
+``i`` is in slot ``i % slots_per_day``.  The cadence is one minute, or
+daily when a day has one slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .series import PriceSeries, ReturnSeries
+from .series import PriceSeries, ReturnSeries, _positional_slots
 
 __all__ = [
     "PlantedRelaxationSpec",
@@ -79,19 +84,17 @@ class PlantedRelaxationSpec:
             raise ValueError("slots_per_day must be >= 1")
         for name in ("boost_before", "p_before", "tau_before"):
             val = getattr(self, name)
-            if val is None:
-                continue
-            base_ok = {
-                "boost_before": val >= 0,
-                "p_before": 0 < val < 1.5,
-                "tau_before": val >= 0,
-            }[name]
-            if not base_ok:
+            if val is not None and not (0 < val < 1.5 if name == "p_before" else val >= 0):
                 raise ValueError(f"{name}={val} out of range")
 
 
-def _slots(n: int, slots_per_day: int) -> np.ndarray:
-    return (np.arange(n, dtype=np.int64) % slots_per_day).astype(np.int32)
+def _grid(n: int, slots_per_day: int) -> dict:
+    """The grid fields of ``n`` synthetic records: positional slots, one minute apart or daily."""
+    return dict(
+        slot_index=_positional_slots(n, slots_per_day),
+        slots_per_day=slots_per_day,
+        cadence="daily" if slots_per_day == 1 else "1min",
+    )
 
 
 def gen_iid_gaussian(n: int, sigma0: float, seed: int, slots_per_day: int = 1) -> ReturnSeries:
@@ -100,13 +103,7 @@ def gen_iid_gaussian(n: int, sigma0: float, seed: int, slots_per_day: int = 1) -
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, sigma0 * _HALF_NORMAL_SCALE, n)
-    return ReturnSeries(
-        values=values,
-        slot_index=_slots(n, slots_per_day),
-        slots_per_day=slots_per_day,
-        cadence="daily" if slots_per_day == 1 else "1min",
-        timestamps=None,
-    )
+    return ReturnSeries(values=values, **_grid(n, slots_per_day))
 
 
 def _nearest_shock_distances(is_shock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,13 +150,7 @@ def gen_planted_relaxation(spec: PlantedRelaxationSpec) -> ReturnSeries:
 
     values = z * (mu * _HALF_NORMAL_SCALE)
     values[is_shock] = signs * spec.shock_magnitude * spec.sigma0
-    return ReturnSeries(
-        values=values,
-        slot_index=_slots(n, spec.slots_per_day),
-        slots_per_day=spec.slots_per_day,
-        cadence="daily" if spec.slots_per_day == 1 else "1min",
-        timestamps=None,
-    )
+    return ReturnSeries(values=values, **_grid(n, spec.slots_per_day))
 
 
 def gen_intraday_modulated(base: ReturnSeries, factors: np.ndarray) -> ReturnSeries:
@@ -171,13 +162,7 @@ def gen_intraday_modulated(base: ReturnSeries, factors: np.ndarray) -> ReturnSer
         )
     if not np.all(np.isfinite(f) & (f > 0)):
         raise ValueError("factors must be finite and positive")
-    return ReturnSeries(
-        values=base.values * f[base.slot_index],
-        slot_index=base.slot_index,
-        slots_per_day=base.slots_per_day,
-        cadence=base.cadence,
-        timestamps=base.timestamps,
-    )
+    return replace(base, values=base.values * f[base.slot_index])
 
 
 def returns_to_prices(
@@ -198,22 +183,16 @@ def returns_to_prices(
     log_p = np.concatenate(([0.0], np.cumsum(returns.values)))
     prices = p0 * np.exp(log_p)
     s = returns.slots_per_day
+    grid = _grid(n, s)
     day0 = np.datetime64(start, "D")
     if s == 1:
         ts = (day0 + np.arange(n)).astype("datetime64[s]")
     else:
         days = np.arange(n) // s
-        slots = np.arange(n) % s
         t0 = np.datetime64(f"{start}T{session_start}:00", "s")
-        ts = t0 + days.astype("timedelta64[D]").astype("timedelta64[s]") + slots * np.timedelta64(60, "s")
-    cadence = "daily" if s == 1 else "1min"
-    return PriceSeries(
-        timestamps=ts,
-        prices=prices,
-        cadence=cadence,
-        slots_per_day=s,
-        slot_index=(np.arange(n, dtype=np.int64) % s).astype(np.int32),
-    )
+        minutes = grid["slot_index"] * np.timedelta64(60, "s")
+        ts = t0 + days.astype("timedelta64[D]").astype("timedelta64[s]") + minutes
+    return PriceSeries(timestamps=ts, prices=prices, **grid)
 
 
 def write_price_csv(prices: PriceSeries, path: str) -> None:

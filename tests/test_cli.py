@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import volrelax
@@ -262,11 +262,21 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         ["analyze", "--config", str(nan_cfg), "--out", out],
         ["analyze", "--config", str(inf_cfg), "--out", out],
         ["omori", "--config", str(omori_cfg), "--out", out],
+        # numpy refuses a negative seed; the option table refuses it first.
+        ["analyze", "--input", planted_csv, "--out", out, "--seed", "-1", "--surrogate", "shuffle"],
+        ["events", "--input", planted_csv, "--out", out, "--seed", "-1", "--surrogate", "shuffle"],
+        ["analyze", "--input", planted_csv, "--out", out, "--seed", "-1", "--bootstrap", "3"],
+        # A daily file declared intraday takes the positional grid of --slots-per-day.
+        ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "0"],
+        ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "-2"],
+        # One replica has no spread: its p_stderr would be NaN.
+        ["analyze", "--input", planted_csv, "--out", out, "--bootstrap", "1"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert not os.path.exists(out), argv
         if argv[0] == "omori" and "--z1-thresholds" not in argv:
             assert "--main-threshold" in err, err
 
@@ -848,6 +858,14 @@ def test_synth_invalid_args_exit_1(tmp_path, capsys):
     assert main(["synth", "--mode", "iid"]) == 1  # missing out
     assert main(["synth", "--mode", "planted", "--p", "1.7", "--out", out]) == 1
     assert main(["synth", "--mode", "planted", "--shock-rate", "90000", "--out", out]) == 1
+    capsys.readouterr()
+    for slots in ("0", "-2"):  # refused before "% slots_per_day" can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", "--mode", "iid", "--slots-per-day", slots, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --slots-per-day must be >= 1\n", err
+    assert not os.path.exists(out)
     missing = str(tmp_path / "missing.txt")
     capsys.readouterr()
     assert main(["synth", "--mode", "modulated", "--factors", missing, "--out", out]) == 1
@@ -884,8 +902,9 @@ def test_commands_run_without_scipy(tmp_path):
     assert os.path.getsize(os.path.join(out, "fits.tsv")) > 0
 
 
-# The input-file fuzz: each kind of label file, config file and --out
-# target, with analyze and events on small daily and intraday series.
+# The input fuzz: analyze, omori, pattern and events on small CSVs of eight
+# kinds, with each kind of label file, config file and --out target, and any
+# subset of the command's options, each with an edge value.
 _FUZZ_LABELS = {
     "valid": "# matched or not\n{dates}",
     "bom": "\ufeff{dates}",
@@ -897,51 +916,125 @@ _FUZZ_CONFIGS = {
     "not utf-8": "seed = 3\n# r\udce9sum\udce9\n",
     "unknown key": "seed = 3\nverbosity = 11\n",
 }
+# A typical value of each option that takes a number; an option with choices
+# takes each of them.  The fuzz also tries 0, -1, 1, nan and text.
+_FUZZ_TYPICAL = {
+    "slots_per_day": "30", "thresholds": "2,4", "max_lag": "40", "fit_min": "3", "fit_max": "30",
+    "bootstrap": "3", "seed": "7", "min_separation": "3", "main_threshold": "6", "z1_thresholds": "2,3",
+}
+
+
+def _fuzz_values(option):
+    """A flag's strategy (``None``: no value), or an option's edge values."""
+    if option.conv is cli._bool:
+        return st.none()
+    typical = option.choices or (_FUZZ_TYPICAL[option.key],)
+    return st.sampled_from(["0", "-1", "1", *typical, "nan", "ten"])
+
+
+# Every option of the run commands but the files the fuzz draws on its own.
+_FUZZ_VALUES = {
+    o.key: _fuzz_values(o) for o in cli._OPTIONS
+    if set(o.commands) & set(cli._RUN) and o.key not in ("input", "out", "config", "labels")
+}
+# A few options at a time, so that most runs get past the option checks.
+_FUZZ_OPTIONS = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), unique=True, max_size=4).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _FUZZ_VALUES[key] for key in keys})
+)
+# Values that keep a run small where the fuzz draws none.
+_FUZZ_BASE = {
+    "thresholds": "4", "max_lag": "40", "fit_min": "2", "fit_max": "30", "tau": "zero",
+    "main_threshold": "6", "z1_thresholds": "2,3",
+}
+# The start of the name of a file each command writes when it exits 0 or 3.
+_FUZZ_WRITES = {"analyze": "fits.tsv", "omori": "fits.tsv", "pattern": "pattern.tsv", "events": "events_z"}
+
+
+def _write_csv(path, stamps, prices):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp,price\n")
+        fh.writelines(f"{t},{p!r}\n" for t, p in zip(stamps, prices.tolist()))
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """Small daily and intraday CSVs, each with ten of its dates as label lines."""
+    """Small CSVs of each kind, each with ten of its dates as label lines."""
     root = tmp_path_factory.mktemp("fuzz")
-    inputs = {}
+    made = {}
     for name, argv in (
         ("daily", ["--mode", "planted", "--n", "3000", "--seed", "2", "--shock-rate", "500"]),
         ("intraday", ["--mode", "modulated", "--n", "3000", "--slots-per-day", "30", "--seed", "2"]),
     ):
-        path = str(root / f"{name}.csv")
-        assert main(["synth", *argv, "--out", path]) == 0
+        made[name] = str(root / f"{name}.csv")
+        assert main(["synth", *argv, "--out", made[name]]) == 0
+    daily, intraday = (volrelax.read_price_csv(made[name]) for name in ("daily", "intraday"))
+    days, px = daily.timestamps.astype("datetime64[D]"), daily.prices
+    rng = np.random.default_rng(2)
+    zeros, huge = px.copy(), px.copy()
+    zeros[1000:1200] = zeros[999]  # a run of 200 zero returns
+    huge[1500:] *= 1e6  # one return of ln(1e6)
+    gaps = rng.random(len(intraday)) > 0.2
+    gaps[300:330] = False  # and one whole day missing
+    twice = np.insert(np.arange(px.size), 1500, 1499)  # one stamp written twice
+    five = intraday.timestamps.astype("datetime64[D]") + np.timedelta64(9, "h")
+    five = five + intraday.slot_index * np.timedelta64(5, "m")
+    for name, stamps, prices in (
+        ("gappy", intraday.timestamps[gaps], intraday.prices[gaps]),
+        ("zero run", days, zeros),
+        ("t-distributed", days, 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(3, px.size)))),
+        ("huge return", days, huge),
+        ("duplicate stamp", days[twice], px[twice]),
+        ("5min", five, intraday.prices),
+    ):
+        made[name] = str(root / f"{name}.csv")
+        unit = "D" if stamps.dtype == np.dtype("datetime64[D]") else "s"
+        _write_csv(made[name], np.datetime_as_string(stamps, unit=unit), prices)
+    inputs = {}
+    for name, path in made.items():
         with open(path, encoding="utf-8") as fh:
-            days = sorted({line[:10] for line in fh})[::7][:10]
-        inputs[name] = (path, "".join(f"{d},{('exogenous', 'endogenous')[i % 2]}\n" for i, d in enumerate(days)))
+            dates = sorted({line[:10] for line in fh})[::7][:10]
+        inputs[name] = (path, "".join(f"{d},{('exogenous', 'endogenous')[i % 2]}\n" for i, d in enumerate(dates)))
     return inputs
 
 
 def _fuzz_run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
+_FUZZ_PLAIN = {"labels": None, "config": None, "out_kind": "new"}
+
+
 @given(
-    command=st.sampled_from(["analyze", "events"]),
-    data=st.sampled_from(["daily", "intraday"]),
+    command=st.sampled_from(cli._RUN),
+    data=st.sampled_from(["daily", "intraday", "gappy", "zero run", "t-distributed", "huge return",
+                          "duplicate stamp", "5min"]),
     labels=st.sampled_from([None, *_FUZZ_LABELS]),
     config=st.sampled_from([None, *_FUZZ_CONFIGS]),
     out_kind=st.sampled_from(["new", "directory", "file"]),
-    split=st.sampled_from(["all", "origin"]),
+    options=_FUZZ_OPTIONS,
 )
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Two inputs that once escaped main as tracebacks: a negative seed reaching
+# numpy, and a zero positional grid on dates declared intraday.
+@example(command="analyze", data="daily", options={"seed": "-1", "surrogate": "shuffle"}, **_FUZZ_PLAIN)
+@example(command="events", data="daily", options={"cadence": "1min", "slots_per_day": "0"}, **_FUZZ_PLAIN)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_input_files_give_a_tree_or_one_error_line(
-    fuzz_inputs, tmp_path_factory, command, data, labels, config, out_kind, split
+    fuzz_inputs, tmp_path_factory, command, data, labels, config, out_kind, options
 ):
     root = tmp_path_factory.mktemp("case")
     csv, dates = fuzz_inputs[data]
-    argv = [command, "--input", csv, "--thresholds", "4"]
-    if command == "analyze":
-        argv += ["--max-lag", "40", "--fit-min", "2", "--fit-max", "30", "--tau", "zero", "--split", split]
+    argv = [command, "--input", csv]
+    takes = {o.key for o in cli._OPTIONS if command in o.commands}
+    for key, value in {**_FUZZ_BASE, **options}.items():
+        if key in takes:
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if value is None else [flag, value]
     files = {}
-    if labels is not None:
+    if labels is not None and "labels" in takes:
         files[root / "labels.csv"] = _FUZZ_LABELS[labels].format(dates=dates)
         argv += ["--labels", str(root / "labels.csv")]
     if config is not None:
@@ -957,16 +1050,17 @@ def test_input_files_give_a_tree_or_one_error_line(
         out.write_text("left alone")
 
     rc, stdout, stderr = _fuzz_run([*argv, "--out", str(out)])
-    event(f"exit {rc}")
+    event(f"{command} exit {rc}")
     assert rc in (0, 1, 2, 3)
     lines = stderr.splitlines()
     assert all(line.startswith("warning: label date ") for line in lines[: len(lines) - (rc in (1, 2))])
     if rc in (1, 2):
         assert not lines[-1].startswith("warning:"), stderr
+        if rc == 1 and out_kind == "new":
+            assert not out.exists()
         return
     written = sorted(os.listdir(out))
-    wanted = "fits.tsv" if command == "analyze" else "events_z4.tsv"
-    assert wanted in written
+    assert any(name.startswith(_FUZZ_WRITES[command]) for name in written), written
     # A rerun into a fresh directory, with every BOM taken out of the files, writes the same tree.
     for path, text in files.items():
         path.write_bytes(text.removeprefix("\ufeff").encode("utf-8", "surrogateescape"))

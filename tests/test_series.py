@@ -274,6 +274,12 @@ def test_schema_rejects_multicharacter_delimiter():
         CsvSchema(delimiter=",,")
 
 
+@pytest.mark.parametrize("slots", [0, -2])
+def test_schema_rejects_slots_per_day_below_one(slots):
+    with pytest.raises(ValueError, match="^slots_per_day must be >= 1"):
+        CsvSchema(cadence="1min", slots_per_day=slots)
+
+
 def _row_path(text, schema=None):
     """The csv.reader path on its own: the reference for the column path."""
     schema = schema or CsvSchema()
@@ -982,6 +988,8 @@ def test_grid_fields_are_coerced_and_must_align_with_values(cls):
         cls(values=[0.5, 1, 2], slot_index=[0, 0], timestamps=days, **grid)
     with pytest.raises(ValueError, match="^slot_index must align with values$"):
         cls(values=[0.5, 1, 2], slot_index=[0, 0, 0, 0], **grid)
+    with pytest.raises(ValueError, match="^slots_per_day must be >= 1$"):
+        cls(values=[0.5, 1, 2], slot_index=[0, 0, 0], slots_per_day=0, cadence="daily")
 
 
 def test_shuffle_surrogate_permutes_deterministically():

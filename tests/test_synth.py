@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,11 @@ def test_spec_validation():
             PlantedRelaxationSpec(**{**good, field: bad})
     with pytest.raises(ValueError):
         gen_iid_gaussian(1, 0.01, seed=0)
+    # The grid is refused before any "% slots_per_day" can warn of a division by zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^slots_per_day must be >= 1$"):
+            gen_iid_gaussian(10, 0.01, seed=0, slots_per_day=0)
 
 
 def test_modulation_identity_and_scaling():
