@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .series import PriceSeries, ReturnSeries, _positional_slots
+from .series import _BLOCK, _SECONDS_PER_DAY, PriceSeries, ReturnSeries, _positional_slots, _times_of_day
 
 __all__ = [
     "PlantedRelaxationSpec",
@@ -37,6 +37,8 @@ __all__ = [
 
 # E|N(0, s)| = s * sqrt(2/pi); dividing out makes sigma0 the mean magnitude.
 _HALF_NORMAL_SCALE = float(np.sqrt(np.pi / 2.0))
+# (column in "THH:MM:SS", seconds per unit, units per next digit) of each clock digit.
+_CLOCK_DIGITS = ((1, 36000, 10), (2, 3600, 10), (4, 600, 6), (5, 60, 10), (7, 10, 6), (8, 1, 10))
 
 
 @dataclass(frozen=True)
@@ -196,11 +198,54 @@ def returns_to_prices(
 
 
 def write_price_csv(prices: PriceSeries, path: str) -> None:
-    """Write a series in the standard ``timestamp,price`` CSV format."""
-    unit = "D" if prices.cadence == "daily" else "s"
-    stamps = np.datetime_as_string(prices.timestamps, unit=unit)
-    rows = map("{},{!r}".format, stamps.tolist(), prices.prices.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,price\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    """Write a series as a ``timestamp,price`` CSV.
+
+    The file is ASCII with ``\\n`` line ends: the header line
+    ``timestamp,price``, then one line per record.  A daily stamp is
+    ``YYYY-MM-DD``, any other ``YYYY-MM-DDTHH:MM:SS`` (a year before 0 or
+    after 9999 is written as numpy writes it, with a sign or more digits),
+    and a price is its shortest round-trip ``repr``.  The records are
+    formatted and written ``_BLOCK`` at a time, so memory grows with the
+    block, not with the file.
+    """
+    daily = prices.cadence == "daily"
+    with open(path, "wb") as fh:
+        fh.write(b"timestamp,price\n")
+        for lo in range(0, len(prices), _BLOCK):
+            at = slice(lo, lo + _BLOCK)
+            fh.write(_csv_lines(prices.timestamps[at], prices.prices[at], daily))
+
+
+def _csv_lines(timestamps: np.ndarray, prices: np.ndarray, daily: bool) -> np.ndarray:
+    """The bytes of the CSV lines of ``timestamps`` (``datetime64[s]``) and ``prices``, as uint8."""
+    sec = timestamps.view(np.int64)
+    day = sec // _SECONDS_PER_DAY  # a floor division: right before 1970 too
+    # The stamp of each record, and its comma: one template per distinct
+    # day, with the date formatted once, repeated over the day's records.
+    first = np.flatnonzero(np.diff(day, prepend=day[0] - 1))
+    dates = np.datetime_as_string(day[first].astype("datetime64[D]"))
+    dates = dates.view(np.uint32).reshape(first.size, -1)  # code points, NUL-padded
+    width = np.count_nonzero(dates.any(axis=0))
+    tail = b"," if daily else b"T00:00:00,"
+    template = np.empty((first.size, width + len(tail)), np.uint8)
+    template[:, :width] = dates[:, :width]
+    template[:, width:] = np.frombuffer(tail, np.uint8)
+    per_day = np.diff(first, append=sec.size)
+    stamps = np.repeat(template, per_day, axis=0)
+    if not daily:
+        tod = _times_of_day(timestamps).astype(np.int32)
+        for col, unit, base in _CLOCK_DIGITS:
+            stamps[:, width + col] = tod // unit % base + ord("0")
+    stamp_len = np.repeat(np.count_nonzero(dates, axis=1) + len(tail), per_day)
+    stamps = stamps[stamps != 0]  # without the padding of the shorter dates
+    # The prices' text is one list repr: "[p0, p1, ...]" becomes "p0\np1\n...\n".
+    text = repr(prices.tolist()).encode()[1:-1].replace(b", ", b"\n") + b"\n"
+    text = np.frombuffer(text, np.uint8)
+    text_len = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+    # Each line is a stamp with its comma, then a price with its line end.
+    lengths = np.stack((stamp_len, text_len), axis=1).ravel()
+    is_stamp = np.repeat(np.tile([True, False], sec.size), lengths)
+    lines = np.empty(is_stamp.size, np.uint8)
+    lines[is_stamp] = stamps
+    lines[~is_stamp] = text
+    return lines

@@ -581,11 +581,12 @@ def _bowl_with_bit_noise(modulus, calls):
     """``(x - 1)^2 [+ (y - 2)^2]`` plus ``1e-15 * (bits % modulus)`` per
     coordinate.  Near the minimum neighbouring points differ by a few ULP
     of loss, more than the fits' ``fatol``, so a collapsed simplex can
-    cycle to the end of its budget, as the fits' searches at ``tau = 0`` do."""
+    cycle to the end of its budget, as the fits' searches at ``tau = 0`` do.
+    Each point evaluated is appended to ``calls``."""
 
     def fun(x):
-        calls.append(None)
         coords = [float(c) for c in x]
+        calls.append(tuple(coords))
         bowl = sum((c - centre) ** 2 for c, centre in zip(coords, (1.0, 2.0)))
         return bowl + 1e-15 * sum(struct.unpack("<q", struct.pack("<d", c))[0] % modulus for c in coords)
 
@@ -593,6 +594,12 @@ def _bowl_with_bit_noise(modulus, calls):
 
 
 _STALL_BUDGETS = st.integers(150, 1500) | st.just(10_000)
+
+
+def _ends_in_a_cycle(points, longest=100):
+    """Whether the last evaluated points repeat, three times over, with a
+    period of at most ``longest`` points: a search whose state came back."""
+    return any(points[-2 * q :] == points[-3 * q : -q] for q in range(1, min(longest, len(points) // 3) + 1))
 
 
 @given(
@@ -604,12 +611,18 @@ _STALL_BUDGETS = st.integers(150, 1500) | st.just(10_000)
 )
 @example(2, (0.3, 0.7), 7, 10_000, 10_000)
 @example(1, (2.644407133494, 0.0), 13, 10_000, 10_000)
+@example(2, (1.875, 0.03125), 7, 10_000, 10_000)  # converges slowly: 2,007 calls
+@example(2, (2.9375, 1e-06), 7, 10_000, 10_000)  # creeps to the cap: 10,000 calls
 @settings(max_examples=60, deadline=None)
 def test_stalled_search_matches_scipy(dim, start, modulus, maxfev, maxiter):
-    # A cycle's skipped periods leave every count and the stop where scipy has them.
+    # A cycle's skipped periods leave every count and the stop where scipy
+    # has them.  Only a search whose state repeats has periods to skip: with
+    # a 10,000 budget such a search asks for a few hundred losses, and any
+    # other search asks for every loss that scipy's does.
     x0 = np.array(start[:dim])
     options = {"xatol": fitting._XATOL, "fatol": fitting._XATOL**2, "maxiter": maxiter, "maxfev": maxfev}
-    want = optimize.minimize(_bowl_with_bit_noise(modulus, []), x0, method="Nelder-Mead", options=options)
+    points: list = []
+    want = optimize.minimize(_bowl_with_bit_noise(modulus, points), x0, method="Nelder-Mead", options=options)
     calls: list = []
     got = volrelax.optimize.minimize(_bowl_with_bit_noise(modulus, calls), x0, **options)
     assert np.array_equal(got.x, want.x)
@@ -617,8 +630,27 @@ def test_stalled_search_matches_scipy(dim, start, modulus, maxfev, maxiter):
     assert got.nfev == want.nfev
     assert got.nit == want.nit
     assert got.success == want.success
-    if maxfev == maxiter == 10_000:
+    if not _ends_in_a_cycle(points):
+        assert calls == points
+    elif maxfev == maxiter == 10_000:
         assert len(calls) < 1_000
+
+
+@pytest.mark.parametrize(
+    "start, calls_wanted, nit, success",
+    [((1.875, 0.03125), 2_007, 1_008, True), ((2.9375, 1e-06), 10_000, 5_000, False)],
+)
+def test_search_without_a_cycle_asks_for_every_loss(start, calls_wanted, nit, success):
+    # Neither search repeats a state: one converges slowly, the other
+    # creeps to the cap.  So nothing is skipped, though both run long.
+    calls: list = []
+    res = volrelax.optimize.minimize(
+        _bowl_with_bit_noise(7, calls), np.array(start), xatol=fitting._XATOL,
+        fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
+    )
+    assert len(calls) == res.nfev == calls_wanted
+    assert (res.nit, res.success) == (nit, success)
+    assert not _ends_in_a_cycle(calls)
 
 
 def test_fit_budget_counts_a_stalled_search_without_running_it():

@@ -2,13 +2,18 @@
 
 import io
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volrelax import (
     PlantedRelaxationSpec,
+    PriceSeries,
     gen_iid_gaussian,
     gen_intraday_modulated,
     gen_planted_relaxation,
@@ -17,6 +22,7 @@ from volrelax import (
     returns_to_prices,
     write_price_csv,
 )
+from volrelax import synth
 
 HALF_NORMAL_SD = math.sqrt(math.pi / 2 - 1)  # std of |N| in mean-|N| units
 
@@ -236,3 +242,91 @@ def test_write_price_csv_bytes_match_loop_writer(tmp_path, slots_per_day):
     write_price_csv(prices, str(new))
     _loop_write_price_csv(prices, str(old))
     assert new.read_bytes() == old.read_bytes()
+
+
+def _price_series(seconds, prices, daily):
+    return PriceSeries(
+        timestamps=np.array(seconds, dtype=np.int64).view("datetime64[s]"),
+        prices=np.array(prices, dtype=np.float64),
+        cadence="daily" if daily else "1min",
+        slots_per_day=1,
+        slot_index=np.zeros(len(seconds), dtype=np.int32),
+    )
+
+
+def _write_both(prices, directory):
+    new, old = directory / "new.csv", directory / "old.csv"
+    write_price_csv(prices, str(new))
+    _loop_write_price_csv(prices, str(old))
+    return new.read_bytes(), old.read_bytes()
+
+
+_INT64_MAX = 2**63 - 1
+# Seconds since 1970 of days worth drawing on their own: 0001-01-01,
+# 1900-02-28 (no leap day follows), 1969-12-31T23:59:59, 2000-02-28 and
+# 2000-02-29 (a leap day), 9999-12-31T23:59:00, and the first second
+# after NaT, the smallest stamp numpy has.
+_STARTS = st.sampled_from(
+    [-62135596800, -2203977600, -1, 951696000, 951782400, 253402300740, -_INT64_MAX]
+) | st.integers(-_INT64_MAX, _INT64_MAX)
+# Steps within a minute, of a minute or a day, and of many days.
+_STEPS = st.integers(1, 59) | st.sampled_from([60, 86_400, 366 * 86_400]) | st.integers(1, 40_000 * 86_400)
+# Prices from the least subnormal up: whole numbers (those of 1e16 and
+# more print with an exponent) and fractions, also in exponent form.
+_PRICES = st.floats(5e-324, 1e300) | st.integers(1, 10**20).map(float) | st.sampled_from([1e16, 1e-05, 0.1, 2.5])
+_MOST_ROWS = 40
+
+
+@given(
+    st.booleans(),
+    _STARTS,
+    st.lists(_STEPS, min_size=1, max_size=_MOST_ROWS - 1),
+    st.lists(_PRICES, min_size=_MOST_ROWS, max_size=_MOST_ROWS),
+    st.integers(1, 8),
+)
+@example(False, -62135596800, [59, 86_341, 31], [5e-324, 1e300, 1.0, 1e16], 2)
+@example(True, 951696000, [86_400, 86_400, 1], [0.1, 2.5, 1e-05, 123.0], 3)
+@example(False, -_INT64_MAX, [1, 60, 40_000 * 86_400], [1.5] * 4, 1)
+@example(False, 253402300740, [59, 1, 60], [1.5] * 4, 3)
+@settings(max_examples=300, deadline=None)
+def test_write_price_csv_bytes_match_loop_writer_on_any_series(tmp_path_factory, daily, start, steps, prices, block):
+    # A small block makes most series span several blocks.
+    seconds = [start]
+    for step in steps:
+        seconds.append(seconds[-1] + step)
+    shift = max(seconds[-1] - _INT64_MAX, 0)
+    series = _price_series([t - shift for t in seconds], prices[: len(seconds)], daily)
+    with mock.patch.object(synth, "_BLOCK", block):
+        new, old = _write_both(series, tmp_path_factory.mktemp("csv"))
+    assert new == old
+
+
+@pytest.mark.parametrize("daily", [True, False])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_price_csv_bytes_match_loop_writer_at_the_block_edge(tmp_path, daily, extra):
+    # From 1890 to about 2160, in steps of a second to three days.
+    n = synth._BLOCK + extra
+    rng = np.random.default_rng(41)
+    seconds = -2524608000 + np.cumsum(rng.integers(1, 3 * 86_400, n))
+    prices = rng.lognormal(3.0, 8.0, n)
+    prices[::3] = np.ceil(prices[::3])
+    new, old = _write_both(_price_series(seconds, prices, daily), tmp_path)
+    assert new.count(b"\n") == n + 1
+    assert new == old
+
+
+def test_write_price_csv_memory_grows_with_the_block_not_the_file(tmp_path):
+    # The whole-file writer held every line's text and the joined file at
+    # once, about three times as much for 200k rows as for one block.
+    prices = returns_to_prices(gen_iid_gaussian(200_000 - 1, 0.01, seed=43, slots_per_day=390))
+    block = _price_series(prices.timestamps[: synth._BLOCK].view(np.int64), prices.prices[: synth._BLOCK], False)
+    peaks = []
+    for series in (block, prices):
+        tracemalloc.start()
+        try:
+            write_price_csv(series, str(tmp_path / "prices.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "prices.csv").stat().st_size > 7e6
+    assert peaks[1] < 1.2 * peaks[0]
