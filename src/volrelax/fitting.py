@@ -26,6 +26,7 @@ fits are bit for bit those of one curve and one start at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import floor, log10
 
 import numpy as np
@@ -184,6 +185,10 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
         k *= 2
 
 
+# The grids of a run's fit ranges, each built once; _select_sample copies what it keeps.
+_lag_grid = lru_cache(maxsize=64)(log_spaced_lags)
+
+
 # The shapes ln g takes, one formula each; _branch picks one per (p, tau).
 _OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
 # numpy's power takes a fast path for some exponents given as a scalar (a
@@ -289,7 +294,7 @@ def _select_sample(
         raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
     if tau_mode not in ("free", "fixed_zero"):
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    sample = log_spaced_lags(t_min, t_max, n_points)
+    sample = _lag_grid(t_min, t_max, n_points)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
     sample, pos = sample[ok], pos[ok]
@@ -415,19 +420,23 @@ def _fit_many(
     does, and return per curve its fit or the error that fit raises.
 
     Each curve is scored on the coarse grid, and its best three starts
-    are searched; every search of every curve runs in one
-    :func:`_descend`, on one stacked ``log V`` matrix per distinct
-    sample.  A curve's fit is chosen from its searches exactly as one
-    curve at a time would choose it (:func:`_best_fit`).
+    are searched, once for curves whose samples, ``log V`` and fit range
+    are equal; every search runs in one :func:`_descend`, on one stacked
+    ``log V`` matrix per distinct sample.  A curve's fit is chosen from
+    its searches as one curve at a time would (:func:`_best_fit`).
     """
     out: list = [None] * len(curves)
     stacks: dict[bytes, tuple[int, np.ndarray, list[np.ndarray]]] = {}  # t -> (s, t, rows)
     fitted: list[tuple[int, int, int, int]] = []  # curve, sample, row, t_max
+    firsts: dict[tuple, int] = {}  # (t, log V, t_max) -> the first curve sampled so
     for c, (lags, values) in enumerate(curves):
         try:
             t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode, n_points)
         except (ValueError, VolrelaxError) as exc:
             out[c] = exc
+            continue
+        if (first := firsts.setdefault((t.tobytes(), log_v.tobytes(), t_hi), c)) != c:
+            out[c] = first  # its searches would be the first's: it takes that fit at the end
             continue
         s, _, rows = stacks.setdefault(t.tobytes(), (len(stacks), t, []))
         rows.append(log_v)
@@ -459,7 +468,7 @@ def _fit_many(
                 )
             except (ValueError, VolrelaxError) as exc:
                 out[c] = exc
-    return out
+    return [out[fit] if isinstance(fit, int) else fit for fit in out]
 
 
 def _fit_or_raise(fit: PowerLawFit | Exception) -> PowerLawFit:

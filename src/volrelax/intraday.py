@@ -57,11 +57,15 @@ def estimate_pattern(vol: VolatilitySeries) -> IntradayPattern:
     s = vol.slots_per_day
     if s < 2:
         raise DailyCadence("series has a single slot per day")
-    counts = np.bincount(vol.slot_index, minlength=s)
+    # A block at a time, casting no whole intp copy of the slots; add.at sums in bincount's order.
+    counts, sums = np.zeros(s, dtype=np.intp), np.zeros(s)
+    for lo in range(0, vol.values.size, _BLOCK):
+        counts += np.bincount(vol.slot_index[lo : lo + _BLOCK], minlength=s)
+        np.add.at(sums, vol.slot_index[lo : lo + _BLOCK], vol.values[lo : lo + _BLOCK])
     if np.any(counts == 0):
         empty = np.flatnonzero(counts == 0)
         raise EmptySlot(f"no observations in slot(s) {empty.tolist()}")
-    means = np.bincount(vol.slot_index, weights=vol.values, minlength=s) / counts
+    means = sums / counts
     if np.any(means == 0):
         zero = np.flatnonzero(means == 0)
         raise EmptySlot(f"only zero volatility in slot(s) {zero.tolist()}")

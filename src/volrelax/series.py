@@ -2,13 +2,13 @@
 
 The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
-The text is UTF-8, with or without a byte-order mark.  ``np.loadtxt``
-parses it one chunk of about a mebibyte at a time, read from the stream
-as the parse goes and written straight into the output columns: beyond
-them, the parse needs memory bounded by the chunk, not by the file.
-Quoted input, and input that parse rejects, sends the parse back to
-where it began, to read the whole text through a ``csv.reader`` row path
-instead, which gives the same result and words each error with its line.
+The text is UTF-8, with or without a byte-order mark.  It is read once,
+a chunk of about 256 KiB at a time cut between csv records, and each
+chunk's stamps and prices are written straight into the output columns:
+beyond them, the parse needs memory bounded by the chunk, not by the
+file.  ``np.loadtxt`` parses a chunk; one it doubts (a quote, a NUL, a
+field it refuses) is read by a ``csv.reader`` row path instead, which
+gives the same result and words each error with its file line.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
 of its *left* timestamp, a view of the prices' own, so that intraday
@@ -20,8 +20,9 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import itertools
+import os
 import re
+import stat
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
@@ -58,12 +59,13 @@ _SECONDS_PER_DAY = 86400
 _STAMP_BYTES = 64
 _COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
 # numpy reads any number of year digits and wraps years out of its
-# range, so a stamp must start with a year of exactly four digits.
-_FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
-# The column path reads this many characters (or bytes) at a time and
-# hands loadtxt what it read up to the last newline.  Its line strings and
-# 72-byte-per-record table then grow with the chunk, not with the file.
-_CHUNK_CHARS = 1 << 20
+# range, so a stamp must start with a year of exactly four digits: this
+# finds the first line that does not.
+_NO_FOUR_DIGIT_YEAR = re.compile(r"^(?![0-9]{4}(?![0-9]))", re.MULTILINE)
+# The parse reads this many characters (or bytes) at a time and parses
+# what it read up to the last record's end.  Its line strings and 72-byte-
+# per-record loadtxt table then grow with the chunk, not with the file.
+_CHUNK_CHARS = 1 << 18
 _BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -277,7 +279,8 @@ def _assign_slots(
 
 
 def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None) -> PriceSeries:
-    """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`.
+    """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`, reading the
+    stream once, from where it stands, by its ``read`` alone.
 
     Raises
     ------
@@ -285,66 +288,77 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
         Wrong field count, an unparseable or missing (``NaT``)
         timestamp or price, a timestamp whose year is not exactly four
         digits (a bare integer other than a year, among them), or a
-        stream that is not UTF-8, reported with its 1-based file line.
-        For a stream already read from, the line is counted from where
-        the parse began reading; for a text stream that cannot tell where
-        it stands (one iterated line by line, say), from where its
-        decoder had read to, which can lie past the lines it returned.
+        stream that is not UTF-8, reported with its 1-based file line,
+        counted from where the parse began reading.  Of faults in two
+        chunks, the earlier one's is reported (see :func:`_read_columns`).
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
-    schema = schema or CsvSchema()
-    try:
-        start = stream.tell() if stream.seekable() else None
-    except (AttributeError, OSError):  # a bare reader, or a text stream iterated by lines
-        start = None
-    if start is None:
-        # The row path may need the text again, and this stream cannot go back to it.
-        text = _read_text(stream)
-        blocks: Iterable[str] = (text[i : i + _CHUNK_CHARS] for i in range(0, len(text), _CHUNK_CHARS))
-    else:
-        text, blocks = None, _blocks(stream)
-    try:
-        from os import fstat
-
-        size = len(text) if text is not None else fstat(stream.fileno()).st_size
-    except (AttributeError, OSError):  # an in-memory stream has no file to measure
-        size = None
-    try:
-        columns = _read_columns(blocks, schema, size)
-    except UnicodeDecodeError:
-        columns = None
-    if columns is None:
-        if text is None:
-            stream.seek(start)
-            text = _read_text(stream)
-        columns = _read_rows(text, schema)
-    return _price_series(*columns, schema)
+    return _parse(stream, schema or CsvSchema())
 
 
-def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
-    """The rest of ``stream`` as text, read ``_CHUNK_CHARS`` characters (or bytes) at a
-    time, without the leading byte-order mark that would join the first stamp."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
+    """Read a price CSV from a file or a pipe (such as ``/dev/stdin``), its line ends
+    read as in text mode.  A file that is not UTF-8 is :class:`MalformedRow`, naming
+    the line of its first byte that is not."""
+    with open(path, "rb") as fh:
+        return _parse(fh, schema or CsvSchema(), translate=True)
+
+
+def _parse(stream: IO[str] | IO[bytes], schema: CsvSchema, translate: bool = False) -> PriceSeries:
+    try:  # the columns are sized from a regular file's size; a pipe or a memory stream has none
+        st = os.fstat(stream.fileno())
+    except (AttributeError, OSError):
+        st = None
+    size = st.st_size if st and stat.S_ISREG(st.st_mode) else None
+    return _price_series(*_read_columns(_blocks(stream, translate), schema, size), schema)
+
+
+def _blocks(stream: IO[str] | IO[bytes], translate: bool = False) -> Iterator[str]:
+    """The rest of ``stream`` as text, a block at a time, without the leading byte-order
+    mark that would join the first stamp; bytes are decoded, their line ends made
+    ``"\\n"`` if ``translate``.  A byte that is not UTF-8 ends the text, with its
+    block's bytes before it, as ``surrogateescape`` text for the parse to name its line."""
+    newlines = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate)
     first = True
-    while block := stream.read(_CHUNK_CHARS):
-        text = block if isinstance(block, str) else decode(block)
-        if first and text:
-            text, first = text.removeprefix("\ufeff"), False
-        yield text
-    yield decode(b"", final=True)
+    try:
+        for block in _reads(stream):
+            text = block if isinstance(block, str) else newlines.decode(block)
+            if first and text:
+                text, first = text.removeprefix("\ufeff"), False
+            yield text
+        yield newlines.decode(b"", final=True)
+    except UnicodeDecodeError as exc:  # after the "\r" the decoder may hold back
+        yield "\r" * (newlines.getstate()[1] & 1) + exc.object[: exc.end].decode("utf-8", "surrogateescape")
+
+
+def _reads(stream: IO[str] | IO[bytes]) -> Iterator[str | bytes]:
+    """``stream`` read ``_CHUNK_CHARS`` characters (or bytes) at a time.  A decode error
+    in a text file loses what its decoder read ahead for the read at hand, so it is read
+    in lines, joined about as long, and those before the error come out before it."""
+    if not isinstance(stream, io.TextIOWrapper):
+        while block := stream.read(_CHUNK_CHARS):
+            yield block
+        return
+    lines, size = [], 0
+    try:
+        for line in stream:
+            lines.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS:
+                yield "".join(lines)
+                lines, size = [], 0
+    except UnicodeDecodeError:
+        yield "".join(lines)
+        raise
+    yield "".join(lines)
 
 
 def _read_text(stream: IO[str] | IO[bytes], where: str = "") -> str:
-    """The rest of ``stream`` as text without a leading byte-order mark.
-
-    The label, config, factors and output table files are read through here,
-    and a price CSV that cannot be streamed or the column path refuses.  A byte
-    that is not UTF-8 is :class:`MalformedRow`, naming its line after ``where``.
-    Bytes and text streams take one error path: the error holds the bytes that
-    did not decode (for a text stream, those it was decoding, the whole file if
-    unread before), and :func:`_not_utf8` counts their lines as text mode would.
-    """
+    """The rest of ``stream`` as text without a leading byte-order mark, for the label,
+    config, factors and output table files.  A byte that is not UTF-8 is :class:`MalformedRow`,
+    naming its line after ``where``: the error holds the bytes that did not decode (for a text
+    stream, those it was decoding, the whole file if unread), and :func:`_not_utf8` counts lines."""
     try:
         raw = stream.read()
         if isinstance(raw, bytes):
@@ -374,35 +388,34 @@ def _parses_as_time(field: str) -> bool:
     return True
 
 
-def _not_utf8(text: str, where: str = "") -> MalformedRow:
-    """The error for a byte that is not UTF-8 in ``surrogateescape`` text; lines end as in text mode."""
+def _not_utf8(text: str, where: str = "", line: int = 1) -> MalformedRow:
+    """The error for a byte not UTF-8 in ``surrogateescape`` text from line ``line``, as text mode ends lines."""
     at = _UNDECODABLE.search(text).start()
-    line = text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at) + 1
+    line += text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at)
     return MalformedRow(f"{where}line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 
-def _first_record(raw: str, delimiter: str) -> tuple[int, int] | None:
-    """Start and end of the first line that csv.reader does not skip as blank."""
-    pos = 0
-    while pos <= len(raw):
-        end = raw.find("\n", pos)
-        if end < 0:
-            end = len(raw)
-        line = raw[pos:end]
-        if delimiter in line or line.strip():
-            return pos, end
-        pos = end + 1
-    return None
+def _chunks(blocks: Iterable[str], delimiter: str) -> Iterator[str]:
+    """The text of ``blocks``, cut between two csv records once ``_CHUNK_CHARS`` came.
 
-
-def _chunks(blocks: Iterable[str]) -> Iterator[str]:
-    """The text of ``blocks``, each cut after its last newline and the rest carried over."""
-    rest = ""
+    Without a quote, each newline ends a record.  With one, records are matched
+    as csv.reader reads them: a quote opens a field only at its start, ``""`` in
+    it is a quote, and after its closing quote the field goes on unquoted.  Any
+    other quote is a character, so no quote count finds a record's end: the lines
+    ``2000-01-04,2"x,"3`` and ``4",5`` are one record.  A quote as the delimiter
+    leaves the text one chunk."""
+    d = re.escape(delimiter)
+    field = rf'(?:"[^"]*(?:""[^"]*)*"[^{d}\n]*|(?!")[^{d}\n]*)'
+    records = re.compile(rf"(?:{field}(?:{d}{field})*\n)*" if delimiter != '"' else "")
+    rest, need = "", _CHUNK_CHARS
     for block in blocks:
-        text = rest + block
-        cut = text.rfind("\n") + 1
+        text = rest + block  # a chunk's worth before a cut; a byte not UTF-8 ends the text uncut
+        whole = len(text) < need or not block.isascii() and _UNDECODABLE.search(block)
+        cut = 0 if whole else records.match(text).end() if '"' in text else text.rfind("\n") + 1
         if cut:
             yield text[:cut]
+        # A record that outgrows the text (a quote never closed) is looked at again at twice its length.
+        need = _CHUNK_CHARS if cut else need if whole else 2 * len(text)
         rest = text[cut:]
     if rest:
         yield rest
@@ -410,66 +423,52 @@ def _chunks(blocks: Iterable[str]) -> Iterator[str]:
 
 def _read_columns(
     blocks: Iterable[str], schema: CsvSchema, size: int | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and prices of unquoted text, read by ``np.loadtxt`` in chunks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and prices of the text in ``blocks``, parsed a chunk at a time.
 
-    ``blocks`` gives the text in pieces of any size.  Each chunk is what
-    the blocks hold up to their last newline, so that a record never
-    straddles two chunks.  The first chunks are held until they show the
-    first record, which decides the header.  Each chunk is parsed and
-    checked on its own, which bounds the parse's line strings and
-    loadtxt table by the chunk.
+    ``np.loadtxt`` reads each chunk of :func:`_chunks` (:func:`_read_chunk`); one
+    it doubts is read by the ``csv.reader`` row path alone (:func:`_read_rows`),
+    which gives the same result and words each error with its file line.  Both
+    write into the first chunk's columns, which one that outruns them sizes anew
+    at the rows per character read so far over ``size`` (the text's length, if
+    known; doubled if not), capped at ``size`` bytes, as short first rows may be.
 
-    The first chunk's columns are the output's, and later chunks are written
-    straight into them.  One that outruns them sizes them anew at the rows per
-    character read so far over ``size`` (the text's length, if known; doubled if
-    not), capped at ``size`` bytes so that short first rows cannot over-allocate.
-
-    Returns ``None`` wherever :func:`_read_rows` could read the text
-    differently or would raise, in any chunk, so that the row path
-    decides the result and words the error.  Two differences are left.
-    csv.reader refuses a field longer than ``csv.field_size_limit()``
-    (128 KiB by default) in any column, and this path reads such a file.
-    A time of day followed by blanks reads the same on both paths, but
-    only here does numpy warn that it took the blanks for a time zone.
-    """
-    chunks = _chunks(blocks)
-    head, first = "", None
-    while first is None:
-        chunk = next(chunks, None)
-        if chunk is None:
-            return None
-        head += chunk
-        first = _first_record(head, schema.delimiter)
-    line_start, line_end = first
-    fields = head[line_start:line_end].split(schema.delimiter)
-    if len(fields) <= max(schema.timestamp_col, schema.price_col):
-        return None
-    skip_header = schema.header
-    if skip_header is None:
-        skip_header = not _parses_as_time(fields[schema.timestamp_col].strip())
-    pos = 0
-    if skip_header:
-        # loadtxt never sees the dropped lines, so look in them for the
-        # stray "\r" that csv.reader rejects.
-        if any("\r" in line[:-1] for line in head[:line_end].split("\n")):
-            return None
-        pos = line_end + 1
-    n = read = 0
-    for chunk in itertools.chain([head], chunks):
-        # Quotes move field boundaries in a way only csv.reader follows,
-        # and a trailing NUL would vanish from a bytes stamp.  The header
-        # leaves the first chunk only once this test has seen it.
-        if '"' in chunk or "\0" in chunk:
-            return None
-        chunk, pos = chunk[pos:], 0
-        # Lines of "\r" and "\n" alone are blank to csv.reader, and
-        # loadtxt warns on a chunk that holds nothing else.
-        if not chunk.strip("\r\n"):
+    The header and :class:`TooShort` are whole-file decisions: the first record,
+    read as csv.reader reads it, is a header if its stamp does not parse (a quoted
+    ``"2000-01-03"`` is data), and a chunk whose rows leave the file short of two
+    is carried into the next.  A fault is the first chunk's to hold one, found as
+    the row path finds it there: a byte that is not UTF-8, a wrong field count
+    anywhere, then a bad stamp.  Unlike csv.reader, loadtxt reads a field longer
+    than ``csv.field_size_limit()``, and warns that blanks after a time of day are
+    a time zone (both read the same stamp)."""
+    line, n, read = 1, 0, 0  # line: the file line the chunk at hand starts on
+    header, carried = None, ""
+    for chunk in _chunks(blocks, schema.delimiter):
+        chunk, carried = carried + chunk, ""
+        if not chunk.isascii() and _UNDECODABLE.search(chunk):
+            raise _not_utf8(chunk, line=line)
+        if header is None and (first := next(_records(chunk, schema, line), None)):
+            _, end, stamp, _ = first
+            header = schema.header if schema.header is not None else not _parses_as_time(stamp)
+            if header:
+                chunk, line = "".join(chunk.split("\n", end - line)[end - line :]), end
+        # Before the first record all is blank; lines of "\r" and "\n" alone are
+        # blank to csv.reader, and loadtxt warns on a chunk that holds nothing else.
+        if header is None or not chunk.strip("\r\n"):
+            line += chunk.count("\n")
             continue
-        columns = _read_chunk(chunk, schema)
+        # Quotes move field boundaries in a way only csv.reader follows,
+        # and a trailing NUL would vanish from a bytes stamp.
+        lines = None if '"' in chunk or "\0" in chunk else chunk.split("\n")
+        columns = _read_chunk(lines, schema) if lines else None
         if columns is None:
-            return None
+            try:
+                columns = _read_rows(chunk, schema, line, n)
+            except TooShort as exc:  # the next chunk may hold the rows the file needs
+                carried, short = chunk, exc
+                continue
+        line += len(lines) - 1 if lines else chunk.count("\n")
+        del lines  # before the next chunk is read
         k, read = columns[0].size, read + len(chunk)
         if not n:
             (ts, px), n = columns, k
@@ -480,20 +479,22 @@ def _read_columns(
                 column.resize(max(n + k, rows), refcheck=False)
         ts[n : n + k], px[n : n + k] = columns
         n += k
+    if carried:
+        raise short
     if n < 2:
-        return None
+        raise TooShort(f"need at least 2 data rows, got {n}")
     for column in (ts, px):
         column.resize(n, refcheck=False)
     return ts, px
 
 
-def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
-    """One chunk of :func:`_read_columns`: its stamps and prices, or ``None`` on any doubt."""
+def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """One chunk's stamps and prices, read by loadtxt from its lines, or ``None`` on any doubt."""
     # Without quotes, csv.reader's records are the "\n"-separated lines;
     # loadtxt drops the "\r" of a CRLF line end itself.
     try:
         table = np.loadtxt(
-            chunk.split("\n"),
+            lines,
             dtype=_COLUMNS,
             usecols=(schema.timestamp_col, schema.price_col),
             delimiter=schema.delimiter,
@@ -515,7 +516,7 @@ def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     padded = (stamp_bytes[:, 0] <= ord(" ")).any()
     if np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
         return None
-    # The row path refuses a year that is not four digits (_FOUR_DIGIT_YEAR).
+    # The row path refuses a year that is not four digits (_NO_FOUR_DIGIT_YEAR).
     # Counted one stamp byte at a time, so that no temporary outlives its
     # count.  Bytes below "0" wrap to large values in uint8.
     digits = [np.count_nonzero(stamp_bytes[:, k] - np.uint8(ord("0")) < 10) for k in range(5)]
@@ -524,43 +525,38 @@ def _read_chunk(chunk: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] 
     return ts, table["price"].copy()
 
 
-def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and prices read row by row through ``csv.reader``.
-
-    This path reads quoted fields and words every parse error, with the
-    1-based file line of the offending record.
-    """
+def _records(text: str, schema: CsvSchema, line: int = 1) -> Iterator[tuple[int, int, str, str]]:
+    """Each record of ``text`` csv.reader does not skip as blank: its first file line, the
+    line after it, and its stripped stamp and price, ``text`` starting on line ``line``.
+    A record csv.reader refuses, or one with too few fields, is :class:`MalformedRow`."""
     width = max(schema.timestamp_col, schema.price_col) + 1
-    ts_strs: list[str] = []
-    px_strs: list[str] = []
-    linenos: list[int] = []
-    # The lines of io.StringIO(raw), split at "\n" only, a chunk of text at a time: a StringIO
-    # of the whole text would copy it at 4 bytes a character.
-    pieces = _chunks(raw[i : i + _CHUNK_CHARS] for i in range(0, len(raw), _CHUNK_CHARS))
-    rows = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)), delimiter=schema.delimiter)
-    next_line = 1
+    rows = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    end = line
     try:
         for row in rows:
-            lineno, next_line = next_line, rows.line_num + 1
+            start, end = end, line + rows.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < width:
-                raise MalformedRow(f"line {lineno}: expected >= {width} fields, got {len(row)}")
-            ts_strs.append(row[schema.timestamp_col].strip())
-            px_strs.append(row[schema.price_col].strip())
-            linenos.append(lineno)
+                raise MalformedRow(f"line {start}: expected >= {width} fields, got {len(row)}")
+            yield start, end, row[schema.timestamp_col].strip(), row[schema.price_col].strip()
     except csv.Error as exc:
-        raise MalformedRow(f"line {rows.line_num}: {exc}") from None
+        raise MalformedRow(f"line {line - 1 + rows.line_num}: {exc}") from None
 
-    skip_header = schema.header
-    if skip_header is None and ts_strs:
-        skip_header = not _parses_as_time(ts_strs[0])
-    if skip_header:
-        ts_strs, px_strs, linenos = ts_strs[1:], px_strs[1:], linenos[1:]
 
-    if len(ts_strs) < 2:
-        raise TooShort(f"need at least 2 data rows, got {len(ts_strs)}")
-
+def _read_rows(
+    text: str, schema: CsvSchema, line: int = 1, before: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and prices of the records of ``text`` (:func:`_records`), which words
+    every parse error with the file line of its record.  With the ``before`` rows the
+    file held ahead of ``text``, fewer than two are :class:`TooShort`, found first."""
+    ts_strs, px_strs, linenos = [], [], []
+    for lineno, _, stamp, price in _records(text, schema, line):
+        ts_strs.append(stamp)
+        px_strs.append(price)
+        linenos.append(lineno)
+    if before + len(ts_strs) < 2:
+        raise TooShort(f"need at least 2 data rows, got {before + len(ts_strs)}")
     try:
         ts = np.array(ts_strs, dtype="datetime64[s]")
     except ValueError:
@@ -572,10 +568,11 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
     if nat.size:
         i = int(nat[0])
         raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
-    for s, lineno in zip(ts_strs, linenos):
-        if not _FOUR_DIGIT_YEAR.match(s):
-            why = "is a bare integer, not an ISO date or time" if s.isdigit() else "has no four-digit year"
-            raise MalformedRow(f"line {lineno}: timestamp {s!r} {why}")
+    stamps = "\n".join(ts_strs)  # a stamp that parses holds no newline
+    if ts_strs and (bad := _NO_FOUR_DIGIT_YEAR.search(stamps)):
+        i = stamps.count("\n", 0, bad.start())
+        why = "is a bare integer, not an ISO date or time" if ts_strs[i].isdigit() else "has no four-digit year"
+        raise MalformedRow(f"line {linenos[i]}: timestamp {ts_strs[i]!r} {why}")
     try:
         px = np.array(px_strs, dtype=np.float64)
     except ValueError:
@@ -586,16 +583,6 @@ def _read_rows(raw: str, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
                 raise MalformedRow(f"line {lineno}: unparseable price {s!r}") from None
         raise
     return ts, px
-
-
-def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
-    """Read a price CSV from disk.
-
-    A file that is not UTF-8 is :class:`MalformedRow`, naming the line
-    of its first byte that is not.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_price_csv(fh, schema)
 
 
 def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> ReturnSeries:

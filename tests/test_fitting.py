@@ -859,7 +859,10 @@ def _curves(draw):
 
 
 @given(
-    st.lists(_curves(), min_size=1, max_size=5),
+    # Some curves drawn more than once, as a bootstrap's replicas of few events are.
+    st.lists(_curves(), min_size=1, max_size=5).flatmap(
+        lambda curves: st.lists(st.sampled_from(curves), min_size=1, max_size=8)
+    ),
     st.integers(1, 6),
     st.sampled_from([None, 30, 60]),
     st.sampled_from(["free", "fixed_zero"]),
@@ -867,11 +870,22 @@ def _curves(draw):
 )
 @settings(max_examples=40, deadline=None)
 def test_fit_many_equals_the_sequential_fit(curves, t_min, t_max, tau_mode, n_points):
-    got = fitting._fit_many(curves, t_min, t_max, tau_mode, n_points)
+    with mock.patch.object(fitting, "_descend", wraps=fitting._descend) as descend:
+        got = fitting._fit_many(curves, t_min, t_max, tau_mode, n_points)
     assert len(got) == len(curves)
     for (lags, V), fit in zip(curves, got):
         want = _outcome(lambda: _frozen_fit(lags, V, t_min, t_max, tau_mode, n_points))
         assert _outcome(lambda: fit) == want
+    # Each distinct sample is searched once.
+    distinct = set()
+    for lags, V in curves:
+        try:
+            t, log_v, t_hi = fitting._select_sample(lags, V, t_min, t_max, tau_mode, n_points)
+        except (ValueError, VolrelaxError):
+            continue
+        distinct.add((t.tobytes(), log_v.tobytes(), t_hi))
+    searches = len(descend.call_args.args[1]) if descend.called else 0
+    assert searches == fitting._N_STARTS * len(distinct)
 
 
 def _planted_events(seed, threshold):

@@ -116,6 +116,62 @@ def test_remove_pattern_in_blocks_equals_one_gather(n, slots_per_day, block, see
     assert got.adjusted and got.slot_index is vol.slot_index
 
 
+def _bincount_pattern(vol):
+    """The pattern as it was estimated before it went a block at a time, frozen
+    as the reference: two bincounts over the whole slot index."""
+    counts = np.bincount(vol.slot_index, minlength=vol.slots_per_day)
+    if np.any(counts == 0):
+        raise EmptySlot(f"no observations in slot(s) {np.flatnonzero(counts == 0).tolist()}")
+    means = np.bincount(vol.slot_index, weights=vol.values, minlength=vol.slots_per_day) / counts
+    if np.any(means == 0):
+        raise EmptySlot(f"only zero volatility in slot(s) {np.flatnonzero(means == 0).tolist()}")
+    return means / means.mean()
+
+
+@given(
+    st.integers(1, 300),
+    st.integers(2, 12),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_estimate_pattern_in_blocks_equals_bincount(n, slots_per_day, block, seed):
+    # Values over 17 decades, so that the order of the additions shows in the
+    # sums; a short series leaves slots empty, and zeros leave some only zero.
+    rng = np.random.default_rng(seed)
+    slots = rng.integers(0, slots_per_day, n).astype(np.int32)
+    values = rng.exponential(0.01, n) * 10.0 ** rng.integers(-8, 9, n) * (rng.random(n) < 0.9)
+    vol = _vol(values, slots, slots_per_day)
+    try:
+        want = _bincount_pattern(vol).tobytes()
+    except EmptySlot as exc:
+        want = str(exc)
+    with mock.patch.object(intraday, "_BLOCK", block):
+        try:
+            got = estimate_pattern(vol).factors.tobytes()
+        except EmptySlot as exc:
+            got = str(exc)
+    assert got == want
+
+
+def test_estimate_pattern_holds_no_intp_copy_of_the_slots():
+    # 1M values on 390 slots: each bincount of the whole int32 slot index
+    # cast it to an 8 MB intp copy.  A block at a time, the peak is a block's.
+    import tracemalloc
+
+    n = 1_000_000
+    rng = np.random.default_rng(4)
+    vol = _vol(rng.exponential(0.01, n), (np.arange(n) % 390).astype(np.int32), 390)
+    tracemalloc.start()
+    try:
+        pattern = estimate_pattern(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pattern.factors.tobytes() == _bincount_pattern(vol).tobytes()
+    assert peak < 8 * intraday._BLOCK + 65_536
+
+
 def test_remove_rejects_mismatched_grid():
     vol = _vol([1.0, 2.0], [0, 1], 2)
     pattern = IntradayPattern(factors=np.array([0.8, 1.0, 1.2]), slots_per_day=3)

@@ -1,8 +1,10 @@
 """CSV ingestion, log-returns, volatility and surrogate tests."""
 
+import csv
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -280,10 +282,65 @@ def test_schema_rejects_slots_per_day_below_one(slots):
         CsvSchema(cadence="1min", slots_per_day=slots)
 
 
+def _whole_text_rows(raw, schema):
+    """The csv.reader row path as it read the whole text before the parse went a
+    chunk at a time, frozen as the reference: one header rule and one
+    :class:`TooShort` for the file, and a wrong field count anywhere in it
+    reported before a bad stamp."""
+    width = max(schema.timestamp_col, schema.price_col) + 1
+    ts_strs, px_strs, linenos = [], [], []
+    rows = csv.reader(io.StringIO(raw), delimiter=schema.delimiter)
+    next_line = 1
+    try:
+        for row in rows:
+            lineno, next_line = next_line, rows.line_num + 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < width:
+                raise MalformedRow(f"line {lineno}: expected >= {width} fields, got {len(row)}")
+            ts_strs.append(row[schema.timestamp_col].strip())
+            px_strs.append(row[schema.price_col].strip())
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise MalformedRow(f"line {rows.line_num}: {exc}") from None
+    skip_header = schema.header
+    if skip_header is None and ts_strs:
+        skip_header = not series._parses_as_time(ts_strs[0])
+    if skip_header:
+        ts_strs, px_strs, linenos = ts_strs[1:], px_strs[1:], linenos[1:]
+    if len(ts_strs) < 2:
+        raise TooShort(f"need at least 2 data rows, got {len(ts_strs)}")
+    try:
+        ts = np.array(ts_strs, dtype="datetime64[s]")
+    except ValueError:
+        for s, lineno in zip(ts_strs, linenos):
+            if not series._parses_as_time(s):
+                raise MalformedRow(f"line {lineno}: unparseable timestamp {s!r}") from None
+        raise
+    nat = np.flatnonzero(np.isnat(ts))
+    if nat.size:
+        i = int(nat[0])
+        raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
+    for s, lineno in zip(ts_strs, linenos):
+        if not re.match(r"[0-9]{4}(?![0-9])", s):
+            why = "is a bare integer, not an ISO date or time" if s.isdigit() else "has no four-digit year"
+            raise MalformedRow(f"line {lineno}: timestamp {s!r} {why}")
+    try:
+        px = np.array(px_strs, dtype=np.float64)
+    except ValueError:
+        for s, lineno in zip(px_strs, linenos):
+            try:
+                float(s)
+            except ValueError:
+                raise MalformedRow(f"line {lineno}: unparseable price {s!r}") from None
+        raise
+    return ts, px
+
+
 def _row_path(text, schema=None):
-    """The csv.reader path on its own: the reference for the column path."""
+    """The whole-text row path on its own: the reference for the parse."""
     schema = schema or CsvSchema()
-    return series._price_series(*series._read_rows(text, schema), schema)
+    return series._price_series(*_whole_text_rows(text, schema), schema)
 
 
 def _outcome(parse, text, schema):
@@ -309,7 +366,7 @@ _TZ_WARNING = "ignore:no explicit representation of timezones"
 
 
 def test_plain_csv_takes_the_column_path(monkeypatch):
-    def no_row_path(raw, schema):
+    def no_row_path(*args):
         raise AssertionError("plain text went through the row path")
 
     monkeypatch.setattr(series, "_read_rows", no_row_path)
@@ -365,6 +422,64 @@ def test_quoted_delimiter_is_one_field():
     text = '2000-01-03,"a,3.0,x",5.0\n2000-01-04,b,6.0\n'
     prices = _parse(text, CsvSchema(price_col=2))
     np.testing.assert_array_equal(prices.prices, [5.0, 6.0])
+
+
+# A quote inside an unquoted field is a character, so the quotes before a
+# newline tell nothing: 2"x then "3<newline>4" are the second and third
+# fields of the second record, whose quotes on its first line are even.
+# The quoted first stamp is data, not a header.
+_STRAY_QUOTE_CSV = '"2000-01-03",a,b,1\n2000-01-04,2"x,"3\n4",5\n2000-01-05,c,"d\ne",6\n2000-01-06,f,g,{}\n'
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 2, 3, 4, 5, 6, 7, 8, 1 << 20])
+def test_chunks_end_where_csv_reader_ends_a_record(chunk_chars):
+    text = _STRAY_QUOTE_CSV.format(7)
+    with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
+        blocks = [text[i : i + chunk_chars] for i in range(0, len(text), chunk_chars)]
+        chunks = list(series._chunks(blocks, ","))
+        prices = _parse(text, CsvSchema(price_col=3))
+        with pytest.raises(MalformedRow, match=r"^line 6: unparseable price 'x'$"):
+            _parse(_STRAY_QUOTE_CSV.format("x"), CsvSchema(price_col=3))
+    assert "".join(chunks) == text
+    assert [row for chunk in chunks for row in csv.reader(io.StringIO(chunk))] == list(csv.reader(io.StringIO(text)))
+    np.testing.assert_array_equal(prices.prices, [1, 5, 6, 7])
+    assert prices.timestamps[0] == np.datetime64("2000-01-03")
+
+
+def test_faults_in_two_chunks_report_the_earlier_chunks():
+    # A bad stamp on line 3 and too few fields on line 21.  The row path
+    # checks field counts as it reads the records and stamps after, so in
+    # one chunk line 21 is reported; a chunk at a time, line 3's chunk
+    # comes first.
+    rows = [f"2000-01-{day:02d},{day}" for day in range(3, 31)]
+    rows[2], rows[20] = "2000-13-05,5", "2000-01-23"
+    text = "\n".join(rows) + "\n"
+    with pytest.raises(MalformedRow, match=r"^line 21: expected >= 2 fields, got 1$"):
+        _parse(text)
+    assert _outcome(_parse, text, CsvSchema()) == _outcome(_row_path, text, CsvSchema())
+    with mock.patch.object(series, "_CHUNK_CHARS", 64):
+        with pytest.raises(MalformedRow, match=r"^line 3: unparseable timestamp '2000-13-05'$"):
+            _parse(text)
+
+
+def test_the_stream_is_read_once_by_read_alone():
+    # The reader has no method but read, so the parse cannot seek or tell;
+    # the late quote sends its chunk alone to the row path, and every byte
+    # is read once.
+    text = "timestamp,price\n" + "".join(f"2000-01-{day:02d},{day}\n" for day in range(3, 31))
+    data = (text + '2000-01-31,"31"\n').encode()
+    stream, sizes = io.BytesIO(data), []
+
+    class Reader:
+        def read(self, size):
+            sizes.append(len(block := stream.read(size)))
+            return block
+
+    with mock.patch.object(series, "_CHUNK_CHARS", 64):
+        prices = parse_price_csv(Reader())
+    np.testing.assert_array_equal(prices.prices, np.arange(3, 32))
+    # Every byte once, and one read past the end.
+    assert sum(sizes) == len(data) and sizes.index(0) == len(sizes) - 1
 
 
 _ODD_PRICES = ["1_0", "inf", "nan", "1e400", "+1.5", "0x10", "-2", "0", "", "abc", "1e-400", "\xa01"]
@@ -439,15 +554,34 @@ def test_column_path_matches_row_path(case):
 _SMALL_CHUNKS = st.integers(1, 64)
 
 
+def _row_path_on_line_prefixes(text, schema):
+    """What the whole-text row path gives on ``text`` cut after each of its lines."""
+    ends = [i + 1 for i, c in enumerate(text) if c == "\n"]
+    return [_outcome(_row_path, text[:end], schema) for end in ends]
+
+
+def _doubted(chunk, schema=CsvSchema()):
+    """Whether the column path leaves ``chunk`` to the row path."""
+    return '"' in chunk or "\0" in chunk or series._read_chunk(chunk.split("\n"), schema) is None
+
+
 def _check_small_chunks(text, schema, chunk_chars):
-    """In small chunks both paths still agree, and the column path reads all it read in one."""
-    whole = series._read_columns([text], schema)
-    with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
-        assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
-        chunked = series._read_columns(series._blocks(io.StringIO(text)), schema)
-    if whole is not None:
-        assert chunked is not None
-        assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+    """In small chunks the parse gives what the whole text gives, but for a file
+    with faults in two chunks: there it reports the earlier chunk's fault, which
+    is what the whole text cut after the end of that chunk gives.  Only chunks
+    that hold a doubt reach the row path, and none if one chunk did not."""
+    want = _outcome(_row_path, text, schema)
+    calls = []
+    for size in (1 << 20, chunk_chars):
+        with mock.patch.object(series, "_CHUNK_CHARS", size), mock.patch.object(
+            series, "_read_rows", wraps=series._read_rows
+        ) as read_rows:
+            got = _outcome(_parse, text, schema)
+        calls.append([call.args[0] for call in read_rows.call_args_list])
+    assert got == want or (got[0] is MalformedRow and got in _row_path_on_line_prefixes(text, schema))
+    assert all(_doubted(chunk, schema) for chunk in calls[1])
+    if not calls[0]:
+        assert not calls[1]
 
 
 @pytest.mark.filterwarnings(_TZ_WARNING)
@@ -570,15 +704,22 @@ def _whole_text_parse(stream, schema=None):
             raise series._not_utf8(raw.decode("utf-8", "surrogateescape")) from None
     raw = raw.removeprefix("\ufeff")
     columns = None if '"' in raw or "\0" in raw else _whole_text_columns(raw, schema)
-    ts, px = columns if columns is not None else series._read_rows(raw, schema)
+    ts, px = columns if columns is not None else _whole_text_rows(raw, schema)
     return series._price_series(ts, px, schema)
 
 
 def _whole_text_columns(raw, schema):
-    first = series._first_record(raw, schema.delimiter)
-    if first is None:
-        return None
-    line_start, line_end = first
+    # The first line that csv.reader does not skip as blank.
+    line_start = 0
+    while True:
+        line_end = raw.find("\n", line_start)
+        line_end = len(raw) if line_end < 0 else line_end
+        line = raw[line_start:line_end]
+        if schema.delimiter in line or line.strip():
+            break
+        if line_end == len(raw):
+            return None
+        line_start = line_end + 1
     fields = raw[line_start:line_end].split(schema.delimiter)
     if len(fields) <= max(schema.timestamp_col, schema.price_col):
         return None
@@ -598,7 +739,7 @@ def _whole_text_columns(raw, schema):
         pos = end
         if not chunk.strip("\r\n"):
             continue
-        columns = series._read_chunk(chunk, schema)
+        columns = series._read_chunk(chunk.split("\n"), schema)
         if columns is None:
             return None
         ts_parts.append(columns[0])
@@ -609,7 +750,7 @@ def _whole_text_columns(raw, schema):
 
 
 _ROWS = [f"2000-01-03T{9 + i // 60:02d}:{i % 60:02d}:00,{100 + i / 8!r}" for i in range(80)]
-# Row 70 of 80, edited to send the parse back after many streamed chunks.
+# Row 70 of 80, edited to put a doubt or a fault after many streamed chunks.
 _LATE_FAULTS = {
     "none": lambda row: row,
     "quote": lambda row: row.replace(",", ',"') + '"',
@@ -623,20 +764,18 @@ _LATE_FAULTS = {
 _NOT_UTF8 = {"not UTF-8", "UTF-8 cut at the end"}
 # csv.reader refuses a quoted header of one field, which a split would
 # not, and a stray "\r" in a header, which loadtxt never sees.
+_FAULTY_PREFIXES = ['"time,stamp"\n', "time\rstamp,price\n"]
 _PREFIXES = [
-    "", "\ufeff", "timestamp,price\n", "\ufefftimestamp,price\n", '"time,stamp"\n',
-    "time\rstamp,price\n", "\n" * 100, " \n" * 60 + "t,p\n",
+    "", "\ufeff", "timestamp,price\n", "\ufefftimestamp,price\n", *_FAULTY_PREFIXES,
+    "\n" * 100, " \n" * 60 + "t,p\n",
 ]
 
 
 class _Unseekable:
-    """A stream that can only be read, as a pipe."""
+    """A stream that can only be read, as a pipe: it has no other method."""
 
     def __init__(self, stream):
         self.read = stream.read
-
-    def seekable(self):
-        return False
 
 
 def _open(kind, data, path):
@@ -684,17 +823,29 @@ def test_streamed_parse_matches_whole_text_parse(
         kind = "text file"  # counted from where the parse began: see the next test
     path = tmp_path_factory.mktemp("csv") / "prices.csv"
     path.write_bytes(data)
-    results = []
-    for parse in (parse_price_csv, _whole_text_parse):
-        stream = _open(kind, data, path)
+    reference = data
+    # Faults in two chunks: the earlier chunk's, the prefix's, is reported.  A
+    # text file's decoder reads 8 KiB ahead and meets a bad byte in the middle
+    # of this small file first, and a partway read skips the prefix.
+    prefix_first = "partway" not in kind and (kind, fault) != ("text file", "not UTF-8")
+    if prefix in _FAULTY_PREFIXES and fault in _NOT_UTF8 and chunk_chars < len(data) and prefix_first:
+        reference = (prefix + eol.join(_ROWS) + (eol if last_eol else "")).encode()
+    reference_path = path.with_name("reference.csv")
+    reference_path.write_bytes(reference)
+    outcomes = []
+    for parse, text, at in ((_whole_text_parse, reference, reference_path), (parse_price_csv, data, path)):
+        stream = _open(kind, text, at)
         with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
             series, "_read_rows", wraps=series._read_rows
         ) as read_rows:
-            outcome = _outcome(lambda _text, schema: parse(stream, schema), None, CsvSchema())
-        # The stream goes back to the row path exactly where the whole text did.
-        results.append((outcome, read_rows.call_count))
+            outcomes.append(_outcome(lambda _text, schema: parse(stream, schema), None, CsvSchema()))
         getattr(stream, "close", lambda: None)()
-    assert results[0] == results[1]
+    assert outcomes[1] == outcomes[0]
+    # Only chunks that hold a doubt reach the row path, and none of a plain file.
+    doubted = [call.args[0] for call in read_rows.call_args_list]
+    assert all(_doubted(chunk) for chunk in doubted)
+    if fault == "none" and '"' not in prefix:
+        assert not doubted
 
 
 def test_text_stream_read_partway_names_the_line_from_where_the_parse_began(tmp_path):
@@ -740,23 +891,31 @@ def _minute_text(n):
     return "".join(f"{s},{p!r}\n" for s, p in zip(stamps.astype(str), prices.tolist()))
 
 
-def test_row_path_holds_no_copy_of_the_text():
-    # 200k one-minute records, 5.4 MB of text with its last price quoted,
-    # so that the row path reads all of it.  Its field strings, their lists
-    # and the parsed columns peak at about 7.5 bytes a character; a StringIO
-    # of the whole text added 4 more (60.9 MB against 41.0 MB here).
+@pytest.mark.parametrize("form", ["quoted file", "quoted pipe", "plain pipe"])
+def test_quoted_and_piped_parses_hold_no_copy_of_the_file(tmp_path, form):
+    # The records of the test above, every price quoted or read from a
+    # stream with only read, and the bound it sets for a plain file.  With
+    # quotes, each chunk takes the row path alone, whose field strings are
+    # the chunk's: read whole, they peaked at 41 MB here.  A pipe has no
+    # size to size the columns from, and they grow by doubling: read whole
+    # first, its text was held twice.
     text = _minute_text(200_000)
-    cut = text.rindex(",") + 1
-    quoted = text[:cut] + '"' + text[cut:-1] + '"\n'
-    tracemalloc.start()
-    try:
-        ts, px = series._read_rows(quoted, CsvSchema())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want_ts, want_px = series._read_columns([text], CsvSchema())
-    assert ts.tobytes() == want_ts.tobytes() and px.tobytes() == want_px.tobytes()
-    assert peak < 9 * len(text)
+    want = parse_price_csv(io.StringIO(text))
+    if form.startswith("quoted"):
+        text = re.sub(",(.*)\n", ',"\\1"\n', text)
+    path = tmp_path / "prices.csv"
+    path.write_text(text)
+    with mock.patch.object(series, "_CHUNK_CHARS", 1 << 16), open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            parsed = series.read_price_csv(str(path)) if form == "quoted file" else parse_price_csv(_Unseekable(fh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for got, w in ((parsed.timestamps, want.timestamps), (parsed.prices, want.prices), (parsed.slot_index, want.slot_index)):
+        assert got.tobytes() == w.tobytes()
+    assert peak < 2 * (parsed.timestamps.nbytes + parsed.prices.nbytes) + 16 * (1 << 16)
+    assert peak < 2 * path.stat().st_size
 
 
 def _traced_peak(fn, *args):
