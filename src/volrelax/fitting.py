@@ -26,7 +26,6 @@ fits are bit for bit those of one curve and one start at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import floor, log10
 
 import numpy as np
@@ -185,10 +184,6 @@ def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
         k *= 2
 
 
-# The grids of a run's fit ranges, each built once; _select_sample copies what it keeps.
-_lag_grid = lru_cache(maxsize=64)(log_spaced_lags)
-
-
 # The shapes ln g takes, one formula each; _branch picks one per (p, tau).
 _OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
 # numpy's power takes a fast path for some exponents given as a scalar (a
@@ -294,7 +289,7 @@ def _select_sample(
         raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
     if tau_mode not in ("free", "fixed_zero"):
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    sample = _lag_grid(t_min, t_max, n_points)
+    sample = log_spaced_lags(t_min, t_max, n_points)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
     sample, pos = sample[ok], pos[ok]

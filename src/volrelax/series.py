@@ -20,6 +20,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import os
 import re
 import stat
@@ -59,9 +60,8 @@ _SECONDS_PER_DAY = 86400
 _STAMP_BYTES = 64
 _COLUMNS = np.dtype([("timestamp", f"S{_STAMP_BYTES}"), ("price", "f8")])
 # numpy reads any number of year digits and wraps years out of its
-# range, so a stamp must start with a year of exactly four digits: this
-# finds the first line that does not.
-_NO_FOUR_DIGIT_YEAR = re.compile(r"^(?![0-9]{4}(?![0-9]))", re.MULTILINE)
+# range, so a stamp must start with a year of exactly four digits.
+_FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
 # The parse reads this many characters (or bytes) at a time and parses
 # what it read up to the last record's end.  Its line strings and 72-byte-
 # per-record loadtxt table then grow with the chunk, not with the file.
@@ -400,25 +400,30 @@ def _chunks(blocks: Iterable[str], delimiter: str) -> Iterator[str]:
 
     Without a quote, each newline ends a record.  With one, records are matched
     as csv.reader reads them: a quote opens a field only at its start, ``""`` in
-    it is a quote, and after its closing quote the field goes on unquoted.  Any
-    other quote is a character, so no quote count finds a record's end: the lines
-    ``2000-01-04,2"x,"3`` and ``4",5`` are one record.  A quote as the delimiter
-    leaves the text one chunk."""
+    it is a quote (so no quote follows the closing one), and after the closing
+    quote the field goes on unquoted.  Any other quote is a character, so no
+    quote count finds a record's end: the lines ``2000-01-04,2"x,"3`` and ``4",5``
+    are one record.  A quote as the delimiter leaves the text one chunk."""
     d = re.escape(delimiter)
-    field = rf'(?:"[^"]*(?:""[^"]*)*"[^{d}\n]*|(?!")[^{d}\n]*)'
-    records = re.compile(rf"(?:{field}(?:{d}{field})*\n)*" if delimiter != '"' else "")
-    rest, need = "", _CHUNK_CHARS
+    # Group k, in a lookahead, takes a quoted field's inside whole and never gives it back.
+    field = lambda k: rf'(?:"(?=([^"]*(?:""[^"]*)*))\{k}"(?!")[^{d}\n]*|(?!")[^{d}\n]*)'  # noqa: E731
+    records = re.compile(rf"(?:{field(1)}(?:{d}{field(2)})*\n)*" if delimiter != '"' else "")
+    held, size, need = [], 0, _CHUNK_CHARS
     for block in blocks:
-        text = rest + block  # a chunk's worth before a cut; a byte not UTF-8 ends the text uncut
-        whole = len(text) < need or not block.isascii() and _UNDECODABLE.search(block)
-        cut = 0 if whole else records.match(text).end() if '"' in text else text.rfind("\n") + 1
+        held.append(block)
+        size += len(block)
+        if size < need or not block.isascii() and _UNDECODABLE.search(block):
+            continue  # a chunk's worth is joined before a cut; a byte not UTF-8 ends the text uncut
+        text = "".join(held)
+        cut = records.match(text).end() if '"' in text else text.rfind("\n") + 1
+        held, size = [text[cut:]], size - cut
         if cut:
             yield text[:cut]
-        # A record that outgrows the text (a quote never closed) is looked at again at twice its length.
-        need = _CHUNK_CHARS if cut else need if whole else 2 * len(text)
-        rest = text[cut:]
-    if rest:
-        yield rest
+        # A record that outgrows the text (a quote never closed) is joined again at twice its length.
+        need = _CHUNK_CHARS if cut else 2 * size
+    if size:
+        held[:] = ["".join(held)]  # the blocks let go: one copy of the text while it is parsed
+        yield held[0]
 
 
 def _read_columns(
@@ -433,14 +438,13 @@ def _read_columns(
     at the rows per character read so far over ``size`` (the text's length, if
     known; doubled if not), capped at ``size`` bytes, as short first rows may be.
 
-    The header and :class:`TooShort` are whole-file decisions: the first record,
-    read as csv.reader reads it, is a header if its stamp does not parse (a quoted
-    ``"2000-01-03"`` is data), and a chunk whose rows leave the file short of two
-    is carried into the next.  A fault is the first chunk's to hold one, found as
-    the row path finds it there: a byte that is not UTF-8, a wrong field count
-    anywhere, then a bad stamp.  Unlike csv.reader, loadtxt reads a field longer
-    than ``csv.field_size_limit()``, and warns that blanks after a time of day are
-    a time zone (both read the same stamp)."""
+    The header and :class:`TooShort` are whole-file decisions: the first record, read as
+    csv.reader reads it, is a header if its stamp does not parse (a quoted ``"2000-01-03"``
+    is data), and a chunk whose rows leave the file short of two is carried into the next.
+    A fault is the first chunk's to hold one, found as the row path finds it there: a byte
+    that is not UTF-8, a wrong field count anywhere, then a bad stamp.  Unlike csv.reader,
+    loadtxt reads a field longer than ``csv.field_size_limit()``, and warns that blanks
+    after a time of day are a time zone (both read the same stamp)."""
     line, n, read = 1, 0, 0  # line: the file line the chunk at hand starts on
     header, carried = None, ""
     for chunk in _chunks(blocks, schema.delimiter):
@@ -516,7 +520,7 @@ def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.nda
     padded = (stamp_bytes[:, 0] <= ord(" ")).any()
     if np.isnat(ts).any() or padded or stamp_bytes[:, -1].any():
         return None
-    # The row path refuses a year that is not four digits (_NO_FOUR_DIGIT_YEAR).
+    # The row path refuses a year that is not four digits (_FOUR_DIGIT_YEAR).
     # Counted one stamp byte at a time, so that no temporary outlives its
     # count.  Bytes below "0" wrap to large values in uint8.
     digits = [np.count_nonzero(stamp_bytes[:, k] - np.uint8(ord("0")) < 10) for k in range(5)]
@@ -530,7 +534,9 @@ def _records(text: str, schema: CsvSchema, line: int = 1) -> Iterator[tuple[int,
     line after it, and its stripped stamp and price, ``text`` starting on line ``line``.
     A record csv.reader refuses, or one with too few fields, is :class:`MalformedRow`."""
     width = max(schema.timestamp_col, schema.price_col) + 1
-    rows = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    # Lines about _CHUNK_CHARS at a time: one io.StringIO would hold a carried text at 4 bytes a character.
+    pieces = (m[0] for m in re.finditer(rf"(?s:.{{1,{_CHUNK_CHARS}}}[^\n]*\n?)", text))
+    rows = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)), delimiter=schema.delimiter)
     end = line
     try:
         for row in rows:
@@ -568,11 +574,10 @@ def _read_rows(
     if nat.size:
         i = int(nat[0])
         raise MalformedRow(f"line {linenos[i]}: missing timestamp {ts_strs[i]!r}")
-    stamps = "\n".join(ts_strs)  # a stamp that parses holds no newline
-    if ts_strs and (bad := _NO_FOUR_DIGIT_YEAR.search(stamps)):
-        i = stamps.count("\n", 0, bad.start())
-        why = "is a bare integer, not an ISO date or time" if ts_strs[i].isdigit() else "has no four-digit year"
-        raise MalformedRow(f"line {linenos[i]}: timestamp {ts_strs[i]!r} {why}")
+    for s, lineno in zip(ts_strs, linenos):
+        if not _FOUR_DIGIT_YEAR.match(s):
+            why = "is a bare integer, not an ISO date or time" if s.isdigit() else "has no four-digit year"
+            raise MalformedRow(f"line {lineno}: timestamp {s!r} {why}")
     try:
         px = np.array(px_strs, dtype=np.float64)
     except ValueError:

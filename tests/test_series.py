@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -427,8 +428,12 @@ def test_quoted_delimiter_is_one_field():
 # A quote inside an unquoted field is a character, so the quotes before a
 # newline tell nothing: 2"x then "3<newline>4" are the second and third
 # fields of the second record, whose quotes on its first line are even.
-# The quoted first stamp is data, not a header.
-_STRAY_QUOTE_CSV = '"2000-01-03",a,b,1\n2000-01-04,2"x,"3\n4",5\n2000-01-05,c,"d\ne",6\n2000-01-06,f,g,{}\n'
+# In the third record, a quote after a quote is a doubled one, not the
+# closing quote: "d ""<newline>e"" f" is one field of two lines.  The
+# quoted first stamp is data, not a header.
+_STRAY_QUOTE_CSV = (
+    '"2000-01-03",a,b,1\n2000-01-04,2"x,"3\n4",5\n2000-01-05,c,"d ""\ne"" f",6\n2000-01-06,f,g,{}\n'
+)
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 4, 5, 6, 7, 8, 1 << 20])
@@ -480,6 +485,24 @@ def test_the_stream_is_read_once_by_read_alone():
     np.testing.assert_array_equal(prices.prices, np.arange(3, 32))
     # Every byte once, and one read past the end.
     assert sum(sizes) == len(data) and sizes.index(0) == len(sizes) - 1
+
+
+def test_quote_never_closed_is_refused_without_a_copy_of_the_rest():
+    # The record on line 2 never ends, so the rest of the text is one chunk,
+    # which the row path reads in pieces: one io.StringIO of it would take 4
+    # bytes a character.  csv.reader refuses the field at its size limit.
+    rows = "".join(f"2000-01-{5 + i % 20:02d},{i}\n" for i in range(100_000))
+    text = '2000-01-03,1\n2000-01-04,"2\n' + rows
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRow, match=r"^line \d+: field larger than field limit"):
+            parse_price_csv(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+    assert _outcome(_parse, text, CsvSchema()) == _outcome(_row_path, text, CsvSchema())
 
 
 _ODD_PRICES = ["1_0", "inf", "nan", "1e400", "+1.5", "0x10", "-2", "0", "", "abc", "1e-400", "\xa01"]
@@ -554,10 +577,16 @@ def test_column_path_matches_row_path(case):
 _SMALL_CHUNKS = st.integers(1, 64)
 
 
-def _row_path_on_line_prefixes(text, schema):
-    """What the whole-text row path gives on ``text`` cut after each of its lines."""
-    ends = [i + 1 for i, c in enumerate(text) if c == "\n"]
-    return [_outcome(_row_path, text[:end], schema) for end in ends]
+def _csv_rows(texts, delimiter):
+    """The rows csv.reader reads from each of ``texts`` in turn, up to the first
+    it refuses, and whether it refused one."""
+    rows = []
+    try:
+        for text in texts:
+            rows.extend(csv.reader(io.StringIO(text), delimiter=delimiter))
+    except csv.Error:
+        return rows, True
+    return rows, False
 
 
 def _doubted(chunk, schema=CsvSchema()):
@@ -566,19 +595,24 @@ def _doubted(chunk, schema=CsvSchema()):
 
 
 def _check_small_chunks(text, schema, chunk_chars):
-    """In small chunks the parse gives what the whole text gives, but for a file
-    with faults in two chunks: there it reports the earlier chunk's fault, which
-    is what the whole text cut after the end of that chunk gives.  Only chunks
-    that hold a doubt reach the row path, and none if one chunk did not."""
-    want = _outcome(_row_path, text, schema)
+    """In one chunk and in small ones, the parse gives what the whole text gives,
+    but for a fault: there it reports the fault of the first chunk to hold one,
+    which is what the text up to the end of that chunk gives.  Every chunk ends
+    where csv.reader ends a record.  Only chunks that hold a doubt reach the row
+    path, and none if the text in one chunk did not."""
     calls = []
     for size in (1 << 20, chunk_chars):
         with mock.patch.object(series, "_CHUNK_CHARS", size), mock.patch.object(
             series, "_read_rows", wraps=series._read_rows
         ) as read_rows:
             got = _outcome(_parse, text, schema)
+            chunks = list(series._chunks(series._blocks(io.StringIO(text)), schema.delimiter))
         calls.append([call.args[0] for call in read_rows.call_args_list])
-    assert got == want or (got[0] is MalformedRow and got in _row_path_on_line_prefixes(text, schema))
+        assert "".join(chunks) == text
+        assert _csv_rows(chunks, schema.delimiter) == _csv_rows([text], schema.delimiter)
+        ends = itertools.accumulate(map(len, chunks))
+        faults = (o for end in ends if (o := _outcome(_row_path, text[:end], schema))[0] is MalformedRow)
+        assert got == next(faults, _outcome(_row_path, text, schema))
     assert all(_doubted(chunk, schema) for chunk in calls[1])
     if not calls[0]:
         assert not calls[1]
