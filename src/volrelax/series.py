@@ -3,12 +3,13 @@
 The input format is a two-column CSV (``timestamp,price``) with ISO
 timestamps, either dates (daily data) or datetimes (intraday data).
 The text is UTF-8, with or without a byte-order mark.  It is read once,
-a chunk of about 256 KiB at a time cut between csv records, and each
-chunk's stamps and prices are written straight into the output columns:
-beyond them, the parse needs memory bounded by the chunk, not by the
-file.  ``np.loadtxt`` parses a chunk; one it doubts (a quote, a NUL, a
-field it refuses) is read by a ``csv.reader`` row path instead, which
-gives the same result and words each error with its file line.
+a chunk of about 256 KiB at a time cut after a newline, and each chunk's
+stamps and prices are written straight into the output columns: beyond
+them, the parse needs memory bounded by the chunk, not by the file.
+``np.loadtxt`` parses a chunk; one it doubts (a quote, a NUL, a field it
+refuses) is read by a ``csv.reader`` row path instead, which gives the
+same result, words each error with its file line, and alone says where
+a record ends: a chunk that ends inside one is read again with more.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
 is their absolute value.  Each return carries the slot-within-day index
 of its *left* timestamp, a view of the prices' own, so that intraday
@@ -355,17 +356,13 @@ def _reads(stream: IO[str] | IO[bytes]) -> Iterator[str | bytes]:
 
 
 def _read_text(stream: IO[str] | IO[bytes], where: str = "") -> str:
-    """The rest of ``stream`` as text without a leading byte-order mark, for the label,
-    config, factors and output table files.  A byte that is not UTF-8 is :class:`MalformedRow`,
-    naming its line after ``where``: the error holds the bytes that did not decode (for a text
-    stream, those it was decoding, the whole file if unread), and :func:`_not_utf8` counts lines."""
-    try:
-        raw = stream.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc.object.decode("utf-8", "surrogateescape"), where) from None
-    return raw.removeprefix("\ufeff")
+    """The rest of ``stream`` as :func:`_blocks` decodes it, for the label, config, factors
+    and output table files.  A byte that is not UTF-8 is :class:`MalformedRow`, naming its
+    line after ``where``, counted from where the read began."""
+    text = "".join(_blocks(stream))
+    if not text.isascii() and _UNDECODABLE.search(text):
+        raise _not_utf8(text, where)
+    return text
 
 
 def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
@@ -395,19 +392,10 @@ def _not_utf8(text: str, where: str = "", line: int = 1) -> MalformedRow:
     return MalformedRow(f"{where}line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 
-def _chunks(blocks: Iterable[str], delimiter: str) -> Iterator[str]:
-    """The text of ``blocks``, cut between two csv records once ``_CHUNK_CHARS`` came.
-
-    Without a quote, each newline ends a record.  With one, records are matched
-    as csv.reader reads them: a quote opens a field only at its start, ``""`` in
-    it is a quote (so no quote follows the closing one), and after the closing
-    quote the field goes on unquoted.  Any other quote is a character, so no
-    quote count finds a record's end: the lines ``2000-01-04,2"x,"3`` and ``4",5``
-    are one record.  A quote as the delimiter leaves the text one chunk."""
-    d = re.escape(delimiter)
-    # Group k, in a lookahead, takes a quoted field's inside whole and never gives it back.
-    field = lambda k: rf'(?:"(?=([^"]*(?:""[^"]*)*))\{k}"(?!")[^{d}\n]*|(?!")[^{d}\n]*)'  # noqa: E731
-    records = re.compile(rf"(?:{field(1)}(?:{d}{field(2)})*\n)*" if delimiter != '"' else "")
+def _chunks(blocks: Iterable[str], back: list[str]) -> Iterator[tuple[str, bool]]:
+    """The text of ``blocks``, cut after the last newline once ``_CHUNK_CHARS`` characters came,
+    each chunk with whether it is the last.  The end of a chunk put in ``back`` before the next is
+    asked for is joined again with the text after it once twice as much is held: linear work."""
     held, size, need = [], 0, _CHUNK_CHARS
     for block in blocks:
         held.append(block)
@@ -415,15 +403,21 @@ def _chunks(blocks: Iterable[str], delimiter: str) -> Iterator[str]:
         if size < need or not block.isascii() and _UNDECODABLE.search(block):
             continue  # a chunk's worth is joined before a cut; a byte not UTF-8 ends the text uncut
         text = "".join(held)
-        cut = records.match(text).end() if '"' in text else text.rfind("\n") + 1
-        held, size = [text[cut:]], size - cut
+        cut = text.rfind("\n") + 1
+        held, size = [text[cut:]], size - cut  # the blocks let go before the chunk is parsed
         if cut:
-            yield text[:cut]
-        # A record that outgrows the text (a quote never closed) is joined again at twice its length.
+            yield text[:cut], False
+            if back:  # the end of the chunk came back, to be joined again with the text after it
+                held.insert(0, back.pop())
+                size, cut = size + len(held[0]), 0
         need = _CHUNK_CHARS if cut else 2 * size
     if size:
         held[:] = ["".join(held)]  # the blocks let go: one copy of the text while it is parsed
-        yield held[0]
+        yield held[0], True
+
+
+class _Unfinished(Exception):
+    """A chunk that ends inside a csv record, or whose rows leave the file short of two."""
 
 
 def _read_columns(
@@ -438,39 +432,39 @@ def _read_columns(
     at the rows per character read so far over ``size`` (the text's length, if
     known; doubled if not), capped at ``size`` bytes, as short first rows may be.
 
-    The header and :class:`TooShort` are whole-file decisions: the first record, read as
-    csv.reader reads it, is a header if its stamp does not parse (a quoted ``"2000-01-03"``
-    is data), and a chunk whose rows leave the file short of two is carried into the next.
-    A fault is the first chunk's to hold one, found as the row path finds it there: a byte
-    that is not UTF-8, a wrong field count anywhere, then a bad stamp.  Unlike csv.reader,
-    loadtxt reads a field longer than ``csv.field_size_limit()``, and warns that blanks
-    after a time of day are a time zone (both read the same stamp)."""
+    A chunk the row path reads to end inside a record goes back to :func:`_chunks`, as does
+    one whose rows leave the file short of two: the header and :class:`TooShort` are whole-file
+    decisions.  The first record, read as csv.reader reads it, is a header if its stamp does
+    not parse (a quoted ``"2000-01-03"`` is data).  A fault is the first chunk's to hold one,
+    found as the row path finds it there: a byte that is not UTF-8, a wrong field count
+    anywhere, then a bad stamp.  Unlike csv.reader, loadtxt reads a field longer than
+    ``csv.field_size_limit()``, and warns that blanks after a time of day are a time zone
+    (both read the same stamp)."""
     line, n, read = 1, 0, 0  # line: the file line the chunk at hand starts on
-    header, carried = None, ""
-    for chunk in _chunks(blocks, schema.delimiter):
-        chunk, carried = carried + chunk, ""
+    header, back = None, []
+    for chunk, last in _chunks(blocks, back):
         if not chunk.isascii() and _UNDECODABLE.search(chunk):
             raise _not_utf8(chunk, line=line)
-        if header is None and (first := next(_records(chunk, schema, line), None)):
-            _, end, stamp, _ = first
-            header = schema.header if schema.header is not None else not _parses_as_time(stamp)
-            if header:
-                chunk, line = "".join(chunk.split("\n", end - line)[end - line :]), end
-        # Before the first record all is blank; lines of "\r" and "\n" alone are
-        # blank to csv.reader, and loadtxt warns on a chunk that holds nothing else.
-        if header is None or not chunk.strip("\r\n"):
-            line += chunk.count("\n")
-            continue
-        # Quotes move field boundaries in a way only csv.reader follows,
-        # and a trailing NUL would vanish from a bytes stamp.
-        lines = None if '"' in chunk or "\0" in chunk else chunk.split("\n")
-        columns = _read_chunk(lines, schema) if lines else None
-        if columns is None:
-            try:
-                columns = _read_rows(chunk, schema, line, n)
-            except TooShort as exc:  # the next chunk may hold the rows the file needs
-                carried, short = chunk, exc
+        try:
+            if header is None and (first := next(_records(chunk, schema, line, last), None)):
+                _, end, stamp, _ = first
+                header = schema.header if schema.header is not None else not _parses_as_time(stamp)
+                if header:
+                    chunk, line = "".join(chunk.split("\n", end - line)[end - line :]), end
+            # Before the first record all is blank; lines of "\r" and "\n" alone are blank to
+            # csv.reader, and loadtxt warns on a chunk that holds nothing else (matched, not copied).
+            if header is None or re.fullmatch("[\r\n]*", chunk):
+                line += chunk.count("\n")
                 continue
+            # Quotes move field boundaries in a way only csv.reader follows,
+            # and a trailing NUL would vanish from a bytes stamp.
+            lines = None if '"' in chunk or "\0" in chunk else chunk.split("\n")
+            columns = _read_chunk(lines, schema) if lines else None
+            if columns is None:
+                columns = _read_rows(chunk, schema, line, n, last)
+        except _Unfinished:
+            back.append(chunk)
+            continue
         line += len(lines) - 1 if lines else chunk.count("\n")
         del lines  # before the next chunk is read
         k, read = columns[0].size, read + len(chunk)
@@ -483,8 +477,6 @@ def _read_columns(
                 column.resize(max(n + k, rows), refcheck=False)
         ts[n : n + k], px[n : n + k] = columns
         n += k
-    if carried:
-        raise short
     if n < 2:
         raise TooShort(f"need at least 2 data rows, got {n}")
     for column in (ts, px):
@@ -529,18 +521,25 @@ def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.nda
     return ts, table["price"].copy()
 
 
-def _records(text: str, schema: CsvSchema, line: int = 1) -> Iterator[tuple[int, int, str, str]]:
+def _records(text: str, schema: CsvSchema, line: int = 1, last: bool = True) -> Iterator[tuple[int, int, str, str]]:
     """Each record of ``text`` csv.reader does not skip as blank: its first file line, the
     line after it, and its stripped stamp and price, ``text`` starting on line ``line``.
-    A record csv.reader refuses, or one with too few fields, is :class:`MalformedRow`."""
+    A record csv.reader refuses, or one with too few fields, is :class:`MalformedRow`, and one
+    ``text`` ends inside is :class:`_Unfinished` unless ``text`` is the ``last`` chunk."""
     width = max(schema.timestamp_col, schema.price_col) + 1
-    # Lines about _CHUNK_CHARS at a time: one io.StringIO would hold a carried text at 4 bytes a character.
+    # Lines about _CHUNK_CHARS at a time: one io.StringIO would hold a long chunk at 4 bytes a character.
     pieces = (m[0] for m in re.finditer(rf"(?s:.{{1,{_CHUNK_CHARS}}}[^\n]*\n?)", text))
-    rows = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)), delimiter=schema.delimiter)
+    lines = itertools.chain.from_iterable(map(io.StringIO, pieces))
+    # After a chunk that is not the last, an empty line on file line ``stop``: csv.reader
+    # reads it as a blank record of its own, or as nothing more of one the chunk ends inside.
+    stop = None if last else line + text.count("\n")
+    rows = csv.reader(lines if last else itertools.chain(lines, [""]), delimiter=schema.delimiter)
     end = line
     try:
         for row in rows:
             start, end = end, line + rows.line_num
+            if stop is not None and start < stop < end:
+                raise _Unfinished
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < width:
@@ -551,18 +550,18 @@ def _records(text: str, schema: CsvSchema, line: int = 1) -> Iterator[tuple[int,
 
 
 def _read_rows(
-    text: str, schema: CsvSchema, line: int = 1, before: int = 0
+    text: str, schema: CsvSchema, line: int = 1, before: int = 0, last: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and prices of the records of ``text`` (:func:`_records`), which words
-    every parse error with the file line of its record.  With the ``before`` rows the
-    file held ahead of ``text``, fewer than two are :class:`TooShort`, found first."""
+    every parse error with the file line of its record.  With the ``before`` rows the file held
+    ahead of ``text``, fewer than two are found first: :class:`TooShort` if ``last``, else :class:`_Unfinished`."""
     ts_strs, px_strs, linenos = [], [], []
-    for lineno, _, stamp, price in _records(text, schema, line):
+    for lineno, _, stamp, price in _records(text, schema, line, last):
         ts_strs.append(stamp)
         px_strs.append(price)
         linenos.append(lineno)
     if before + len(ts_strs) < 2:
-        raise TooShort(f"need at least 2 data rows, got {before + len(ts_strs)}")
+        raise TooShort(f"need at least 2 data rows, got {before + len(ts_strs)}") if last else _Unfinished
     try:
         ts = np.array(ts_strs, dtype="datetime64[s]")
     except ValueError:

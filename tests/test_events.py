@@ -216,6 +216,20 @@ def test_label_file_that_is_not_utf8_names_its_line(eol, tmp_path):
         read_label_file(str(path))
 
 
+def test_label_stream_read_partway_names_the_line_from_where_the_parse_began(tmp_path):
+    # A bad byte on file line 1501, after one line was read: line 1500 of what
+    # the parse read, as parse_price_csv counts.  Counted in the bytes the text
+    # stream's decoder held, it was "label line 1224".
+    rows = ["# date,origin,note"] + [f"2008-09-{1 + i % 28:02d},exogenous,note {i}" for i in range(2000)]
+    rows[1500] += "\udcff"
+    path = tmp_path / "labels.csv"
+    path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        with pytest.raises(MalformedRow, match=r"^label line 1500: byte 0xff is not UTF-8$"):
+            parse_label_file(fh)
+
+
 def test_apply_labels_matches_dates():
     days = (np.datetime64("2001-10-20") + np.arange(6)).astype("datetime64[s]")
     events = EventSet(

@@ -436,19 +436,55 @@ _STRAY_QUOTE_CSV = (
 )
 
 
+def _parse_in_pieces(text, schema, chunk_chars):
+    """What the parse of ``text`` in chunks of ``chunk_chars`` gives (:func:`_outcome`), the
+    pieces of the text it takes, each chunk of ``_chunks`` less what goes back to it, and
+    the texts its row path reads.  A chunk in which the parse stops is a piece whole."""
+    pieces, chunks = [], series._chunks
+
+    def taken(blocks, back):
+        for chunk, last in chunks(blocks, back):
+            pieces.append(chunk)
+            yield chunk, last
+            if back:
+                pieces[-1] = chunk[: len(chunk) - len(back[-1])]
+
+    with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
+        series, "_chunks", taken
+    ), mock.patch.object(series, "_read_rows", wraps=series._read_rows) as read_rows:
+        got = _outcome(_parse, text, schema)
+    return got, pieces, [call.args[0] for call in read_rows.call_args_list]
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 4, 5, 6, 7, 8, 1 << 20])
 def test_chunks_end_where_csv_reader_ends_a_record(chunk_chars):
     text = _STRAY_QUOTE_CSV.format(7)
+    schema = CsvSchema(price_col=3)
+    _, pieces, _ = _parse_in_pieces(text, schema, chunk_chars)
     with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
-        blocks = [text[i : i + chunk_chars] for i in range(0, len(text), chunk_chars)]
-        chunks = list(series._chunks(blocks, ","))
-        prices = _parse(text, CsvSchema(price_col=3))
+        prices = _parse(text, schema)
         with pytest.raises(MalformedRow, match=r"^line 6: unparseable price 'x'$"):
-            _parse(_STRAY_QUOTE_CSV.format("x"), CsvSchema(price_col=3))
-    assert "".join(chunks) == text
-    assert [row for chunk in chunks for row in csv.reader(io.StringIO(chunk))] == list(csv.reader(io.StringIO(text)))
+            _parse(_STRAY_QUOTE_CSV.format("x"), schema)
+    assert "".join(pieces) == text
+    assert [row for piece in pieces for row in csv.reader(io.StringIO(piece))] == list(csv.reader(io.StringIO(text)))
     np.testing.assert_array_equal(prices.prices, [1, 5, 6, 7])
     assert prices.timestamps[0] == np.datetime64("2000-01-03")
+
+
+@pytest.mark.parametrize("chunk_chars", [1 << 12, 1 << 16])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_field_at_the_size_limit_across_cuts_reads_as_in_one_text(chunk_chars, extra):
+    # A quoted note of exactly csv.field_size_limit() characters, its lines
+    # across chunk cuts, is read; one more character is refused where
+    # csv.reader refuses it in the whole text.  Nothing the parse adds to
+    # find the end of a chunk's last record may go into the field.
+    limit = csv.field_size_limit()
+    note = ("x" * 99 + "\n") * (limit // 100) + "y" * (limit % 100 + extra)
+    text = f'2000-01-03,1,a\n2000-01-04,2,"{note}"\n2000-01-05,3,b\n'
+    with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
+        got = _outcome(_parse, text, CsvSchema())
+    assert got == _outcome(_row_path, text, CsvSchema())
+    assert got[0] == ("daily" if not extra else MalformedRow)
 
 
 def test_faults_in_two_chunks_report_the_earlier_chunks():
@@ -488,9 +524,9 @@ def test_the_stream_is_read_once_by_read_alone():
 
 
 def test_quote_never_closed_is_refused_without_a_copy_of_the_rest():
-    # The record on line 2 never ends, so the rest of the text is one chunk,
-    # which the row path reads in pieces: one io.StringIO of it would take 4
-    # bytes a character.  csv.reader refuses the field at its size limit.
+    # The record on line 2 never ends.  csv.reader refuses its field at the
+    # size limit, in the first chunk, which the row path reads in pieces: one
+    # io.StringIO of it would take 4 bytes a character.
     rows = "".join(f"2000-01-{5 + i % 20:02d},{i}\n" for i in range(100_000))
     text = '2000-01-03,1\n2000-01-04,"2\n' + rows
     stream = io.StringIO(text)
@@ -503,6 +539,27 @@ def test_quote_never_closed_is_refused_without_a_copy_of_the_rest():
         tracemalloc.stop()
     assert peak < 4 * len(text)
     assert _outcome(_parse, text, CsvSchema()) == _outcome(_row_path, text, CsvSchema())
+
+
+def test_quote_never_closed_is_refused_before_the_rest_is_read():
+    # 200k minute rows with a quote opened on line 2 and never closed.  The
+    # parse reads the field up to csv.reader's size limit and a chunk either
+    # side of it, not the rest of the stream, and refuses it on the line the
+    # whole-text row path names.
+    lines = _minute_text(200_000).split("\n")
+    lines[1] = lines[1].replace(",", ',"')
+    text = "\n".join(lines)
+    stream, handed = io.StringIO(text), []
+
+    class Reader:
+        def read(self, size):
+            handed.append(len(block := stream.read(size)))
+            return block
+
+    with pytest.raises(MalformedRow, match=r"^line \d+: field larger than field limit") as refused:
+        parse_price_csv(Reader())
+    assert (MalformedRow, str(refused.value)) == _outcome(_row_path, text, CsvSchema())
+    assert sum(handed) <= csv.field_size_limit() + 2 * series._CHUNK_CHARS
 
 
 _ODD_PRICES = ["1_0", "inf", "nan", "1e400", "+1.5", "0x10", "-2", "0", "", "abc", "1e-400", "\xa01"]
@@ -547,6 +604,8 @@ def _csv_cases(draw):
         fields = [draw(st.sampled_from(_EXTRA_FIELDS)) for _ in range(ncols)]
         if rarely(8):
             fields[draw(st.integers(0, ncols - 1))] = f'"q{delim}1"'
+        if rarely(8):  # a record across lines, which a chunk cut may split
+            fields[draw(st.integers(0, ncols - 1))] = draw(st.sampled_from(['"a\nb"', '"a""\n""b"', '"\n\n"']))
         fields[ts_col] = draw(pad) + stamp + (" " if rarely(10) else "")
         fields[px_col] = draw(pad) + price + draw(pad)
         if rarely(20):
@@ -594,23 +653,36 @@ def _doubted(chunk, schema=CsvSchema()):
     return '"' in chunk or "\0" in chunk or series._read_chunk(chunk.split("\n"), schema) is None
 
 
+def _record_ends(text, delimiter):
+    """The offsets in ``text`` at which csv.reader ends a record, up to one it refuses."""
+    line_ends = [m.end() for m in re.finditer("\n", text)] + [len(text)]
+    rows, ends = csv.reader(io.StringIO(text), delimiter=delimiter), [0]
+    try:
+        for _ in rows:
+            ends.append(line_ends[rows.line_num - 1])
+    except csv.Error:
+        pass
+    return ends
+
+
 def _check_small_chunks(text, schema, chunk_chars):
     """In one chunk and in small ones, the parse gives what the whole text gives,
-    but for a fault: there it reports the fault of the first chunk to hold one,
-    which is what the text up to the end of that chunk gives.  Every chunk ends
+    but for a fault: there it reports the fault of the first piece it takes to hold
+    one, which is what the text up to the end of that piece gives, read to the end
+    of the record the piece ends in.  The pieces, each chunk less what goes back,
+    join to the text unless a fault stops the parse, and each but the last ends
     where csv.reader ends a record.  Only chunks that hold a doubt reach the row
     path, and none if the text in one chunk did not."""
-    calls = []
+    calls, records = [], _record_ends(text, schema.delimiter)
     for size in (1 << 20, chunk_chars):
-        with mock.patch.object(series, "_CHUNK_CHARS", size), mock.patch.object(
-            series, "_read_rows", wraps=series._read_rows
-        ) as read_rows:
-            got = _outcome(_parse, text, schema)
-            chunks = list(series._chunks(series._blocks(io.StringIO(text)), schema.delimiter))
-        calls.append([call.args[0] for call in read_rows.call_args_list])
-        assert "".join(chunks) == text
-        assert _csv_rows(chunks, schema.delimiter) == _csv_rows([text], schema.delimiter)
-        ends = itertools.accumulate(map(len, chunks))
+        got, pieces, doubted = _parse_in_pieces(text, schema, size)
+        calls.append(doubted)
+        joined = "".join(pieces)
+        assert joined == text or got[0] is MalformedRow and text.startswith(joined)
+        assert _csv_rows(pieces, schema.delimiter) == _csv_rows([joined], schema.delimiter)
+        ends = list(itertools.accumulate(map(len, pieces)))
+        assert set(ends[:-1]) <= set(records)
+        ends = [next((r for r in records if r >= end), len(text)) for end in ends]
         faults = (o for end in ends if (o := _outcome(_row_path, text[:end], schema))[0] is MalformedRow)
         assert got == next(faults, _outcome(_row_path, text, schema))
     assert all(_doubted(chunk, schema) for chunk in calls[1])

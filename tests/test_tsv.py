@@ -1,7 +1,10 @@
 """Output tables: exact writer bytes and reader errors."""
 
+from unittest import mock
+
 import pytest
 
+from volrelax import tsv
 from volrelax.errors import MalformedRow
 from volrelax.fitting import PowerLawFit, fit_report_row, read_fit_tsv, write_fit_tsv
 from volrelax.intraday import IntradayPattern, read_pattern_tsv, write_pattern_tsv
@@ -128,3 +131,22 @@ def test_readers_reject_malformed_files_naming_the_line(name, tmp_path):
         with pytest.raises(MalformedRow) as info:
             reader(str(path))
         assert str(info.value).startswith(f"{path} line {line}: "), (text, str(info.value))
+
+
+def test_table_read_partway_names_the_line_from_where_the_read_began(tmp_path):
+    # read_tsv decodes as the input readers do.  Handed a file with its first
+    # line read, it names a bad byte on file line 1501 as line 1500 of what it
+    # read; counted in the bytes the text stream's decoder held, it was line 468.
+    rows = ["slot\tfactor"] + [f"{i}\t1.0" for i in range(2000)]
+    rows[1500] += "\udcff"
+    path = tmp_path / "pattern.tsv"
+    path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape"))
+
+    def open_partway(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        fh.readline()
+        return fh
+
+    with mock.patch.object(tsv, "open", open_partway, create=True):
+        with pytest.raises(MalformedRow, match=rf"^{path} line 1500: byte 0xff is not UTF-8$"):
+            read_pattern_tsv(str(path))
