@@ -46,7 +46,7 @@ from .fitting import (
 from .intraday import estimate_pattern, remove_pattern, write_pattern_tsv
 from .profiles import cumulative, omori_counts, remanent_profile, write_omori_tsv, write_profile_tsv
 from .series import (
-    CsvSchema, _read_text, absolute_volatility, log_returns, mean_volatility, read_price_csv,
+    CsvSchema, _read_lines, absolute_volatility, log_returns, mean_volatility, read_price_csv,
     shuffle_surrogate,
 )
 from .synth import (
@@ -166,18 +166,18 @@ _OPTIONS = (
 )
 
 
-def _read_file(kind: str, path: str) -> str:
-    """The text of a config or factors file; one that cannot be read is exit 1."""
+def _read_file(kind: str, path: str) -> list[str]:
+    """The lines of a config or factors file; one that cannot be read is exit 1."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_text(fh)
+        with open(path, "rb") as fh:
+            return _read_lines(fh)
     except (OSError, MalformedRow) as exc:
         raise _ConfigError(f"cannot read {kind} file {path}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(_read_file("config", path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_file("config", path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -252,7 +252,7 @@ def _load_labels(spec: str):
             return load_packaged_labels(spec[len("builtin:") :])
         return read_label_file(spec)
     except KeyError as exc:
-        raise _ConfigError(str(exc)) from None
+        raise _ConfigError(exc.args[0]) from None
     except OSError as exc:
         raise _ConfigError(f"cannot read label file {spec}: {exc}") from None
 
@@ -487,7 +487,7 @@ def _slot_factors(c: RunConfig) -> np.ndarray:
     if not c.factors:
         x = 2.0 * (np.arange(c.slots_per_day) + 0.5) / c.slots_per_day - 1.0
         return 0.6 + 0.8 * x * x
-    return np.asarray([float(word) for word in _read_file("factors", c.factors).split()], dtype=np.float64)
+    return np.asarray([float(w) for line in _read_file("factors", c.factors) for w in line.split()], dtype=np.float64)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

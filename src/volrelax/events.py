@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import LabelDateUnmatched, MalformedRow, ZeroReturnEvent
-from .series import ReturnSeries, SeriesStats, VolatilitySeries, _array_fields, _read_text, mean_volatility
+from .series import ReturnSeries, SeriesStats, VolatilitySeries, _array_fields, _read_lines, mean_volatility
 
 __all__ = [
     "CRASH",
@@ -215,11 +215,12 @@ def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
     """Parse ``YYYY-MM-DD,origin[,note]`` rows; ``#`` starts a comment line.
 
     The text is UTF-8; a leading byte-order mark is dropped, and a byte
-    that is not UTF-8 is :class:`MalformedRow`, naming its line.
+    that is not UTF-8 is :class:`MalformedRow`, naming its line.  A line
+    ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode, so a
+    byte stream reads as :func:`read_label_file` reads its file.
     """
-    raw = _read_text(stream, "label ")
     labels: list[EventLabel] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(stream, "label "), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -239,8 +240,8 @@ def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
 
 
 def read_label_file(path: str) -> list[EventLabel]:
-    """Read a label file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a label file from disk, as :func:`parse_label_file` reads its bytes."""
+    with open(path, "rb") as fh:
         return parse_label_file(fh)
 
 
@@ -254,7 +255,7 @@ def load_packaged_labels(name: str) -> list[EventLabel]:
     """Load one of the label tables shipped with the package."""
     path = resources.files(__package__).joinpath("labels", f"{name}.csv")
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             return parse_label_file(fh)
     except FileNotFoundError:
         raise KeyError(

@@ -313,15 +313,12 @@ def _evaluate(samples: list[tuple[np.ndarray, np.ndarray]], points: list[tuple])
     """The loss of each point ``(s, row, p, tau)`` on the curve
     ``samples[s] = (t, log_v)``, ``log_v[row]``: one :func:`_losses` call
     per sample, branch and block of rows."""
-    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, int, float, float]]] = {}
     for i, (s, row, p, tau) in enumerate(points):
-        group = groups.setdefault((s, _branch(p, tau)), ([], [], [], []))
-        group[0].append(i)
-        group[1].append(row)
-        group[2].append(p)
-        group[3].append(tau)
+        groups.setdefault((s, _branch(p, tau)), []).append((i, row, p, tau))
     out = [0.0] * len(points)
-    for (s, branch), (idx, rows, ps, taus) in groups.items():
+    for (s, branch), group in groups.items():
+        idx, rows, ps, taus = map(list, zip(*group))
         t, log_v = samples[s]
         for lo in range(0, len(idx), 256):  # 256 rows at a time bound the temporaries
             block = slice(lo, lo + 256)
@@ -608,12 +605,11 @@ def bootstrap_errors(
             n_failed += 1
     if n_failed > 0.1 * B:
         raise BootstrapUnstable(f"{n_failed}/{B} bootstrap replicas failed to fit")
-    ok_m, ok_p = ~np.isnan(p_m), ~np.isnan(p_p)
     return BootstrapResult(
         p_minus=p_m,
         p_plus=p_p,
-        stderr_minus=float(np.std(p_m[ok_m], ddof=1)),
-        stderr_plus=float(np.std(p_p[ok_p], ddof=1)),
+        stderr_minus=float(np.std(p_m[~np.isnan(p_m)], ddof=1)),
+        stderr_plus=float(np.std(p_p[~np.isnan(p_p)], ddof=1)),
         n_failed=n_failed,
         n_replicas=B,
     )

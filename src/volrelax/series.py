@@ -70,6 +70,7 @@ _CHUNK_CHARS = 1 << 18
 _BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+_LINE_END = re.compile("\r\n?|\n")  # where a line ends in every file read, as in text mode
 
 
 @dataclass(frozen=True)
@@ -281,7 +282,9 @@ def _assign_slots(
 
 def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None) -> PriceSeries:
     """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`, reading the
-    stream once, from where it stands, by its ``read`` alone.
+    stream once, from where it stands, by its ``read`` alone.  A byte stream reads
+    as :func:`read_price_csv` reads its file: UTF-8, a line ending at ``"\\r\\n"``,
+    ``"\\r"`` or ``"\\n"``; a str stream reads as its caller decoded it.
 
     Raises
     ------
@@ -299,28 +302,28 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
 
 
 def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
-    """Read a price CSV from a file or a pipe (such as ``/dev/stdin``), its line ends
-    read as in text mode.  A file that is not UTF-8 is :class:`MalformedRow`, naming
-    the line of its first byte that is not."""
+    """Read a price CSV from a file or a pipe (such as ``/dev/stdin``) as :func:`parse_price_csv`
+    reads its bytes: a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, as in text mode.  A file
+    that is not UTF-8 is :class:`MalformedRow`, naming the line of its first byte that is not."""
     with open(path, "rb") as fh:
-        return _parse(fh, schema or CsvSchema(), translate=True)
+        return _parse(fh, schema or CsvSchema())
 
 
-def _parse(stream: IO[str] | IO[bytes], schema: CsvSchema, translate: bool = False) -> PriceSeries:
+def _parse(stream: IO[str] | IO[bytes], schema: CsvSchema) -> PriceSeries:
     try:  # the columns are sized from a regular file's size; a pipe or a memory stream has none
         st = os.fstat(stream.fileno())
     except (AttributeError, OSError):
         st = None
     size = st.st_size if st and stat.S_ISREG(st.st_mode) else None
-    return _price_series(*_read_columns(_blocks(stream, translate), schema, size), schema)
+    return _price_series(*_read_columns(_blocks(stream), schema, size), schema)
 
 
-def _blocks(stream: IO[str] | IO[bytes], translate: bool = False) -> Iterator[str]:
+def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
     """The rest of ``stream`` as text, a block at a time, without the leading byte-order
-    mark that would join the first stamp; bytes are decoded, their line ends made
-    ``"\\n"`` if ``translate``.  A byte that is not UTF-8 ends the text, with its
+    mark that would join the first stamp; bytes are decoded as text mode decodes a file, each
+    line end (``_LINE_END``) made ``"\\n"``.  A byte that is not UTF-8 ends the text, with its
     block's bytes before it, as ``surrogateescape`` text for the parse to name its line."""
-    newlines = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate)
+    newlines = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
     first = True
     try:
         for block in _reads(stream):
@@ -355,14 +358,15 @@ def _reads(stream: IO[str] | IO[bytes]) -> Iterator[str | bytes]:
     yield "".join(lines)
 
 
-def _read_text(stream: IO[str] | IO[bytes], where: str = "") -> str:
-    """The rest of ``stream`` as :func:`_blocks` decodes it, for the label, config, factors
-    and output table files.  A byte that is not UTF-8 is :class:`MalformedRow`, naming its
-    line after ``where``, counted from where the read began."""
+def _read_lines(stream: IO[str] | IO[bytes], where: str = "") -> list[str]:
+    """The lines of the rest of ``stream`` as :func:`_blocks` decodes it, split at ``_LINE_END``,
+    for the label, config, factors and output table files.  A byte that is not UTF-8 is
+    :class:`MalformedRow`, naming its line after ``where``, counted from where the read began."""
     text = "".join(_blocks(stream))
     if not text.isascii() and _UNDECODABLE.search(text):
         raise _not_utf8(text, where)
-    return text
+    lines = _LINE_END.split(text)
+    return lines[:-1] if lines[-1] == "" else lines  # a last line end starts no line
 
 
 def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
@@ -386,9 +390,9 @@ def _parses_as_time(field: str) -> bool:
 
 
 def _not_utf8(text: str, where: str = "", line: int = 1) -> MalformedRow:
-    """The error for a byte not UTF-8 in ``surrogateescape`` text from line ``line``, as text mode ends lines."""
+    """The error for a byte not UTF-8 in ``surrogateescape`` text from line ``line``, lines ended by ``_LINE_END``."""
     at = _UNDECODABLE.search(text).start()
-    line += text.count("\n", 0, at) + text.count("\r", 0, at) - text.count("\r\n", 0, at)
+    line += len(_LINE_END.findall(text, 0, at))
     return MalformedRow(f"{where}line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 

@@ -115,8 +115,7 @@ def _nearest_shock_distances(is_shock: np.ndarray) -> tuple[np.ndarray, np.ndarr
     last = np.maximum.accumulate(np.where(is_shock, pos, -1))
     d_prev = np.where(last >= 0, pos - last, np.inf)
     rev_last = np.maximum.accumulate(np.where(is_shock[::-1], pos, -1))[::-1]
-    nxt = (n - 1) - rev_last
-    d_next = np.where(rev_last >= 0, nxt - pos, np.inf)
+    d_next = np.where(rev_last >= 0, (n - 1) - rev_last - pos, np.inf)
     return d_prev, d_next
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import MalformedRow
-from .series import _read_text
+from .series import _read_lines
 
 __all__ = ["write_tsv", "read_tsv"]
 
@@ -56,19 +56,19 @@ def read_tsv(path: str, columns: Mapping[str, Callable[[str], object]]) -> dict[
         The header differs from ``columns`` (after a byte-order mark), a
         row has the wrong number of fields or a cell its converter rejects,
         or a byte is not UTF-8; the message names the file and the 1-based line.
+        A line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _read_text(fh, f"{path} ").splitlines()
-    names = tuple(columns)
-    header = "\t".join(names)
+    with open(path, "rb") as fh:
+        lines = _read_lines(fh, f"{path} ")
+    header = "\t".join(columns)
     if not lines or lines[0] != header:
         raise MalformedRow(f"{path} line 1: expected the header {header!r}")
-    out: dict[str, list] = {name: [] for name in names}
+    out: dict[str, list] = {name: [] for name in columns}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        if len(cells) != len(names):
+        if len(cells) != len(columns):
             raise MalformedRow(
-                f"{path} line {lineno}: expected {len(names)} fields, got {len(cells)}"
+                f"{path} line {lineno}: expected {len(columns)} fields, got {len(cells)}"
             )
         for (name, conv), cell in zip(columns.items(), cells):
             try:

@@ -241,6 +241,11 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     inf_cfg.write_text(f"command = analyze\ninput = {planted_csv}\nthresholds = inf\n")
     omori_cfg = tmp_path / "omori.cfg"
     omori_cfg.write_text(f"command = omori\ninput = {planted_csv}\nmain-threshold = nan\n")
+    weekly_cfg = tmp_path / "weekly.cfg"
+    weekly_cfg.write_text(f"input = {planted_csv}\ncadence = weekly\n")
+    no_pair_cfg = tmp_path / "no_pair.cfg"
+    no_pair_cfg.write_text(f"input {planted_csv}\n")
+    missing_labels = str(tmp_path / "missing_labels.csv")
     cases = [
         ["analyze", "--out", out],  # no input
         ["analyze", "--input", planted_csv],  # no out
@@ -272,13 +277,31 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         # One replica has no spread: its p_stderr would be NaN.
         ["analyze", "--input", planted_csv, "--out", out, "--bootstrap", "1"],
     ]
-    for argv in cases:
+    # Refusals whose error line is pinned.
+    worded = [
+        (["analyze", "--config", str(weekly_cfg), "--out", out],
+         "--cadence: expected one of ('1min', '5min', 'daily'), got 'weekly'"),
+        (["analyze", "--config", str(no_pair_cfg), "--out", out], f"{no_pair_cfg} line 1: expected 'key = value'"),
+        (["events", "--input", planted_csv, "--out", out, "--labels", missing_labels],
+         f"cannot read label file {missing_labels}: [Errno 2] No such file or directory: '{missing_labels}'"),
+        (["events", "--input", planted_csv, "--out", out, "--labels", "builtin:nope"],
+         f"no packaged label table 'nope'; available: {volrelax.packaged_label_names()}"),
+    ]
+    for argv, want in [(argv, None) for argv in cases] + worded:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert want is None or err == f"error: {want}\n"
         assert not os.path.exists(out), argv
         if argv[0] == "omori" and "--z1-thresholds" not in argv:
             assert "--main-threshold" in err, err
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_config_value_holding_a_character_text_mode_does_not_end_a_line_at(char, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(f"command = analyze\ninput = in{char}put.csv\n".encode("utf-8"))
+    assert cli._read_config_file(str(cfg)) == {"command": "analyze", "input": f"in{char}put.csv"}
 
 
 def test_bad_flag_value_exits_1(planted_csv, tmp_path):
@@ -650,6 +673,23 @@ def test_shuffle_surrogate_flattens_profiles(planted_csv, tmp_path):
 
     assert all(f == "zero_consistent" for f in flags(null_out))
     assert "signal" in flags(raw_out)
+
+
+def test_signal_check_flags_a_profile_without_lags_as_undefined(tmp_path, capsys):
+    # The only return above 20 sigma is the last: no lag after it is in the
+    # series, so the "+" profile is NaN throughout and its fit fails.
+    returns = np.random.default_rng(0).normal(0.0, 0.01, 1999)
+    returns[-1] = 1.0
+    prices = 100.0 * np.exp(np.concatenate(([0.0], np.cumsum(returns))))
+    stamps = np.datetime64("2000-01-03") + np.arange(2000)
+    csv = tmp_path / "daily.csv"
+    csv.write_text("timestamp,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(stamps, prices.tolist())))
+    out = str(tmp_path / "out")
+    assert main(["analyze", "--input", str(csv), "--out", out, "--thresholds", "20", "--max-lag", "50"]) == 3
+    lines = open(os.path.join(out, "signal_check.tsv"), encoding="utf-8").read().splitlines()
+    rows = {row[2]: row for row in (line.split("\t") for line in lines[1:])}
+    assert rows["+"] == ["20.0", "all", "+", "nan", "undefined"]
+    assert rows["-"][3] != "nan" and rows["-"][4] in ("signal", "zero_consistent")
 
 
 def test_omori_command(planted_csv, tmp_path):

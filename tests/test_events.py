@@ -201,6 +201,25 @@ def test_label_file_byte_order_mark_is_dropped(kind, tmp_path):
     ]
 
 
+# Characters str.splitlines() ends a line at, but text mode does not.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS)
+@pytest.mark.parametrize("kind", ["str", "bytes", "file"])
+def test_label_note_holding_a_character_text_mode_does_not_end_a_line_at(kind, char, tmp_path):
+    text = f"# note\n2008-09-19,exogenous,a{char}b\n"
+    if kind == "str":
+        labels = parse_label_file(io.StringIO(text))
+    elif kind == "bytes":
+        labels = parse_label_file(io.BytesIO(text.encode("utf-8")))
+    else:
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text.encode("utf-8"))
+        labels = read_label_file(str(path))
+    assert labels == [EventLabel(np.datetime64("2008-09-19"), "exogenous", f"a{char}b")]
+
+
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
 def test_label_file_that_is_not_utf8_names_its_line(eol, tmp_path):
     raw = eol.join([b"# r\xc3\xa9sum\xc3\xa9", b"2008-09-19,exogenous,caf\xe9", b""])

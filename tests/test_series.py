@@ -793,6 +793,29 @@ def test_file_that_is_not_utf8_names_its_line(tmp_path, eol):
             parse_price_csv(fh)
 
 
+_LINE_ENDS = {
+    "LF": b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
+    "CRLF": b"timestamp,price\r\n2000-01-03,1\r\n2000-01-04,2\r\n2000-01-05,3\r\n",
+    "CR": b"timestamp,price\r2000-01-03,1\r2000-01-04,2\r2000-01-05,3\r",
+    "stray CR in a price": b"timestamp,price\n2000-01-03,1\n2000-01-04,2\r5\n2000-01-05,3\n",
+    "stray CR in the header": b"time\rstamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_ENDS))
+def test_byte_stream_reads_as_its_file_does(name, tmp_path):
+    # A line ends at "\r\n", "\r" or "\n" in both, so a stray "\r" splits its line.
+    data = _LINE_ENDS[name]
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    from_file = _outcome(lambda at, schema: series.read_price_csv(at, schema), str(path), CsvSchema())
+    assert _outcome(parse_price_csv, io.BytesIO(data), CsvSchema()) == from_file
+    if name.startswith("stray"):
+        assert from_file[0] is MalformedRow
+    else:
+        assert from_file == _outcome(parse_price_csv, io.BytesIO(_LINE_ENDS["LF"]), CsvSchema())
+
+
 def _whole_text_parse(stream, schema=None):
     """The parse as it was before it read the stream in blocks, frozen as
     the reference: the whole text read first, then cut into chunks of at
@@ -805,7 +828,7 @@ def _whole_text_parse(stream, schema=None):
         raise series._not_utf8(text.read()) from None
     if isinstance(raw, bytes):
         try:
-            raw = raw.decode("utf-8")
+            raw = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
         except UnicodeDecodeError:
             raise series._not_utf8(raw.decode("utf-8", "surrogateescape")) from None
     raw = raw.removeprefix("\ufeff")

@@ -133,6 +133,13 @@ def test_readers_reject_malformed_files_naming_the_line(name, tmp_path):
         assert str(info.value).startswith(f"{path} line {line}: "), (text, str(info.value))
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_text_cell_holding_a_character_text_mode_does_not_end_a_line_at(char, tmp_path):
+    path = str(tmp_path / "table.tsv")
+    tsv.write_tsv(path, ("name", "x"), [[f"a{char}b", "c"], [1.0, 2.0]])
+    assert tsv.read_tsv(path, {"name": str, "x": float}) == {"name": [f"a{char}b", "c"], "x": [1.0, 2.0]}
+
+
 def test_table_read_partway_names_the_line_from_where_the_read_began(tmp_path):
     # read_tsv decodes as the input readers do.  Handed a file with its first
     # line read, it names a bad byte on file line 1501 as line 1500 of what it
