@@ -487,7 +487,14 @@ def _slot_factors(c: RunConfig) -> np.ndarray:
     if not c.factors:
         x = 2.0 * (np.arange(c.slots_per_day) + 0.5) / c.slots_per_day - 1.0
         return 0.6 + 0.8 * x * x
-    return np.asarray([float(w) for line in _read_file("factors", c.factors) for w in line.split()], dtype=np.float64)
+    factors = []
+    for lineno, line in enumerate(_read_file("factors", c.factors), start=1):
+        for word in line.split():
+            try:
+                factors.append(float(word))
+            except ValueError:
+                raise _ConfigError(f"cannot read factors file {c.factors}: line {lineno}: bad factor {word!r}") from None
+    return np.asarray(factors, dtype=np.float64)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -215,9 +215,9 @@ def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
     """Parse ``YYYY-MM-DD,origin[,note]`` rows; ``#`` starts a comment line.
 
     The text is UTF-8; a leading byte-order mark is dropped, and a byte
-    that is not UTF-8 is :class:`MalformedRow`, naming its line.  A line
-    ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode, so a
-    byte stream reads as :func:`read_label_file` reads its file.
+    that is not UTF-8 is :class:`MalformedRow`, naming its line.  Every
+    stream, str or bytes, reads as :func:`read_label_file` reads its file:
+    a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode.
     """
     labels: list[EventLabel] = []
     for lineno, line in enumerate(_read_lines(stream, "label "), start=1):

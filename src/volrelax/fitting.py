@@ -371,8 +371,7 @@ def _best_fit(
     free_tau: bool,
 ) -> PowerLawFit:
     """A curve's fit from its searches, taken in start order: the first
-    converged search with the least loss, where a loss of 0 ends the
-    choice."""
+    converged search with the least loss."""
     best: tuple[float, float, float] | None = None
     for res in results:
         if not res.success or res.fun >= _PENALTY / 2:
@@ -380,8 +379,6 @@ def _best_fit(
         if best is None or res.fun < best[0]:
             tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
             best = (float(res.fun), float(res.x[0]), tau_hat)
-        if best is not None and best[0] == 0.0:
-            break
     if best is None:
         raise NonConvergence(
             f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"

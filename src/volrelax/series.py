@@ -70,7 +70,6 @@ _CHUNK_CHARS = 1 << 18
 _BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
-_LINE_END = re.compile("\r\n?|\n")  # where a line ends in every file read, as in text mode
 
 
 @dataclass(frozen=True)
@@ -282,9 +281,9 @@ def _assign_slots(
 
 def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None) -> PriceSeries:
     """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`, reading the
-    stream once, from where it stands, by its ``read`` alone.  A byte stream reads
-    as :func:`read_price_csv` reads its file: UTF-8, a line ending at ``"\\r\\n"``,
-    ``"\\r"`` or ``"\\n"``; a str stream reads as its caller decoded it.
+    stream once, from where it stands, by its ``read`` alone.  Every stream, str or
+    bytes, reads as :func:`read_price_csv` reads its file: UTF-8, a line ending at
+    ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``.
 
     Raises
     ------
@@ -298,42 +297,40 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
-    return _parse(stream, schema or CsvSchema())
-
-
-def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
-    """Read a price CSV from a file or a pipe (such as ``/dev/stdin``) as :func:`parse_price_csv`
-    reads its bytes: a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, as in text mode.  A file
-    that is not UTF-8 is :class:`MalformedRow`, naming the line of its first byte that is not."""
-    with open(path, "rb") as fh:
-        return _parse(fh, schema or CsvSchema())
-
-
-def _parse(stream: IO[str] | IO[bytes], schema: CsvSchema) -> PriceSeries:
     try:  # the columns are sized from a regular file's size; a pipe or a memory stream has none
         st = os.fstat(stream.fileno())
     except (AttributeError, OSError):
         st = None
     size = st.st_size if st and stat.S_ISREG(st.st_mode) else None
+    schema = schema or CsvSchema()
     return _price_series(*_read_columns(_blocks(stream), schema, size), schema)
 
 
+def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
+    """Read a price CSV from a file or a pipe (such as ``/dev/stdin``) as :func:`parse_price_csv`
+    reads any stream: a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, as in text mode.  A file
+    that is not UTF-8 is :class:`MalformedRow`, naming the line of its first byte that is not."""
+    with open(path, "rb") as fh:
+        return parse_price_csv(fh, schema)
+
+
 def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
-    """The rest of ``stream`` as text, a block at a time, without the leading byte-order
-    mark that would join the first stamp; bytes are decoded as text mode decodes a file, each
-    line end (``_LINE_END``) made ``"\\n"``.  A byte that is not UTF-8 ends the text, with its
-    block's bytes before it, as ``surrogateescape`` text for the parse to name its line."""
-    newlines = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    """The rest of ``stream`` as text, a block at a time, without the leading byte-order mark
+    that would join the first stamp.  Str or bytes, it reads as text mode reads a file: UTF-8,
+    each ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` made ``"\\n"``, the only line end downstream.  A byte
+    not UTF-8 ends the text, with its block's bytes before it, as ``surrogateescape`` text."""
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
     first = True
     try:
         for block in _reads(stream):
-            text = block if isinstance(block, str) else newlines.decode(block)
+            text = newlines.decode(block if isinstance(block, str) else utf8.decode(block))
             if first and text:
                 text, first = text.removeprefix("\ufeff"), False
             yield text
-        yield newlines.decode(b"", final=True)
-    except UnicodeDecodeError as exc:  # after the "\r" the decoder may hold back
-        yield "\r" * (newlines.getstate()[1] & 1) + exc.object[: exc.end].decode("utf-8", "surrogateescape")
+        yield newlines.decode(utf8.decode(b"", final=True), final=True)
+    except UnicodeDecodeError as exc:
+        yield newlines.decode(exc.object[: exc.end].decode("utf-8", "surrogateescape"), final=True)
 
 
 def _reads(stream: IO[str] | IO[bytes]) -> Iterator[str | bytes]:
@@ -359,13 +356,13 @@ def _reads(stream: IO[str] | IO[bytes]) -> Iterator[str | bytes]:
 
 
 def _read_lines(stream: IO[str] | IO[bytes], where: str = "") -> list[str]:
-    """The lines of the rest of ``stream`` as :func:`_blocks` decodes it, split at ``_LINE_END``,
+    """The lines of the rest of ``stream``, str or bytes, as its file reads them (:func:`_blocks`),
     for the label, config, factors and output table files.  A byte that is not UTF-8 is
     :class:`MalformedRow`, naming its line after ``where``, counted from where the read began."""
     text = "".join(_blocks(stream))
     if not text.isascii() and _UNDECODABLE.search(text):
         raise _not_utf8(text, where)
-    lines = _LINE_END.split(text)
+    lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines  # a last line end starts no line
 
 
@@ -390,9 +387,9 @@ def _parses_as_time(field: str) -> bool:
 
 
 def _not_utf8(text: str, where: str = "", line: int = 1) -> MalformedRow:
-    """The error for a byte not UTF-8 in ``surrogateescape`` text from line ``line``, lines ended by ``_LINE_END``."""
+    """The error for a byte not UTF-8 in ``surrogateescape`` text of :func:`_blocks` from line ``line``."""
     at = _UNDECODABLE.search(text).start()
-    line += len(_LINE_END.findall(text, 0, at))
+    line += text.count("\n", 0, at)
     return MalformedRow(f"{where}line {line}: byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 
@@ -455,9 +452,9 @@ def _read_columns(
                 header = schema.header if schema.header is not None else not _parses_as_time(stamp)
                 if header:
                     chunk, line = "".join(chunk.split("\n", end - line)[end - line :]), end
-            # Before the first record all is blank; lines of "\r" and "\n" alone are blank to
-            # csv.reader, and loadtxt warns on a chunk that holds nothing else (matched, not copied).
-            if header is None or re.fullmatch("[\r\n]*", chunk):
+            # Before the first record all is blank; empty lines are blank to csv.reader,
+            # and loadtxt warns on a chunk that holds nothing else (matched, not copied).
+            if header is None or re.fullmatch("\n*", chunk):
                 line += chunk.count("\n")
                 continue
             # Quotes move field boundaries in a way only csv.reader follows,
@@ -490,8 +487,7 @@ def _read_columns(
 
 def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
     """One chunk's stamps and prices, read by loadtxt from its lines, or ``None`` on any doubt."""
-    # Without quotes, csv.reader's records are the "\n"-separated lines;
-    # loadtxt drops the "\r" of a CRLF line end itself.
+    # Without quotes, csv.reader's records are the "\n"-separated lines.
     try:
         table = np.loadtxt(
             lines,

@@ -56,7 +56,7 @@ def read_tsv(path: str, columns: Mapping[str, Callable[[str], object]]) -> dict[
         The header differs from ``columns`` (after a byte-order mark), a
         row has the wrong number of fields or a cell its converter rejects,
         or a byte is not UTF-8; the message names the file and the 1-based line.
-        A line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode.
+        A line ends as in every file read: at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone.
     """
     with open(path, "rb") as fh:
         lines = _read_lines(fh, f"{path} ")

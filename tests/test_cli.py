@@ -245,6 +245,8 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     weekly_cfg.write_text(f"input = {planted_csv}\ncadence = weekly\n")
     no_pair_cfg = tmp_path / "no_pair.cfg"
     no_pair_cfg.write_text(f"input {planted_csv}\n")
+    maybe_cfg = tmp_path / "maybe.cfg"
+    maybe_cfg.write_text(f"input = {planted_csv}\nno_intraday_removal = maybe\n")
     missing_labels = str(tmp_path / "missing_labels.csv")
     cases = [
         ["analyze", "--out", out],  # no input
@@ -286,6 +288,10 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
          f"cannot read label file {missing_labels}: [Errno 2] No such file or directory: '{missing_labels}'"),
         (["events", "--input", planted_csv, "--out", out, "--labels", "builtin:nope"],
          f"no packaged label table 'nope'; available: {volrelax.packaged_label_names()}"),
+        (["analyze", "--config", str(maybe_cfg), "--out", out], "--no-intraday-removal: invalid value 'maybe'"),
+        # Daily stamps declared intraday have one time of day, so no slot grid.
+        (["pattern", "--input", planted_csv, "--out", out, "--cadence", "1min"],
+         "intraday removal needs a slot grid: pass --slots-per-day or disable with --no-intraday-removal"),
     ]
     for argv, want in [(argv, None) for argv in cases] + worded:
         assert main(argv) == 1, argv
@@ -380,7 +386,7 @@ def test_config_command_mismatch_exits_1(planted_csv, tmp_path):
     assert main(["omori", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(planted_csv, tmp_path, capsys):
     out = str(tmp_path / "out")
     bad_row = tmp_path / "bad_row.csv"
     bad_row.write_text("2000-01-03,100.0\n2000-01-04\n")
@@ -390,6 +396,13 @@ def test_data_errors_exit_2(tmp_path):
     short.write_text("2000-01-03,100.0\n")
     for path in (bad_row, bad_price, short):
         assert main(["analyze", "--input", str(path), "--out", out]) == 2, path
+    # Daily stamps declared intraday: every step crosses a session.
+    capsys.readouterr()
+    argv = ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "1",
+            "--no-intraday-removal", "--drop-session-crossing"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "data error: TooShort: no returns left after dropping session-crossing steps\n"
+    assert not os.path.exists(out)
 
 
 def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
@@ -910,6 +923,11 @@ def test_synth_invalid_args_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["synth", "--mode", "modulated", "--factors", missing, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read factors file {missing}:")
+    bad = tmp_path / "f.txt"
+    bad.write_text("2.0 0.5\nabc\n")
+    assert main(["synth", "--mode", "modulated", "--factors", str(bad), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: cannot read factors file {bad}: line 2: bad factor 'abc'\n"
+    assert not os.path.exists(out)
 
 
 _WITHOUT_SCIPY = """

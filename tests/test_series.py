@@ -338,10 +338,15 @@ def _whole_text_rows(raw, schema):
     return ts, px
 
 
+def _as_read(text):
+    """``text`` as a file holding it reads: each "\r\n", "\r" or "\n" made "\n"."""
+    return io.StringIO(text, newline=None).read()
+
+
 def _row_path(text, schema=None):
-    """The whole-text row path on its own: the reference for the parse."""
+    """The whole-text row path on its own, of ``text`` as its file reads it: the reference for the parse."""
     schema = schema or CsvSchema()
-    return series._price_series(*_whole_text_rows(text, schema), schema)
+    return series._price_series(*_whole_text_rows(_as_read(text), schema), schema)
 
 
 def _outcome(parse, text, schema):
@@ -399,7 +404,7 @@ def test_plain_csv_takes_the_column_path_in_tiny_chunks(monkeypatch, chunk_chars
         ),
         # To csv.reader a line of blanks and a delimiter is a record, here the header.
         ("\t\n2000-01-03\t1\n2000-01-04\t2\n2000-01-05\t3\n", CsvSchema(delimiter="\t", header=True)),
-        # loadtxt never sees a dropped header line, and csv.reader rejects its "\r".
+        # A lone "\r" ends a blank line before the header, as in a file.
         ("\r2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n", CsvSchema(header=True)),
         # Parsed unstripped, the second stamp would read as year 1.
         ("2000-01-03,1\n\t-01-05,2\n", CsvSchema()),
@@ -672,19 +677,20 @@ def _check_small_chunks(text, schema, chunk_chars):
     of the record the piece ends in.  The pieces, each chunk less what goes back,
     join to the text unless a fault stops the parse, and each but the last ends
     where csv.reader ends a record.  Only chunks that hold a doubt reach the row
-    path, and none if the text in one chunk did not."""
-    calls, records = [], _record_ends(text, schema.delimiter)
+    path, and none if the text in one chunk did not.  The text is what its file reads."""
+    read = _as_read(text)
+    calls, records = [], _record_ends(read, schema.delimiter)
     for size in (1 << 20, chunk_chars):
         got, pieces, doubted = _parse_in_pieces(text, schema, size)
         calls.append(doubted)
         joined = "".join(pieces)
-        assert joined == text or got[0] is MalformedRow and text.startswith(joined)
+        assert joined == read or got[0] is MalformedRow and read.startswith(joined)
         assert _csv_rows(pieces, schema.delimiter) == _csv_rows([joined], schema.delimiter)
         ends = list(itertools.accumulate(map(len, pieces)))
         assert set(ends[:-1]) <= set(records)
-        ends = [next((r for r in records if r >= end), len(text)) for end in ends]
-        faults = (o for end in ends if (o := _outcome(_row_path, text[:end], schema))[0] is MalformedRow)
-        assert got == next(faults, _outcome(_row_path, text, schema))
+        ends = [next((r for r in records if r >= end), len(read)) for end in ends]
+        faults = (o for end in ends if (o := _outcome(_row_path, read[:end], schema))[0] is MalformedRow)
+        assert got == next(faults, _outcome(_row_path, read, schema))
     assert all(_doubted(chunk, schema) for chunk in calls[1])
     if not calls[0]:
         assert not calls[1]
@@ -797,41 +803,49 @@ _LINE_ENDS = {
     "LF": b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
     "CRLF": b"timestamp,price\r\n2000-01-03,1\r\n2000-01-04,2\r\n2000-01-05,3\r\n",
     "CR": b"timestamp,price\r2000-01-03,1\r2000-01-04,2\r2000-01-05,3\r",
+    "CRLF, a bad price": b"timestamp,price\r\n2000-01-03,1\r\n2000-01-04,x\r\n2000-01-05,3\r\n",
     "stray CR in a price": b"timestamp,price\n2000-01-03,1\n2000-01-04,2\r5\n2000-01-05,3\n",
     "stray CR in the header": b"time\rstamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_LINE_ENDS))
-def test_byte_stream_reads_as_its_file_does(name, tmp_path):
-    # A line ends at "\r\n", "\r" or "\n" in both, so a stray "\r" splits its line.
+def test_every_stream_reads_as_its_file_does(name, tmp_path):
+    # A line ends at "\r\n", "\r" or "\n" in each, so a stray "\r" splits its line:
+    # a str stream, a text file that leaves line ends alone and a byte stream alike.
     data = _LINE_ENDS[name]
     path = tmp_path / "prices.csv"
     path.write_bytes(data)
     from_file = _outcome(lambda at, schema: series.read_price_csv(at, schema), str(path), CsvSchema())
-    assert _outcome(parse_price_csv, io.BytesIO(data), CsvSchema()) == from_file
-    if name.startswith("stray"):
-        assert from_file[0] is MalformedRow
-    else:
+    with open(path, encoding="utf-8", newline="") as text_file:
+        streams = [io.StringIO(data.decode()), text_file, io.BytesIO(data)]
+        assert [_outcome(parse_price_csv, stream, CsvSchema()) for stream in streams] == [from_file] * 3
+    # A read that ends on a "\r" leaves the "\n" after it to the next: one line end.
+    for at in (m.end() for m in re.finditer(b"\r", data)):
+        with mock.patch.object(series, "_CHUNK_CHARS", at):
+            streams = [io.StringIO(data.decode()), io.BytesIO(data)]
+            assert [_outcome(parse_price_csv, stream, CsvSchema()) for stream in streams] == [from_file] * 2
+    if name in ("LF", "CRLF", "CR"):
         assert from_file == _outcome(parse_price_csv, io.BytesIO(_LINE_ENDS["LF"]), CsvSchema())
+    else:
+        assert from_file[0] is MalformedRow
 
 
 def _whole_text_parse(stream, schema=None):
     """The parse as it was before it read the stream in blocks, frozen as
-    the reference: the whole text read first, then cut into chunks of at
-    least ``_CHUNK_CHARS`` characters."""
+    the reference: the whole text read first, as its file reads it, then cut
+    into chunks of at least ``_CHUNK_CHARS`` characters."""
     schema = schema or CsvSchema()
     try:
         raw = stream.read()
     except UnicodeDecodeError as exc:
-        text = io.TextIOWrapper(io.BytesIO(exc.object), encoding="utf-8", errors="surrogateescape")
-        raise series._not_utf8(text.read()) from None
+        raise series._not_utf8(_as_read(exc.object.decode("utf-8", "surrogateescape"))) from None
     if isinstance(raw, bytes):
         try:
-            raw = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+            raw = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise series._not_utf8(raw.decode("utf-8", "surrogateescape")) from None
-    raw = raw.removeprefix("\ufeff")
+            raise series._not_utf8(_as_read(raw.decode("utf-8", "surrogateescape"))) from None
+    raw = _as_read(raw).removeprefix("\ufeff")
     columns = None if '"' in raw or "\0" in raw else _whole_text_columns(raw, schema)
     ts, px = columns if columns is not None else _whole_text_rows(raw, schema)
     return series._price_series(ts, px, schema)
@@ -857,8 +871,6 @@ def _whole_text_columns(raw, schema):
         skip_header = not series._parses_as_time(fields[schema.timestamp_col].strip())
     pos = 0
     if skip_header:
-        if any("\r" in line[:-1] for line in raw[:line_end].split("\n")):
-            return None
         pos = line_end + 1
     ts_parts, px_parts = [], []
     while pos < len(raw):
@@ -866,7 +878,7 @@ def _whole_text_columns(raw, schema):
         end = len(raw) if cut < 0 else cut + 1
         chunk = raw[pos:end]
         pos = end
-        if not chunk.strip("\r\n"):
+        if not chunk.strip("\n"):
             continue
         columns = series._read_chunk(chunk.split("\n"), schema)
         if columns is None:
@@ -892,7 +904,7 @@ _LATE_FAULTS = {
 }
 _NOT_UTF8 = {"not UTF-8", "UTF-8 cut at the end"}
 # csv.reader refuses a quoted header of one field, which a split would
-# not, and a stray "\r" in a header, which loadtxt never sees.
+# not, and a header a stray "\r" splits into a line of one field.
 _FAULTY_PREFIXES = ['"time,stamp"\n', "time\rstamp,price\n"]
 _PREFIXES = [
     "", "\ufeff", "timestamp,price\n", "\ufefftimestamp,price\n", *_FAULTY_PREFIXES,
