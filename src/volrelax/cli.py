@@ -57,8 +57,8 @@ from .tsv import write_tsv
 
 __all__ = ["main", "RunConfig"]
 
-# Threshold of |mean v(t)| over t in [1, 100] below which a profile is
-# reported as consistent with zero signal (the i.i.d. null bound).
+# A profile is flagged zero_consistent when |mean v(t)| over the lags 1..min(100, max_lag)
+# that hold a value is below this bound, which is fixed: it ignores the event count.
 _NULL_BOUND = 0.01
 
 

@@ -218,6 +218,9 @@ def parse_label_file(stream: IO[str] | IO[bytes]) -> list[EventLabel]:
     that is not UTF-8 is :class:`MalformedRow`, naming its line.  Every
     stream, str or bytes, reads as :func:`read_label_file` reads its file:
     a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` alone, as in text mode.
+    A text file can name a byte that is not UTF-8 one line early (when a read
+    ends on the ``"\\r"`` before it): for an exact line, pass the path to
+    :func:`read_label_file` or a binary stream.
     """
     labels: list[EventLabel] = []
     for lineno, line in enumerate(_read_lines(stream, "label "), start=1):

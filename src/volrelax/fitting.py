@@ -40,7 +40,7 @@ from .errors import (
 )
 from .events import EventSet
 from .profiles import CumulativeProfile, _profile_from_indices, cumulative
-from .series import VolatilitySeries
+from .series import VolatilitySeries, mean_volatility
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -226,28 +226,18 @@ def _ln_g(t: np.ndarray, p: np.ndarray, tau: np.ndarray, branch: int) -> np.ndar
     return np.log(power * np.expm1(q * np.log1p(t / tau)) / q)
 
 
-def _log_model(t: np.ndarray, p: float, tau: float) -> np.ndarray | None:
-    """``ln g(t; p, tau)`` for the integrated-relaxation shape, or None
-    where the parameters are invalid / overflow."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ln_g = _ln_g(t, np.array([p]), np.array([tau]), _branch(p, tau))
-    if ln_g is None or not np.all(np.isfinite(ln_g)):
-        return None
-    return ln_g[0]
-
-
 def _losses(
     t: np.ndarray, log_v: np.ndarray, p: np.ndarray, tau: np.ndarray, branch: int
 ) -> np.ndarray:
     """Mean squared residual of ``log_v[k] - ln g(t; p[k], tau[k])`` about
     its mean, per row ``k``; every row takes ``branch``.
 
-    ``_PENALTY`` wherever :func:`_log_model` gives None, and otherwise
-    bit-identical to computing with its ``ln g`` and ``np.mean`` (for a
-    float64 row that is ``sum() / size``).  It is the inner loop of every
-    fit, so it enters no ``np.errstate`` (the fit holds one) and tests
-    ``ln g`` for non-finite entries only in rows whose loss is not
-    finite, which any such entry makes it.
+    ``_PENALTY`` wherever the row's ``ln g`` is None or not finite, and
+    otherwise bit-identical to computing with its one-row ``ln g`` and
+    ``np.mean`` (for a float64 row that is ``sum() / size``).  It is the
+    inner loop of every fit, so it enters no ``np.errstate`` (the fit holds
+    one) and tests ``ln g`` for non-finite entries only in rows whose loss
+    is not finite, which any such entry makes it.
     """
     ln_g = _ln_g(t, p, tau, branch)
     if ln_g is None:
@@ -384,8 +374,7 @@ def _best_fit(
             f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
         )
     _, p_hat, tau_hat = best
-    ln_g = _log_model(t, p_hat, tau_hat)
-    assert ln_g is not None
+    ln_g = _ln_g(t, np.array([p_hat]), np.array([tau_hat]), _branch(p_hat, tau_hat))[0]
     ln_a = float(np.mean(log_v - ln_g))
     resid = log_v - ln_g - ln_a
     return PowerLawFit(
@@ -572,7 +561,7 @@ def bootstrap_errors(
         raise ValueError("need at least 2 bootstrap replicas")
     if len(events) == 0:
         raise NoEvents("cannot bootstrap an empty event set")
-    sigma = float(np.mean(vol.values))
+    sigma = mean_volatility(vol).sigma
     n_ev = len(events)
     cums: list[CumulativeProfile | None] = []
     for r in range(B):

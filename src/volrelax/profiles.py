@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateZ, EmptySeries, NoEvents
+from .errors import DegenerateZ, NoEvents
 from .events import EventSet
-from .series import SeriesStats, VolatilitySeries, _array_fields
+from .series import SeriesStats, VolatilitySeries, _array_fields, mean_volatility
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -270,10 +270,7 @@ def remanent_profile(vol: VolatilitySeries, events: EventSet, max_lag: int) -> C
         raise ValueError("max_lag must be >= 1")
     if len(events) == 0:
         raise NoEvents("cannot condition on an empty event set")
-    if len(vol) == 0:
-        raise EmptySeries("empty volatility series")
-    sigma = float(np.mean(vol.values))
-    return _profile_from_indices(vol.values, events.indices, max_lag, sigma)
+    return _profile_from_indices(vol.values, events.indices, max_lag, mean_volatility(vol).sigma)
 
 
 def cumulative(profile: ConditionedProfile) -> CumulativeProfile:

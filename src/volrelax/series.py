@@ -283,7 +283,9 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`, reading the
     stream once, from where it stands, by its ``read`` alone.  Every stream, str or
     bytes, reads as :func:`read_price_csv` reads its file: UTF-8, a line ending at
-    ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``.
+    ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``.  A text file can name a byte that is not UTF-8
+    one line early (when a read ends on the ``"\\r"`` before it): for an exact line, pass
+    the path to :func:`read_price_csv` or a binary stream.
 
     Raises
     ------

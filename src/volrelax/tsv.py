@@ -1,9 +1,11 @@
 """Tab-separated output tables: one writer and one reader for every file.
 
-A table is a header row of column names, then one row per record.
-Floats are written as ``repr(float)``, which reads back bit for bit
-(``nan``, ``inf`` and ``-inf`` included), integers as ``str(int)`` and
-strings as they are.
+A table is a header row of column names, then one row per record.  Each
+column is written by its numpy kind, as ``np.asarray(column)`` gives it:
+a float column as ``repr(float)`` of each cell, which reads back bit for
+bit (``nan``, ``inf`` and ``-inf`` included), and any other column
+(integers, strings) as ``str`` of each cell.  So a column that mixes
+integers and floats is written as floats.
 """
 
 from __future__ import annotations
@@ -18,21 +20,9 @@ from .series import _read_lines
 __all__ = ["write_tsv", "read_tsv"]
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _formatted(column: Iterable) -> Iterable[str]:
-    # Whole numeric arrays skip the per-cell type dispatch.
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(repr, column.tolist())
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return map(str, column.tolist())
-    return map(_cell, column)
+    values = np.asarray(column)
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
 def write_tsv(path: str, header: Iterable[str], columns: Iterable[Iterable]) -> None:

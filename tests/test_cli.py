@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, outputs, config layering, determinism."""
 
+import ast
 import contextlib
 import filecmp
 import io
@@ -725,6 +726,44 @@ def test_omori_command(planted_csv, tmp_path):
     assert np.all(np.diff(cols["N_plus"]) >= 0)
     assert np.all(cols["N_plus"] <= cols["t"])
     assert cols["N_plus"][-1] > 0
+
+
+def _traced_cli_calls():
+    """``CLI_CALLS`` of the benchmark's tracer, read from its source without running it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CLI_CALLS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_layer_call_the_tracer_wraps_goes_through_cli(intraday_csv, daily_csv, tmp_path, monkeypatch):
+    # perfbench/tracing.py times each layer by swapping its name on volrelax.cli.
+    # A layer call that no longer goes through that global leaves the layer's
+    # metrics at 0 without an error, so every name must be reached through it.
+    names = [name for _, name in _traced_cli_calls()]
+    assert len(names) == 16
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    intraday = ["--input", intraday_csv, "--thresholds", "4", "--max-lag", "50", "--fit-max", "30"]
+    # The i.i.d. intraday series leaves too few positive points to fit (exit 3),
+    # after every layer has run.
+    assert main(["analyze", *intraday, "--out", str(tmp_path / "intraday")]) == 3
+    daily = ["--input", daily_csv, "--thresholds", "4", "--bootstrap", "2"]
+    assert main(["analyze", *daily, "--out", str(tmp_path / "daily")]) == 0
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 @pytest.fixture(scope="module")

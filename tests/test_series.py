@@ -799,6 +799,47 @@ def test_file_that_is_not_utf8_names_its_line(tmp_path, eol):
             parse_price_csv(fh)
 
 
+def _cr_csv_with_a_read_ending_on_a_line_end(path):
+    """Write a CR-only price CSV whose byte 8,192 (the end of a text file's
+    first read) is the ``"\r"`` ending a line, with a byte that is not UTF-8
+    on the next line, and return that line's number."""
+    rows = [b"timestamp,price"] + [f"{np.datetime64('2000-01-03') + k},1.0".encode() for k in range(700)]
+    ends = np.cumsum([len(row) + 1 for row in rows])  # the 1-based byte of each row's "\r"
+    k = int(np.searchsorted(ends, 8192, side="right")) - 1
+    rows[k] += b"0" * (8192 - int(ends[k]))
+    rows[k + 1] += b"\xff"
+    path.write_bytes(b"\r".join(rows) + b"\r")
+    return k + 2
+
+
+@pytest.mark.parametrize(
+    "opened",
+    [
+        pytest.param(None, id="path"),
+        pytest.param({"mode": "rb"}, id="binary stream"),
+        pytest.param(
+            {"mode": "r", "encoding": "utf-8"},
+            id="text stream",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="a text file loses the line its decoder held back with the undecodable read",
+            ),
+        ),
+    ],
+)
+def test_bad_byte_after_a_read_ending_on_cr_names_its_line(tmp_path, opened):
+    path = tmp_path / "cr.csv"
+    line = _cr_csv_with_a_read_ending_on_a_line_end(path)
+    with pytest.raises(MalformedRow) as info:
+        if opened is None:
+            series.read_price_csv(str(path))
+        else:
+            with open(path, **opened) as fh:
+                parse_price_csv(fh)
+    assert str(info.value) == f"line {line}: byte 0xff is not UTF-8"
+
+
 _LINE_ENDS = {
     "LF": b"timestamp,price\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
     "CRLF": b"timestamp,price\r\n2000-01-03,1\r\n2000-01-04,2\r\n2000-01-05,3\r\n",
