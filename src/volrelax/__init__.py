@@ -53,7 +53,6 @@ from .fitting import (
     fit_offset_power_law,
     format_with_stderr,
     log_spaced_lags,
-    tail_slope,
 )
 from .intraday import IntradayPattern, estimate_pattern, remove_pattern
 from .profiles import (

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor, log10
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,7 +50,6 @@ __all__ = [
     "BootstrapResult",
     "fit_cumulative",
     "fit_offset_power_law",
-    "tail_slope",
     "bootstrap_errors",
     "log_spaced_lags",
     "format_with_stderr",
@@ -95,12 +95,11 @@ class PowerLawFit:
     tau: float
     fit_range: tuple[int, int]
     rms_log_residual: float
-    method: str
     p_stderr: float | None = None
+    # The one fit method, named in stdout and in the method column of fits.tsv.
+    method: ClassVar[str] = "full_fit"
 
     def __post_init__(self) -> None:
-        if self.method not in ("full_fit", "tail_slope"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not self.A > 0:
             raise ValueError("amplitude must be positive")
         if not self.tau >= 0:
@@ -251,8 +250,11 @@ def _losses(
     return loss
 
 
-def _curve_arrays(lags, values) -> tuple[np.ndarray, np.ndarray]:
-    """``lags`` and ``values`` as int64 and float64 arrays, checked to be a curve."""
+def _select_sample(
+    lags, values, t_min: int, t_max: int | None, tau_mode: str, n_points: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Log-spaced positive sample ``(t, log V)`` in the fit range, and
+    ``t_max``, once ``lags`` and ``values`` are checked to be a curve."""
     lags = np.asarray(lags, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if lags.ndim != 1 or values.ndim != 1:
@@ -265,14 +267,6 @@ def _curve_arrays(lags, values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"lags and values differ in length: {lags.size} and {values.size}")
     if np.any(lags[1:] <= lags[:-1]):
         raise ValueError("lags must be strictly ascending")
-    return lags, values
-
-
-def _select_sample(
-    lags, values, t_min: int, t_max: int | None, tau_mode: str, n_points: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Log-spaced positive sample ``(t, log V)`` in the fit range, and ``t_max``."""
-    lags, values = _curve_arrays(lags, values)
     if t_max is None:
         t_max = int(lags[-1])
     if not 1 <= t_min <= t_max <= int(lags[-1]):
@@ -383,7 +377,6 @@ def _best_fit(
         tau=tau_hat,
         fit_range=fit_range,
         rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
-        method="full_fit",
     )
 
 
@@ -501,38 +494,6 @@ def fit_cumulative(
     """Fit one side of a cumulative profile (``'-'`` before, ``'+'`` after)."""
     return fit_offset_power_law(
         cum.lags, cum.side(side), t_min=t_min, t_max=t_max, tau_mode=tau_mode, n_points=n_points
-    )
-
-
-def tail_slope(
-    lags: np.ndarray, values: np.ndarray, t_lo: int, t_hi: int
-) -> PowerLawFit:
-    """Exponent from the log-log tail slope: ``p = 1 - slope``.
-
-    Ordinary least squares of ``log V`` on ``log t`` over every
-    positive point in ``[t_lo, t_hi]``; the offset is reported as 0.
-    """
-    lags, values = _curve_arrays(lags, values)
-    if not 1 <= t_lo <= t_hi:
-        raise ValueError(f"need 1 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    sel = (lags >= t_lo) & (lags <= t_hi)
-    t = lags[sel].astype(np.float64)
-    v = values[sel]
-    good = np.isfinite(v) & (v > 0)
-    if int(good.sum()) < 5:
-        raise InsufficientPositivePoints(
-            f"need >= 5 positive points in [{t_lo}, {t_hi}], got {int(good.sum())}"
-        )
-    lt, lv = np.log(t[good]), np.log(v[good])
-    slope, intercept = np.polyfit(lt, lv, 1)
-    resid = lv - (slope * lt + intercept)
-    return PowerLawFit(
-        A=float(np.exp(intercept)),
-        p=float(1.0 - slope),
-        tau=0.0,
-        fit_range=(int(t_lo), int(t_hi)),
-        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
-        method="tail_slope",
     )
 
 

@@ -28,7 +28,6 @@ from volrelax import (
     PlantedRelaxationSpec,
     remanent_profile,
     select_events,
-    tail_slope,
 )
 import volrelax.optimize
 from volrelax import fitting
@@ -138,9 +137,8 @@ _BAD_CURVES = {
     "fit",
     [
         lambda lags, V: fit_offset_power_law(lags, V, t_min=1, t_max=30),
-        lambda lags, V: tail_slope(lags, V, 1, 30),
     ],
-    ids=["fit_offset_power_law", "tail_slope"],
+    ids=["fit_offset_power_law"],
 )
 def test_fits_reject_malformed_curves(fit, case):
     lags, V, message = _BAD_CURVES[case]
@@ -168,34 +166,6 @@ def test_fit_reports_nonconvergence(monkeypatch):
     lags, V = _curve(0.5, 3.0)
     with pytest.raises(NonConvergence):
         fit_offset_power_law(lags, V, t_min=1)
-
-
-def test_tail_slope_exact_power():
-    lags, V = _curve(0.3, 0.0, A=3.0, t_max=1000)
-    fit = tail_slope(lags, V, 10, 1000)
-    assert fit.p == pytest.approx(0.3, abs=1e-12)
-    # _curve folds the 1/(1-p) integration constant into the curve.
-    assert fit.A == pytest.approx(3.0 / 0.7, rel=1e-10)
-    assert fit.method == "tail_slope"
-
-
-def test_tail_slope_constant_curve():
-    lags = np.arange(101, dtype=np.int64)
-    fit = tail_slope(lags, np.full(101, 7.0), 10, 100)
-    assert fit.p == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tail_slope_approximates_offset_curve_at_large_lag():
-    lags, V = _curve(0.3, 5.0, t_max=10_000)
-    fit = tail_slope(lags, V, 2000, 10_000)
-    assert fit.p == pytest.approx(0.3, abs=0.02)
-
-
-def test_tail_slope_needs_points():
-    lags = np.arange(101, dtype=np.int64)
-    V = np.concatenate((np.ones(4), -np.ones(97)))
-    with pytest.raises(InsufficientPositivePoints):
-        tail_slope(lags, V, 1, 100)
 
 
 @given(
@@ -780,7 +750,6 @@ def _frozen_fit(
         tau=tau_hat,
         fit_range=(int(t_min), int(t_max)),
         rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
-        method="full_fit",
     )
 
 

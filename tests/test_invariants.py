@@ -8,7 +8,7 @@ import pytest
 
 from volrelax.errors import EmptySeries, InsufficientPositivePoints, MalformedRow, NoEvents, TooShort
 from volrelax.events import EventLabel, EventSet
-from volrelax.fitting import FitConfig, PowerLawFit, bootstrap_errors, fit_offset_power_law, tail_slope
+from volrelax.fitting import FitConfig, PowerLawFit, bootstrap_errors, fit_offset_power_law
 from volrelax.profiles import (
     ConditionedProfile,
     CumulativeProfile,
@@ -20,7 +20,7 @@ from volrelax.profiles import (
 from volrelax.series import PriceSeries, ReturnSeries, SeriesStats, VolatilitySeries
 from volrelax.synth import PlantedRelaxationSpec, returns_to_prices
 
-FIT = PowerLawFit(A=1.0, p=0.5, tau=0.0, fit_range=(2, 30), rms_log_residual=0.1, method="full_fit")
+FIT = PowerLawFit(A=1.0, p=0.5, tau=0.0, fit_range=(2, 30), rms_log_residual=0.1)
 PROFILE = ConditionedProfile(
     max_lag=2, v_minus=[1.0, 0.5, 0.2], v_plus=[1.0, 0.4, 0.1], counts_minus=[3, 2, 1],
     counts_plus=[3, 3, 2], Z=0.5, sigma=0.01, n_events=3,
@@ -54,7 +54,6 @@ def _with(obj, **changes):
 
 
 _CASES = {
-    "PowerLawFit method": (ValueError, _with(FIT, method="guess")),
     "PowerLawFit A": (ValueError, _with(FIT, A=0.0)),
     "PowerLawFit tau": (ValueError, _with(FIT, tau=-1.0)),
     "PowerLawFit fit_range": (ValueError, _with(FIT, fit_range=(0, 30))),
@@ -111,7 +110,6 @@ _CASES = {
         NoEvents,
         lambda: bootstrap_errors(VOL, NO_EVENTS, FitConfig(max_lag=2), 2, 0),
     ),
-    "tail_slope range": (ValueError, lambda: tail_slope(np.arange(1, 9), np.ones(8), 0, 5)),
     "fit with no computed lag in its range": (
         InsufficientPositivePoints,
         lambda: fit_offset_power_law([1, 100], [1.0, 2.0], t_min=2, t_max=99),

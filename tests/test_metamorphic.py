@@ -1,12 +1,15 @@
 """Metamorphic relations through the CLI.
 
-Each relation transforms the input CSV in a way whose effect on the
-output is known, runs ``analyze`` (no bootstrap) in-process on both, and
-checks the outputs against each other, so no oracle is needed.  The
-input is the daily plant ``synth --mode planted --n 12500 --shock-rate
-500 --seed 1``.  Every tolerance below was fixed before the relation was
-first run: a fit turns a change of about 1e-12 in a profile into about
-1e-7 in ``p``, ``tau`` and ``A``, so no fit tolerance is tighter than 1e-6.
+Each relation transforms the input (the CSV, a label file or the
+thresholds) in a way whose effect on the output is known, runs
+``analyze`` in-process on both, and checks the outputs against each
+other, so no oracle is needed.  The input is the daily plant ``synth
+--mode planted --n 12500 --shock-rate 500 --seed 1``.  Every tolerance
+below was fixed before the relation was first run: a fit turns a change
+of about 1e-12 in a profile into about 1e-7 in ``p``, ``tau`` and ``A``,
+so no fit tolerance is tighter than 1e-6.  The relations that change
+only how the input is written (header, line ends, label order) or which
+other thresholds run are byte for byte.
 """
 
 import math
@@ -34,15 +37,25 @@ def plant(tmp_path_factory):
     return list(stamps), list(prices)
 
 
-def _analyze(tmp_path_factory, stamps, prices, thresholds=THRESHOLDS):
-    """Run ``analyze`` on the CSV of ``stamps`` and ``prices``; the exit code
-    and the output tree as ``{name: bytes}``."""
+def _write_csv(path, stamps, prices, header=True, eol="\n"):
+    """The CSV of ``stamps`` and ``prices``, its lines ended by ``eol``."""
+    text = "timestamp,price\n" * header + "".join(f"{s},{p}\n" for s, p in zip(stamps, prices))
+    path.write_bytes(text.replace("\n", eol).encode())
+    return str(path)
+
+
+def _tree(out) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def _analyze(tmp_path_factory, stamps, prices, thresholds=THRESHOLDS, *options, header=True, eol="\n"):
+    """Run ``analyze`` with ``options`` on the CSV of ``stamps`` and
+    ``prices`` (see :func:`_write_csv`); the exit code and the output tree."""
     work = tmp_path_factory.mktemp("run")
-    csv = work / "in.csv"
-    csv.write_text("timestamp,price\n" + "".join(f"{s},{p}\n" for s, p in zip(stamps, prices)))
+    csv = _write_csv(work / "in.csv", stamps, prices, header, eol)
     out = work / "out"
-    rc = main(["analyze", "--input", str(csv), "--out", str(out), "--thresholds", thresholds])
-    return rc, {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    rc = main(["analyze", "--input", csv, "--out", str(out), "--thresholds", thresholds, *options])
+    return rc, _tree(out)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +74,18 @@ def _same_number(a: str, b: str, rtol: float) -> bool:
     return abs(x - y) <= rtol * abs(x)
 
 
+def _assert_same_tree(got, want, echoed):
+    """Equal files, byte for byte, but for the lines of ``config.echo``,
+    which differ exactly at the keys ``echoed``."""
+    assert got.keys() == want.keys()
+    for name in got:
+        if name != "config.echo":
+            assert got[name] == want[name], name
+    echo, want_echo = (t["config.echo"].decode().splitlines() for t in (got, want))
+    assert len(echo) == len(want_echo)
+    assert [a.split(" = ")[0] for a, b in zip(echo, want_echo) if a != b] == echoed
+
+
 def test_dates_shifted_a_week_give_the_same_tree(plant, base, tmp_path_factory):
     stamps, prices = plant
     shifted = np.datetime_as_string(np.array(stamps, dtype="datetime64[D]") + 7, unit="D")
@@ -76,6 +101,18 @@ def test_dates_shifted_a_week_give_the_same_tree(plant, base, tmp_path_factory):
     assert differ == ["input"]
 
 
+def test_csv_without_its_header_gives_the_same_tree(plant, base, tmp_path_factory):
+    rc, tree = _analyze(tmp_path_factory, *plant, header=False)
+    assert rc == base[0]
+    _assert_same_tree(tree, base[1], ["input"])
+
+
+def test_crlf_copy_gives_the_same_tree(plant, base, tmp_path_factory):
+    rc, tree = _analyze(tmp_path_factory, *plant, eol="\r\n")
+    assert rc == base[0]
+    _assert_same_tree(tree, base[1], ["input"])
+
+
 def test_one_threshold_alone_gives_its_rows_of_the_full_run(plant, base, tmp_path_factory):
     _, tree = _analyze(tmp_path_factory, *plant, thresholds="4")
     assert tree["profile_z4.tsv"] == base[1]["profile_z4.tsv"]
@@ -84,6 +121,43 @@ def test_one_threshold_alone_gives_its_rows_of_the_full_run(plant, base, tmp_pat
         z4 = [full[0]] + [line for line in full[1:] if line.split(b"\t")[column] == b"4.0"]
         assert len(z4) > 1
         assert tree[name].splitlines(keepends=True) == z4, name
+
+
+def test_one_threshold_alone_gives_its_bootstrap_rows_of_the_full_run(plant, tmp_path_factory):
+    # Exit codes differ: the full run's z6 bootstrap fails (BootstrapUnstable).
+    options = ("--bootstrap", "5", "--seed", "1")
+    _, full = _analyze(tmp_path_factory, *plant, THRESHOLDS, *options)
+    _, alone = _analyze(tmp_path_factory, *plant, "4", *options)
+    assert alone["profile_z4.tsv"] == full["profile_z4.tsv"]
+    header, *rows = full["fits.tsv"].splitlines(keepends=True)
+    z4 = [header] + [line for line in rows if line.split(b"\t")[1] == b"4.0"]
+    assert len(z4) == 3
+    assert all(math.isfinite(float(row.split(b"\t")[5])) for row in z4[1:])  # p_stderr
+    assert alone["fits.tsv"].splitlines(keepends=True) == z4
+
+
+def test_label_rows_in_another_order_give_the_same_tree(plant, tmp_path_factory):
+    work = tmp_path_factory.mktemp("labels")
+    csv = _write_csv(work / "in.csv", *plant)
+    assert main(["events", "--input", csv, "--out", str(work / "events"), "--thresholds", "4,6"]) == 0
+    z4, z6 = (
+        [line.split("\t")[1][:10] for line in (work / "events" / name).read_text().splitlines()[1:]]
+        for name in ("events_z4.tsv", "events_z6.tsv")
+    )
+    # Distinct dates, since a repeated date is last-wins: the z6 events
+    # and every twelfth z4 event, their origins alternating.
+    dates = z6 + [d for d in z4[::12] if d not in z6]
+    assert len(set(dates)) == 12
+    rows = [f"{d},{('endogenous', 'exogenous')[i % 2]}\n" for i, d in enumerate(dates)]
+    trees = []
+    for name, order in (("a.csv", rows), ("b.csv", rows[::-1])):
+        (work / name).write_text("".join(order))
+        out = work / f"out_{name}"
+        argv = ["analyze", "--input", csv, "--out", str(out), "--thresholds", "4,6"]
+        assert main([*argv, "--split", "origin", "--labels", str(work / name)]) == 3
+        trees.append(_tree(out))
+    assert {"profile_z6_endogenous.tsv", "profile_z6_exogenous.tsv"} <= trees[0].keys()
+    _assert_same_tree(*trees, ["labels"])
 
 
 @pytest.mark.parametrize("factor", [8.0, 3.0])

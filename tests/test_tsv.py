@@ -69,9 +69,7 @@ def test_profile_and_omori_writer_bytes(tmp_path):
 
 
 def test_fit_writer_bytes(tmp_path):
-    fit = PowerLawFit(
-        A=INF, p=-INF, tau=0.0, fit_range=(2, 30), rms_log_residual=0.25, method="full_fit"
-    )
+    fit = PowerLawFit(A=INF, p=-INF, tau=0.0, fit_range=(2, 30), rms_log_residual=0.25)
     rows = [
         fit_report_row("-", 4, "all", "crash", fit),
         fit_report_row("+", 4.5, "exogenous", "all", None, "NoEvents"),
