@@ -54,6 +54,8 @@ def _with(obj, **changes):
 
 
 _CASES = {
+    # The method is the class constant ``full_fit``: it cannot be passed.
+    "PowerLawFit method": (TypeError, _with(FIT, method="guess")),
     "PowerLawFit A": (ValueError, _with(FIT, A=0.0)),
     "PowerLawFit tau": (ValueError, _with(FIT, tau=-1.0)),
     "PowerLawFit fit_range": (ValueError, _with(FIT, fit_range=(0, 30))),

@@ -4,7 +4,10 @@ Each relation transforms the input (the CSV, a label file or the
 thresholds) in a way whose effect on the output is known, runs
 ``analyze`` in-process on both, and checks the outputs against each
 other, so no oracle is needed.  The input is the daily plant ``synth
---mode planted --n 12500 --shock-rate 500 --seed 1``.  Every tolerance
+--mode planted --n 12500 --shock-rate 500 --seed 1``, and for three
+relations the 1-min plant ``synth --mode planted --slots-per-day 390
+--n 40000 --shock-rate 500 --seed 1``, analysed with its intraday
+pattern removed.  Every tolerance
 below was fixed before the relation was first run: a fit turns a change
 of about 1e-12 in a profile into about 1e-7 in ``p``, ``tau`` and ``A``,
 so no fit tolerance is tighter than 1e-6.  The relations that change
@@ -25,16 +28,26 @@ PROFILE_ATOL = 1e-11  # times the largest finite magnitude of the column
 FIT_RTOL = 1e-6
 
 
-@pytest.fixture(scope="module")
-def plant(tmp_path_factory):
-    """The plant's stamps and price cells, as the generator wrote them."""
-    path = tmp_path_factory.mktemp("plant") / "daily.csv"
-    argv = ["synth", "--mode", "planted", "--n", "12500", "--shock-rate", "500", "--seed", "1"]
+def _synth(tmp_path_factory, *options):
+    """The stamps and price cells of ``synth --mode planted --shock-rate
+    500 --seed 1`` with ``options``, as the generator wrote them."""
+    path = tmp_path_factory.mktemp("plant") / "plant.csv"
+    argv = ["synth", "--mode", "planted", "--shock-rate", "500", "--seed", "1", *options]
     assert main([*argv, "--out", str(path)]) == 0
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     assert header == "timestamp,price"
     stamps, prices = zip(*(row.split(",") for row in rows))
     return list(stamps), list(prices)
+
+
+@pytest.fixture(scope="module")
+def plant(tmp_path_factory):
+    return _synth(tmp_path_factory, "--n", "12500")
+
+
+@pytest.fixture(scope="module")
+def minute_plant(tmp_path_factory):
+    return _synth(tmp_path_factory, "--n", "40000", "--slots-per-day", "390")
 
 
 def _write_csv(path, stamps, prices, header=True, eol="\n"):
@@ -61,6 +74,11 @@ def _analyze(tmp_path_factory, stamps, prices, thresholds=THRESHOLDS, *options, 
 @pytest.fixture(scope="module")
 def base(plant, tmp_path_factory):
     return _analyze(tmp_path_factory, *plant)
+
+
+@pytest.fixture(scope="module")
+def minute_base(minute_plant, tmp_path_factory):
+    return _analyze(tmp_path_factory, *minute_plant)
 
 
 def _rows(data: bytes) -> list[list[str]]:
@@ -99,6 +117,32 @@ def test_dates_shifted_a_week_give_the_same_tree(plant, base, tmp_path_factory):
     assert len(echo) == len(base_echo)
     differ = [a.split(" = ")[0] for a, b in zip(echo, base_echo) if a != b]
     assert differ == ["input"]
+
+
+def test_minute_dates_shifted_a_week_give_the_same_tree(minute_plant, minute_base, tmp_path_factory):
+    stamps, prices = minute_plant
+    shifted = np.datetime_as_string(np.array(stamps, dtype="datetime64[s]") + np.timedelta64(7, "D"), unit="s")
+    rc, tree = _analyze(tmp_path_factory, shifted.tolist(), prices)
+    assert rc == minute_base[0]
+    assert "pattern.tsv" in tree
+    _assert_same_tree(tree, minute_base[1], ["input"])
+
+
+def test_minute_crlf_copy_gives_the_same_tree(minute_plant, minute_base, tmp_path_factory):
+    rc, tree = _analyze(tmp_path_factory, *minute_plant, eol="\r\n")
+    assert rc == minute_base[0]
+    _assert_same_tree(tree, minute_base[1], ["input"])
+
+
+def test_minute_one_threshold_alone_gives_its_rows_of_the_full_run(minute_plant, minute_base, tmp_path_factory):
+    _, tree = _analyze(tmp_path_factory, *minute_plant, thresholds="4")
+    for name in ("profile_z4.tsv", "pattern.tsv"):
+        assert tree[name] == minute_base[1][name], name
+    for name, column in (("fits.tsv", 1), ("signal_check.tsv", 0)):
+        full = minute_base[1][name].splitlines(keepends=True)
+        z4 = [full[0]] + [line for line in full[1:] if line.split(b"\t")[column] == b"4.0"]
+        assert len(z4) > 1
+        assert tree[name].splitlines(keepends=True) == z4, name
 
 
 def test_csv_without_its_header_gives_the_same_tree(plant, base, tmp_path_factory):
