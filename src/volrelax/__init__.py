@@ -46,7 +46,6 @@ from .events import (
 )
 from .fitting import (
     BootstrapResult,
-    FitConfig,
     PowerLawFit,
     bootstrap_errors,
     fit_cumulative,
@@ -69,7 +68,6 @@ from .series import (
     CsvSchema,
     PriceSeries,
     ReturnSeries,
-    SeriesStats,
     VolatilitySeries,
     absolute_volatility,
     log_returns,

@@ -39,10 +39,7 @@ from .events import (
     EventSet, apply_labels, classify_sign, decluster, filter_events, load_packaged_labels,
     read_label_file, select_events, sign_label,
 )
-from .fitting import (
-    FitConfig, bootstrap_errors, fit_cumulative, fit_offset_power_law, fit_report_row,
-    write_fit_tsv,
-)
+from .fitting import bootstrap_errors, fit_cumulative, fit_offset_power_law, fit_report_row, write_fit_tsv
 from .intraday import estimate_pattern, remove_pattern, write_pattern_tsv
 from .profiles import cumulative, omori_counts, remanent_profile, write_omori_tsv, write_profile_tsv
 from .series import (
@@ -299,7 +296,7 @@ def _prepare_run(args: argparse.Namespace):
             )
         pattern = estimate_pattern(vol)
         vol = remove_pattern(vol, pattern)
-    stats = mean_volatility(vol)
+    mean_volatility(vol)  # a zero-volatility series is EmptySeries (exit 2) before --out is made
     if pattern is None and c.command == "pattern":
         # Intraday data with removal off: estimate only to dump; daily raises DailyCadence (exit 2).
         pattern = estimate_pattern(absolute_volatility(returns))
@@ -318,7 +315,7 @@ def _prepare_run(args: argparse.Namespace):
                 fh.write(f"{key} = {_echo_value(value)}\n")
     if pattern is not None and c.command != "events":
         write_pattern_tsv(pattern, os.path.join(c.out, "pattern.tsv"))
-    return c, labels, returns, vol, stats
+    return c, labels, returns, vol
 
 
 def _fit_args(c: RunConfig) -> tuple[int, int, str]:
@@ -334,25 +331,26 @@ _SPLITS = {
 }
 
 
-def _select_and_tag(c: RunConfig, vol, returns, stats, labels) -> Iterator[tuple[float, EventSet]]:
-    """Each threshold with its events, signed, declustered and labelled; a
-    label date that matches no event prints one ``warning:`` line a run."""
-    warned: set[str] = set()
+def _select_and_tag(c: RunConfig, vol, returns, labels) -> Iterator[tuple[float, EventSet]]:
+    """Each threshold with its events, signed, declustered and labelled; after
+    the last, each label date that matched no event at any threshold prints
+    one ``warning:`` line."""
+    unmatched = None  # the warnings every threshold so far raised, in label order
     for m in c.thresholds:
-        events = select_events(vol, m, stats)
+        events = select_events(vol, m)
         if len(events):
             events = classify_sign(events, returns)
         if c.min_separation:
             events = decluster(events, c.min_separation)
-        if labels is not None and len(events):
+        if labels is not None:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", LabelDateUnmatched)
                 events = apply_labels(events, labels, returns.timestamps)
-            for note in (str(w.message) for w in caught):
-                if note not in warned:
-                    print(f"warning: {note}", file=sys.stderr)
-                warned.add(note)
+            notes = dict.fromkeys(str(w.message) for w in caught)
+            unmatched = notes if unmatched is None else {n: None for n in unmatched if n in notes}
         yield m, events
+    for note in unmatched or ():
+        print(f"warning: {note}", file=sys.stderr)
 
 
 def _failed_rows(exc: Exception, m: float, origin: str = "all", sign: str = "all") -> list[tuple]:
@@ -399,12 +397,12 @@ def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    c, labels, returns, vol, stats = _prepare_run(args)
+    c, labels, returns, vol = _prepare_run(args)
     fit_args = _fit_args(c)
     fit_rows: list[tuple] = []
     signal_rows: list[tuple] = []
     failed = False
-    for m, events in _select_and_tag(c, vol, returns, stats, labels):
+    for m, events in _select_and_tag(c, vol, returns, labels):
         for split, origin, sign in (("all", None, None), *_SPLITS[c.split]):
             subset = filter_events(events, sign=sign, origin=origin)
             suffix = "" if split == "all" else f"_{split}"
@@ -422,7 +420,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             boot = None
             if c.bootstrap:
                 try:
-                    boot = bootstrap_errors(vol, subset, FitConfig(c.max_lag, *fit_args), c.bootstrap, c.seed)
+                    boot = bootstrap_errors(vol, subset, c.max_lag, c.bootstrap, c.seed, *fit_args)
                 except (FitError, DataError) as exc:
                     failed = True
                     print(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
@@ -438,12 +436,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_omori(args: argparse.Namespace) -> int:
-    c, _, _, vol, stats = _prepare_run(args)
+    c, _, _, vol = _prepare_run(args)
     fit_args = _fit_args(c)
     m = c.main_threshold
     fit_rows: list[tuple] = []
     try:
-        mainshocks = select_events(vol, m, stats)
+        mainshocks = select_events(vol, m)
         cum = cumulative(remanent_profile(vol, mainshocks, c.max_lag))
     except DataError as exc:
         fit_rows = [row for m1 in c.z1_thresholds for row in _failed_rows(exc, m1)]
@@ -453,7 +451,7 @@ def _cmd_omori(args: argparse.Namespace) -> int:
     print(f"{len(mainshocks)} mainshocks above {m:g} sigma")
     failed = False
     for m1 in c.z1_thresholds:
-        omori = omori_counts(vol, mainshocks, m1, stats, c.max_lag)
+        omori = omori_counts(vol, mainshocks, m1, c.max_lag)
         write_omori_tsv(cum, omori, os.path.join(c.out, f"omori_z{m:g}_z1{m1:g}.tsv"))
         fit_side = lambda side: fit_offset_power_law(cum.lags, omori.side(side), *fit_args)  # noqa: E731
         failed |= _fit_sides(f"z1={m1:g}", fit_side, fit_rows, m1)
@@ -469,8 +467,8 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    c, labels, returns, vol, stats = _prepare_run(args)
-    for m, events in _select_and_tag(c, vol, returns, stats, labels):
+    c, labels, returns, vol = _prepare_run(args)
+    for m, events in _select_and_tag(c, vol, returns, labels):
         stamps = np.datetime_as_string(returns.timestamps[events.indices], unit="s")
         signs = [sign_label(s) for s in events.signs]
         columns = [events.indices, stamps, events.magnitudes, signs, events.origins]

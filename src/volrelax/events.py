@@ -2,7 +2,8 @@
 
 An *event* is a time step whose (seasonality-adjusted) volatility
 strictly exceeds a threshold ``zeta = m * sigma``, with ``sigma`` the
-mean volatility of the whole series and ``m > 1`` a multiplier.  Events
+mean volatility of the whole series (taken from it by
+:func:`select_events`) and ``m > 1`` a multiplier.  Events
 carry a sign (crash for a negative underlying return, rally for a
 positive one) and an origin tag.  Origins start out ``'unlabeled'``;
 applying a label file marks the listed dates ``'exogenous'`` or
@@ -20,7 +21,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import LabelDateUnmatched, MalformedRow, ZeroReturnEvent
-from .series import ReturnSeries, SeriesStats, VolatilitySeries, _array_fields, _read_lines, mean_volatility
+from .series import ReturnSeries, VolatilitySeries, _array_fields, _read_lines, mean_volatility
 
 __all__ = [
     "CRASH",
@@ -110,19 +111,16 @@ class EventSet:
         return int(self.indices.size)
 
 
-def select_events(
-    vol: VolatilitySeries, m: float, stats: SeriesStats | None = None
-) -> EventSet:
-    """Select steps with volatility strictly above ``m * sigma``.
+def select_events(vol: VolatilitySeries, m: float) -> EventSet:
+    """Select steps with volatility strictly above ``m * sigma``, with
+    ``sigma`` the mean volatility of ``vol`` (:func:`mean_volatility`).
 
     An empty :class:`EventSet` is a legitimate outcome (nothing exceeds
     the threshold); downstream profile code rejects it explicitly.
     """
     if not m > 1:
         raise ValueError(f"threshold multiple must be > 1, got {m}")
-    if stats is None:
-        stats = mean_volatility(vol)
-    zeta = m * stats.sigma
+    zeta = m * mean_volatility(vol)
     idx = np.flatnonzero(vol.values > zeta)
     return EventSet(
         indices=idx,

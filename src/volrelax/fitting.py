@@ -8,11 +8,13 @@ The fitted family comes from integrating a relaxation profile
 which is positive and continuous in ``p`` (the ``1/(1-p)`` factor keeps
 it so on both sides of ``p=1``); at ``p = 1`` it degenerates to the
 analytic limit ``V(t) = A * ln(1 + t/tau)``.  Fits minimize the mean
-squared residual of ``log V`` over a log-spaced subsample of the lag
-range, so every decade carries comparable weight.  The amplitude ``A``
-has a closed form per ``(p, tau)`` candidate; the remaining two (or
-one, with ``tau`` pinned to zero) parameters are found by multistart
-Nelder-Mead descent from a coarse grid.
+squared residual of ``log V`` over about 30 log-spaced lags of the fit
+range ``[t_min, t_max]`` (:func:`log_spaced_lags`), so every decade
+carries comparable weight.  Every fit, a bootstrap replica's included,
+takes the same keywords ``t_min``, ``t_max`` and ``tau_mode``.  The
+amplitude ``A`` has a closed form per ``(p, tau)`` candidate; the
+remaining two (or one, with ``tau`` pinned to zero) parameters are found
+by multistart Nelder-Mead descent from a coarse grid.
 
 All the descents of one fit call (three starts per curve, and ``2B``
 curves in :func:`bootstrap_errors`) run in lock step: each is a
@@ -46,7 +48,6 @@ from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "PowerLawFit",
-    "FitConfig",
     "BootstrapResult",
     "fit_cumulative",
     "fit_offset_power_law",
@@ -119,23 +120,6 @@ class PowerLawFit:
             f"range=[{self.fit_range[0]},{self.fit_range[1]}] "
             f"rms={self.rms_log_residual:.3g} ({self.method})"
         )
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs shared by profile fits (and their bootstrap replicas)."""
-
-    max_lag: int = 1000
-    t_min: int = 5
-    t_max: int | None = None
-    tau_mode: str = "free"
-    n_points: int = 30
-
-    def __post_init__(self) -> None:
-        if self.tau_mode not in ("free", "fixed_zero"):
-            raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {self.tau_mode!r}")
-        if self.t_min < 1:
-            raise ValueError("t_min must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -251,7 +235,7 @@ def _losses(
 
 
 def _select_sample(
-    lags, values, t_min: int, t_max: int | None, tau_mode: str, n_points: int
+    lags, values, t_min: int, t_max: int | None, tau_mode: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Log-spaced positive sample ``(t, log V)`` in the fit range, and
     ``t_max``, once ``lags`` and ``values`` are checked to be a curve."""
@@ -273,7 +257,7 @@ def _select_sample(
         raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
     if tau_mode not in ("free", "fixed_zero"):
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    sample = log_spaced_lags(t_min, t_max, n_points)
+    sample = log_spaced_lags(t_min, t_max)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
     sample, pos = sample[ok], pos[ok]
@@ -385,7 +369,6 @@ def _fit_many(
     t_min: int,
     t_max: int | None,
     tau_mode: str,
-    n_points: int,
 ) -> list[PowerLawFit | Exception]:
     """Fit each ``(lags, values)`` curve as :func:`fit_offset_power_law`
     does, and return per curve its fit or the error that fit raises.
@@ -402,7 +385,7 @@ def _fit_many(
     firsts: dict[tuple, int] = {}  # (t, log V, t_max) -> the first curve sampled so
     for c, (lags, values) in enumerate(curves):
         try:
-            t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode, n_points)
+            t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode)
         except (ValueError, VolrelaxError) as exc:
             out[c] = exc
             continue
@@ -454,7 +437,6 @@ def fit_offset_power_law(
     t_min: int = 5,
     t_max: int | None = None,
     tau_mode: str = "free",
-    n_points: int = 30,
 ) -> PowerLawFit:
     """Fit ``values ~ A*g(t; p, tau)`` over integer ``lags``.
 
@@ -480,7 +462,7 @@ def fit_offset_power_law(
     NonConvergence
         No start reached the optimizer tolerance within budget.
     """
-    return _fit_or_raise(_fit_many([(lags, values)], t_min, t_max, tau_mode, n_points)[0])
+    return _fit_or_raise(_fit_many([(lags, values)], t_min, t_max, tau_mode)[0])
 
 
 def fit_cumulative(
@@ -489,29 +471,31 @@ def fit_cumulative(
     t_min: int = 5,
     t_max: int | None = None,
     tau_mode: str = "free",
-    n_points: int = 30,
 ) -> PowerLawFit:
     """Fit one side of a cumulative profile (``'-'`` before, ``'+'`` after)."""
-    return fit_offset_power_law(
-        cum.lags, cum.side(side), t_min=t_min, t_max=t_max, tau_mode=tau_mode, n_points=n_points
-    )
+    return fit_offset_power_law(cum.lags, cum.side(side), t_min=t_min, t_max=t_max, tau_mode=tau_mode)
 
 
 def bootstrap_errors(
     vol: VolatilitySeries,
     events: EventSet,
-    fit_config: FitConfig,
+    max_lag: int,
     B: int,
     seed: int,
+    t_min: int = 5,
+    t_max: int | None = None,
+    tau_mode: str = "free",
 ) -> BootstrapResult:
     """Bootstrap standard errors of ``p`` for both sides.
 
     Replica ``r`` resamples the events with replacement using
-    ``default_rng(seed + r)``, recomputes the profile and refits both
-    sides; the standard error is the sample standard deviation of the
-    replica exponents.  The first ``B`` replicas are identical
-    regardless of any larger ``B`` requested later (seeding is per
-    replica).  All ``2B`` refits run as one lock-step
+    ``default_rng(seed + r)``, recomputes the profile over lags
+    ``0..max_lag`` (``sigma`` from ``vol``, as :func:`remanent_profile`
+    takes it) and refits both sides with :func:`fit_cumulative`'s
+    ``t_min``, ``t_max`` and ``tau_mode``; the standard error is the
+    sample standard deviation of the replica exponents.  The first ``B``
+    replicas are identical regardless of any larger ``B`` requested later
+    (seeding is per replica).  All ``2B`` refits run as one lock-step
     :func:`_fit_many`, each equal to its own :func:`fit_cumulative`.
     A replica fails, and counts once in ``n_failed``, when its profile
     or a side's fit raises a :class:`VolrelaxError`: a failed profile or
@@ -522,21 +506,20 @@ def bootstrap_errors(
         raise ValueError("need at least 2 bootstrap replicas")
     if len(events) == 0:
         raise NoEvents("cannot bootstrap an empty event set")
-    sigma = mean_volatility(vol).sigma
+    sigma = mean_volatility(vol)
     n_ev = len(events)
     cums: list[CumulativeProfile | None] = []
     for r in range(B):
         rng = np.random.default_rng(seed + r)
         idx = events.indices[rng.integers(0, n_ev, n_ev)]
         try:
-            prof = _profile_from_indices(vol.values, idx, fit_config.max_lag, sigma)
+            prof = _profile_from_indices(vol.values, idx, max_lag, sigma)
         except VolrelaxError:
             cums.append(None)
         else:
             cums.append(cumulative(prof))
-    fit_args = (fit_config.t_min, fit_config.t_max, fit_config.tau_mode, fit_config.n_points)
     curves = [(cum.lags, cum.side(side)) for cum in cums if cum is not None for side in "-+"]
-    fits = iter(_fit_many(curves, *fit_args))
+    fits = iter(_fit_many(curves, t_min, t_max, tau_mode))
     p_m = np.full(B, np.nan)
     p_p = np.full(B, np.nan)
     n_failed = 0

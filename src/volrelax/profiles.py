@@ -9,7 +9,8 @@ before them:
     v(t) = [<|R(t' +/- t)|>_c - sigma] / Z,      Z = <|R(t')|>_c - sigma
 
 where ``<.>_c`` averages over the events whose offset stays inside the
-series and ``sigma`` is the mean volatility of the whole series.  By
+series and ``sigma`` is the mean volatility of the whole series, which
+each function here takes from the series it is given.  By
 construction ``v(0) = 1`` and, for independent data, ``v(t >= 1)``
 vanishes in expectation.
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateZ, NoEvents
 from .events import EventSet
-from .series import SeriesStats, VolatilitySeries, _array_fields, mean_volatility
+from .series import VolatilitySeries, _array_fields, mean_volatility
 from .tsv import read_tsv, write_tsv
 
 __all__ = [
@@ -270,7 +271,7 @@ def remanent_profile(vol: VolatilitySeries, events: EventSet, max_lag: int) -> C
         raise ValueError("max_lag must be >= 1")
     if len(events) == 0:
         raise NoEvents("cannot condition on an empty event set")
-    return _profile_from_indices(vol.values, events.indices, max_lag, mean_volatility(vol).sigma)
+    return _profile_from_indices(vol.values, events.indices, max_lag, mean_volatility(vol))
 
 
 def cumulative(profile: ConditionedProfile) -> CumulativeProfile:
@@ -285,14 +286,9 @@ def cumulative(profile: ConditionedProfile) -> CumulativeProfile:
     return CumulativeProfile(profile=profile, V_minus=v_m, V_plus=v_p)
 
 
-def omori_counts(
-    vol: VolatilitySeries,
-    mainshocks: EventSet,
-    m1: float,
-    stats: SeriesStats,
-    max_lag: int,
-) -> OmoriProfile:
-    """Mean number of ``|R| > m1*sigma`` steps within ``t`` of a mainshock.
+def omori_counts(vol: VolatilitySeries, mainshocks: EventSet, m1: float, max_lag: int) -> OmoriProfile:
+    """Mean number of ``|R| > m1*sigma`` steps within ``t`` of a mainshock,
+    with ``sigma`` the mean volatility of ``vol``.
 
     ``N_plus(t)`` counts exceedances at offsets ``1..t`` after each
     mainshock (``N_minus`` before), averaged over *all* mainshocks;
@@ -306,7 +302,7 @@ def omori_counts(
         )
     if len(mainshocks) == 0:
         raise NoEvents("no mainshocks to condition on")
-    zeta1 = m1 * stats.sigma
+    zeta1 = m1 * mean_volatility(vol)
     exceed = (vol.values > zeta1).astype(np.float64)
     sums_m, _, sums_p, _ = _conditional_sums(exceed, mainshocks.indices, max_lag)
     n = len(mainshocks)

@@ -11,9 +11,11 @@ refuses) is read by a ``csv.reader`` row path instead, which gives the
 same result, words each error with its file line, and alone says where
 a record ends: a chunk that ends inside one is read again with more.
 Returns are logarithmic, ``R(t) = ln P(t+1) - ln P(t)``, and volatility
-is their absolute value.  Each return carries the slot-within-day index
-of its *left* timestamp, a view of the prices' own, so that intraday
-seasonality can be estimated and removed downstream.
+is their absolute value; its mean ``sigma = <|R|>`` (:func:`mean_volatility`)
+is the scale every layer downstream takes from the series.  Each return
+carries the slot-within-day index of its *left* timestamp, a view of the
+prices' own, so that intraday seasonality can be estimated and removed
+downstream.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
-    "SeriesStats",
     "parse_price_csv",
     "read_price_csv",
     "log_returns",
@@ -204,23 +205,6 @@ class VolatilitySeries(_OnSlotGrid):
         super().__post_init__()
         if self.values.size and not np.all(np.isfinite(self.values) & (self.values >= 0)):
             raise ValueError("volatility must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class SeriesStats:
-    """Summary statistics of a volatility series.
-
-    ``sigma`` is the *mean* volatility ``<|R|>`` over the whole series
-    (not the standard deviation); thresholds are expressed as multiples
-    of it.
-    """
-
-    sigma: float
-    n_obs: int
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise EmptySeries(f"sigma must be finite and > 0, got {self.sigma!r}")
 
 
 def _array_fields(obj, **dtypes) -> list[np.ndarray]:
@@ -631,11 +615,20 @@ def absolute_volatility(returns: ReturnSeries) -> VolatilitySeries:
     )
 
 
-def mean_volatility(vol: VolatilitySeries) -> SeriesStats:
-    """Mean volatility ``sigma = <|R|>`` over the full series."""
+def mean_volatility(vol: VolatilitySeries) -> float:
+    """Mean volatility ``sigma = <|R|>`` over the full series.
+
+    ``sigma`` is the *mean* of ``|R|``, not the standard deviation: every
+    threshold and profile downstream is measured in it, and each takes it
+    from the series it is given.  A series whose ``sigma`` is not finite
+    and positive (an empty or constant-price one) is :class:`EmptySeries`.
+    """
     if len(vol) == 0:
         raise EmptySeries("cannot average an empty volatility series")
-    return SeriesStats(sigma=float(np.mean(vol.values)), n_obs=len(vol))
+    sigma = float(np.mean(vol.values))
+    if not 0 < sigma < np.inf:
+        raise EmptySeries(f"sigma must be finite and > 0, got {sigma!r}")
+    return sigma
 
 
 def reverse(returns: ReturnSeries) -> ReturnSeries:

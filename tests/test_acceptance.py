@@ -108,8 +108,8 @@ def test_criterion_02_brute_force_oracle():
         else:
             returns = _planted(10_000, seed=200 + k)
         vol = _vol(np.abs(returns.values))
-        stats = mean_volatility(vol)
-        events = select_events(vol, m, stats)
+        sigma = mean_volatility(vol)
+        events = select_events(vol, m)
         profile = remanent_profile(vol, events, max_lag)
         cum = cumulative(profile)
         ref = brute_profile(vol.values.tolist(), events.indices.tolist(), max_lag)
@@ -123,9 +123,9 @@ def test_criterion_02_brute_force_oracle():
                     worst = max(worst, abs(got[t] - want[t]))
         ref_V = np.cumsum([ref["v_plus"][t] for t in range(1, max_lag + 1)])
         worst = max(worst, float(np.max(np.abs(cum.V_plus[1:] - ref_V))))
-        omori = omori_counts(vol, events, m1, stats, max_lag)
+        omori = omori_counts(vol, events, m1, max_lag)
         ref_m, ref_p = brute_omori(
-            vol.values.tolist(), events.indices.tolist(), m1 * stats.sigma, max_lag
+            vol.values.tolist(), events.indices.tolist(), m1 * sigma, max_lag
         )
         worst = max(worst, float(np.max(np.abs(omori.N_minus - ref_m))))
         worst = max(worst, float(np.max(np.abs(omori.N_plus - ref_p))))
@@ -148,8 +148,7 @@ def test_criterion_03_time_reversal():
     for values in cases:
         vol = _vol(values)
         rev = _vol(values[::-1].copy())
-        stats = mean_volatility(vol)
-        events = select_events(vol, 4.0, stats)
+        events = select_events(vol, 4.0)
         rev_events = _mirrored(events, values.size)
         T = 200
         fwd = remanent_profile(vol, events, T)
@@ -158,8 +157,8 @@ def test_criterion_03_time_reversal():
             good = ~np.isnan(a)
             assert np.array_equal(good, ~np.isnan(b))
             worst = max(worst, float(np.max(np.abs(a[good] - b[good]))))
-        om_f = omori_counts(vol, events, 2.0, stats, T)
-        om_b = omori_counts(rev, rev_events, 2.0, stats, T)
+        om_f = omori_counts(vol, events, 2.0, T)
+        om_b = omori_counts(rev, rev_events, 2.0, T)
         exact &= bool(
             np.array_equal(om_b.N_plus, om_f.N_minus)
             and np.array_equal(om_b.N_minus, om_f.N_plus)

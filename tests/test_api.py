@@ -1,8 +1,11 @@
 """The public API of ``volrelax``, pinned: a change that adds or drops an
-exported name edits this list, and so makes that change on purpose."""
+exported name edits this list, and so makes that change on purpose.
+README's library example runs here too, so it cannot name a removed one."""
 
 import dataclasses
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +15,10 @@ from volrelax import PowerLawFit
 PUBLIC = """
 BootstrapResult BootstrapUnstable CRASH ConditionedProfile CsvSchema
 CumulativeProfile DailyCadence DataError DegenerateZ ENDOGENOUS EXOGENOUS
-EmptySeries EmptySlot EventLabel EventSet FitConfig FitError
+EmptySeries EmptySlot EventLabel EventSet FitError
 InsufficientPositivePoints IntradayPattern LabelDateUnmatched MalformedRow
 NoEvents NonConvergence NonMonotoneTimestamp NonPositivePrice OmoriProfile
-PlantedRelaxationSpec PowerLawFit PriceSeries RALLY ReturnSeries SeriesStats
+PlantedRelaxationSpec PowerLawFit PriceSeries RALLY ReturnSeries
 SlotMismatch TooShort UNLABELED VolatilitySeries VolrelaxError ZeroReturnEvent
 absolute_volatility apply_labels bootstrap_errors classify_sign cumulative
 decluster estimate_pattern filter_events fit_cumulative fit_offset_power_law
@@ -45,3 +48,10 @@ def test_power_law_fit_has_one_method_that_cannot_be_set():
         PowerLawFit(**fields, method="full_fit")
     with pytest.raises(dataclasses.FrozenInstanceError):
         fit.method = "tail_slope"
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 1

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from volrelax import (
-    FitConfig,
     PlantedRelaxationSpec,
     absolute_volatility,
     bootstrap_errors,
@@ -47,7 +46,7 @@ def test_p_stderr_matches_the_spread_of_p_over_seeds(vols, m):
     for vol in vols:
         events = select_events(vol, m)
         cum = cumulative(remanent_profile(vol, events, 100))
-        boot = bootstrap_errors(vol, events, FitConfig(100, 2, 30, "fixed_zero"), 20, 1)
+        boot = bootstrap_errors(vol, events, 100, 20, 1, 2, 30, "fixed_zero")
         for side, err in (("-", boot.stderr_minus), ("+", boot.stderr_plus)):
             p[side].append(fit_cumulative(cum, side, 2, 30, "fixed_zero").p)
             stderr[side].append(err)

@@ -475,8 +475,18 @@ def test_input_files_that_are_not_utf8_exit_with_one_line(planted_csv, tmp_path,
 
 
 def test_unmatched_label_dates_print_one_warning_line_each(planted_csv, tmp_path, capsys):
+    assert main(["events", "--input", planted_csv, "--out", str(tmp_path / "ev"), "--thresholds", "4,5"]) == 0
+
+    def dates(m):
+        rows = (tmp_path / "ev" / f"events_z{m}.tsv").read_text().splitlines()[1:]
+        return {row.split("\t")[1][:10] for row in rows}
+
+    # A z4 event date that is no z5 event matches at one threshold of the run, so it does not warn.
+    z4_only = min(dates(4) - dates(5))
     labels = tmp_path / "labels.csv"
-    labels.write_text("1962-05-29,exogenous\n1962-05-30,endogenous\n1962-05-29,exogenous\n")
+    labels.write_text(
+        f"1962-05-29,exogenous\n{z4_only},exogenous\n1962-05-30,endogenous\n1962-05-29,exogenous\n"
+    )
     want = (
         "warning: label date 1962-05-29 matched no event\n"
         "warning: label date 1962-05-30 matched no event\n"
@@ -491,6 +501,19 @@ def test_unmatched_label_dates_print_one_warning_line_each(planted_csv, tmp_path
                 ["events", "--input", planted_csv, "--out", out, "--thresholds", "4,5", "--labels", str(labels)]
             ) == 0
         assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("command", ["analyze", "omori", "pattern", "events"])
+def test_zero_volatility_series_is_refused_before_out_is_made(command, tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    days = np.datetime64("2000-01-03") + np.arange(300)
+    flat.write_text("timestamp,price\n" + "".join(f"{day},100.0\n" for day in days))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--input", str(flat), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: EmptySeries: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "omori", "pattern", "events", "synth"])
@@ -606,7 +629,7 @@ def test_events_command_lists_events(planted_csv, tmp_path):
 def test_return_stamps_are_kept_only_to_label_or_list_events(planted_csv, tmp_path, argv, kept):
     # 8 bytes a return that an analyze without labels never reads.
     args = cli._build_parser().parse_args([*argv, "--input", planted_csv, "--out", str(tmp_path / "out")])
-    _, _, returns, vol, _ = cli._prepare_run(args)
+    _, _, returns, vol = cli._prepare_run(args)
     if kept:
         stamps = volrelax.read_price_csv(planted_csv).timestamps[:-1]
         assert returns.timestamps.tobytes() == stamps.tobytes()

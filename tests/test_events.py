@@ -73,13 +73,13 @@ def test_selection_matches_brute_force():
     rng = np.random.default_rng(21)
     values = rng.exponential(0.01, 5000)
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    events = select_events(vol, 2.0, stats)
-    expected = brute_select_events(values.tolist(), stats.sigma, 2.0)
+    sigma = mean_volatility(vol)
+    events = select_events(vol, 2.0)
+    expected = brute_select_events(values.tolist(), sigma, 2.0)
     np.testing.assert_array_equal(events.indices, expected)
     np.testing.assert_array_equal(events.magnitudes, values[expected])
     # The independent mean agrees too (different summation order).
-    assert brute_mean(values.tolist()) == pytest.approx(stats.sigma, rel=1e-12)
+    assert brute_mean(values.tolist()) == pytest.approx(sigma, rel=1e-12)
 
 
 def test_classify_sign():

@@ -14,7 +14,6 @@ from scipy import optimize
 from volrelax import (
     BootstrapUnstable,
     EventSet,
-    FitConfig,
     InsufficientPositivePoints,
     NonConvergence,
     VolatilitySeries,
@@ -103,13 +102,6 @@ def test_fit_is_scale_invariant():
     assert a.p == b.p
     assert a.tau == b.tau
     assert b.A == pytest.approx(10.0 * a.A, rel=1e-12)
-
-
-def test_fit_subsample_is_stable():
-    lags, V = _curve(0.35, 12.0, t_max=2000)
-    a = fit_offset_power_law(lags, V, t_min=1, n_points=30)
-    b = fit_offset_power_law(lags, V, t_min=1, n_points=60)
-    assert a.p == pytest.approx(b.p, abs=1e-5)
 
 
 def test_fit_range_validation():
@@ -210,8 +202,8 @@ def _single_event_set(vol, index):
 def test_bootstrap_single_event_has_zero_stderr():
     vol = _bump_vol(400, 200)
     events = _single_event_set(vol, 200)
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
-    boot = bootstrap_errors(vol, events, cfg, B=5, seed=0)
+    cfg = dict(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    boot = bootstrap_errors(vol, events, B=5, seed=0, **cfg)
     assert boot.n_failed == 0
     assert boot.stderr_minus == 0.0
     assert boot.stderr_plus == 0.0
@@ -232,14 +224,14 @@ def test_bootstrap_replicas_are_seed_stable():
         cadence="daily",
     )
     events = select_events(vol, 5.0)
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=50, tau_mode="fixed_zero")
-    small = bootstrap_errors(vol, events, cfg, B=10, seed=42)
-    large = bootstrap_errors(vol, events, cfg, B=11, seed=42)
+    cfg = dict(max_lag=100, t_min=2, t_max=50, tau_mode="fixed_zero")
+    small = bootstrap_errors(vol, events, B=10, seed=42, **cfg)
+    large = bootstrap_errors(vol, events, B=11, seed=42, **cfg)
     # Per-replica seeding: the first B replicas never change.
     np.testing.assert_array_equal(small.p_minus, large.p_minus[:10])
     np.testing.assert_array_equal(small.p_plus, large.p_plus[:10])
     assert small.stderr_minus > 0
-    repeat = bootstrap_errors(vol, events, cfg, B=10, seed=42)
+    repeat = bootstrap_errors(vol, events, B=10, seed=42, **cfg)
     assert repeat.stderr_minus == small.stderr_minus
     assert repeat.stderr_plus == small.stderr_plus
 
@@ -264,9 +256,9 @@ def test_bootstrap_flags_unstable_event_sets():
         signs=np.zeros(2, dtype=np.int8),
         origins=np.full(2, "unlabeled"),
     )
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    cfg = dict(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
     with pytest.raises(BootstrapUnstable):
-        bootstrap_errors(vol, events, cfg, B=40, seed=1)
+        bootstrap_errors(vol, events, B=40, seed=1, **cfg)
 
 
 _EDGE_N = 2400
@@ -326,11 +318,11 @@ def _replica(vol, events, event):
 @pytest.mark.parametrize("odd", ["left", "right", "low"])
 def test_bootstrap_failed_replica_leaves_nan_and_counts_once(odd):
     vol, events, at = _edge_vol_and_events(odd)
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    cfg = dict(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
     B = 10
     seed = next(s for s in range(1000) if len(_replicas_drawing_only(at, s, B)) == 1)
     (bad,) = _replicas_drawing_only(at, seed, B)
-    boot = bootstrap_errors(vol, events, cfg, B=B, seed=seed)
+    boot = bootstrap_errors(vol, events, B=B, seed=seed, **cfg)
     assert boot.n_failed == 1
     good = np.arange(B) != bad
     assert np.all(np.isfinite(boot.p_minus[good]))
@@ -350,12 +342,12 @@ def test_bootstrap_failed_replica_leaves_nan_and_counts_once(odd):
 
 def test_bootstrap_unstable_message_counts_failed_replicas():
     vol, events, at = _edge_vol_and_events("left")
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    cfg = dict(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
     B = 10
     seed = next(s for s in range(1000) if len(_replicas_drawing_only(at, s, B)) >= 2)
     n_bad = len(_replicas_drawing_only(at, seed, B))
     with pytest.raises(BootstrapUnstable) as info:
-        bootstrap_errors(vol, events, cfg, B=B, seed=seed)
+        bootstrap_errors(vol, events, B=B, seed=seed, **cfg)
     assert str(info.value) == f"{n_bad}/{B} bootstrap replicas failed to fit"
     # The form the benchmark tracer parses for fitting.bootstrap_replicas_failed.
     hit = re.search(r"(\d+)/\d+ bootstrap replicas failed", str(info.value))
@@ -365,9 +357,9 @@ def test_bootstrap_unstable_message_counts_failed_replicas():
 def test_bootstrap_validates_arguments():
     vol = _bump_vol(400, 200)
     events = _single_event_set(vol, 200)
-    cfg = FitConfig(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
+    cfg = dict(max_lag=100, t_min=2, t_max=80, tau_mode="fixed_zero")
     with pytest.raises(ValueError):
-        bootstrap_errors(vol, events, cfg, B=1, seed=0)
+        bootstrap_errors(vol, events, B=1, seed=0, **cfg)
 
 
 def test_format_with_stderr():
@@ -673,9 +665,9 @@ def test_descend_equals_minimize_per_search(descents, budget):
         assert res.success == want.success
 
 
-def _frozen_select_sample(lags, values, t_min, t_max, n_points):
+def _frozen_select_sample(lags, values, t_min, t_max):
     """``_select_sample`` as it was before the lock-step searches."""
-    sample = log_spaced_lags(t_min, t_max, n_points)
+    sample = log_spaced_lags(t_min, t_max)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
     sample, pos = sample[ok], pos[ok]
@@ -696,7 +688,7 @@ def _frozen_select_sample(lags, values, t_min, t_max, n_points):
 
 
 def _frozen_fit(
-    lags, values, t_min=5, t_max=None, tau_mode="free", n_points=30,
+    lags, values, t_min=5, t_max=None, tau_mode="free",
     minimize=volrelax.optimize.minimize,
 ):
     """``fit_offset_power_law`` as it was before the lock-step searches: one
@@ -709,7 +701,7 @@ def _frozen_fit(
         raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
     if tau_mode not in ("free", "fixed_zero"):
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    t, log_v = _frozen_select_sample(lags, values, t_min, t_max, n_points)
+    t, log_v = _frozen_select_sample(lags, values, t_min, t_max)
     free_tau = tau_mode == "free"
     if free_tau:
         starts = [(p0, tau0) for p0 in fitting._P_GRID for tau0 in fitting._TAU_GRID]
@@ -753,7 +745,7 @@ def _frozen_fit(
     )
 
 
-def _frozen_bootstrap(vol, events, cfg, B, seed):
+def _frozen_bootstrap(vol, events, max_lag, B, seed, t_min, t_max, tau_mode):
     """``bootstrap_errors`` as it was before the lock-step searches."""
     sigma = float(np.mean(vol.values))
     n_ev = len(events)
@@ -764,11 +756,9 @@ def _frozen_bootstrap(vol, events, cfg, B, seed):
         rng = np.random.default_rng(seed + r)
         idx = events.indices[rng.integers(0, n_ev, n_ev)]
         try:
-            cum = cumulative(fitting._profile_from_indices(vol.values, idx, cfg.max_lag, sigma))
+            cum = cumulative(fitting._profile_from_indices(vol.values, idx, max_lag, sigma))
             for side, p in (("-", p_m), ("+", p_p)):
-                p[r] = _frozen_fit(
-                    cum.lags, cum.side(side), cfg.t_min, cfg.t_max, cfg.tau_mode, cfg.n_points
-                ).p
+                p[r] = _frozen_fit(cum.lags, cum.side(side), t_min, t_max, tau_mode).p
         except VolrelaxError:
             n_failed += 1
     if n_failed > 0.1 * B:
@@ -835,21 +825,20 @@ def _curves(draw):
     st.integers(1, 6),
     st.sampled_from([None, 30, 60]),
     st.sampled_from(["free", "fixed_zero"]),
-    st.sampled_from([15, 30]),
 )
 @settings(max_examples=40, deadline=None)
-def test_fit_many_equals_the_sequential_fit(curves, t_min, t_max, tau_mode, n_points):
+def test_fit_many_equals_the_sequential_fit(curves, t_min, t_max, tau_mode):
     with mock.patch.object(fitting, "_descend", wraps=fitting._descend) as descend:
-        got = fitting._fit_many(curves, t_min, t_max, tau_mode, n_points)
+        got = fitting._fit_many(curves, t_min, t_max, tau_mode)
     assert len(got) == len(curves)
     for (lags, V), fit in zip(curves, got):
-        want = _outcome(lambda: _frozen_fit(lags, V, t_min, t_max, tau_mode, n_points))
+        want = _outcome(lambda: _frozen_fit(lags, V, t_min, t_max, tau_mode))
         assert _outcome(lambda: fit) == want
     # Each distinct sample is searched once.
     distinct = set()
     for lags, V in curves:
         try:
-            t, log_v, t_hi = fitting._select_sample(lags, V, t_min, t_max, tau_mode, n_points)
+            t, log_v, t_hi = fitting._select_sample(lags, V, t_min, t_max, tau_mode)
         except (ValueError, VolrelaxError):
             continue
         distinct.add((t.tobytes(), log_v.tobytes(), t_hi))
@@ -886,9 +875,9 @@ def test_bootstrap_equals_the_sequential_bootstrap(source, B, seed, fit_range, t
         vol, events = _planted_events(seed % 3, 5.0)
     else:
         vol, events, _ = _edge_vol_and_events(source)
-    cfg = FitConfig(max_lag=60, t_min=fit_range[0], t_max=fit_range[1], tau_mode=tau_mode)
-    got = _outcome(lambda: bootstrap_errors(vol, events, cfg, B, seed))
-    assert got == _outcome(lambda: _frozen_bootstrap(vol, events, cfg, B, seed))
+    fit_args = (fit_range[0], fit_range[1], tau_mode)
+    got = _outcome(lambda: bootstrap_errors(vol, events, 60, B, seed, *fit_args))
+    assert got == _outcome(lambda: _frozen_bootstrap(vol, events, 60, B, seed, *fit_args))
 
 
 @pytest.mark.parametrize(

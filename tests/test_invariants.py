@@ -8,7 +8,7 @@ import pytest
 
 from volrelax.errors import EmptySeries, InsufficientPositivePoints, MalformedRow, NoEvents, TooShort
 from volrelax.events import EventLabel, EventSet
-from volrelax.fitting import FitConfig, PowerLawFit, bootstrap_errors, fit_offset_power_law
+from volrelax.fitting import PowerLawFit, bootstrap_errors, fit_offset_power_law
 from volrelax.profiles import (
     ConditionedProfile,
     CumulativeProfile,
@@ -17,7 +17,7 @@ from volrelax.profiles import (
     remanent_profile,
     write_omori_tsv,
 )
-from volrelax.series import PriceSeries, ReturnSeries, SeriesStats, VolatilitySeries
+from volrelax.series import PriceSeries, ReturnSeries, VolatilitySeries, mean_volatility
 from volrelax.synth import PlantedRelaxationSpec, returns_to_prices
 
 FIT = PowerLawFit(A=1.0, p=0.5, tau=0.0, fit_range=(2, 30), rms_log_residual=0.1)
@@ -61,8 +61,12 @@ _CASES = {
     "PowerLawFit fit_range": (ValueError, _with(FIT, fit_range=(0, 30))),
     "PowerLawFit rms_log_residual": (ValueError, _with(FIT, rms_log_residual=float("nan"))),
     "PowerLawFit p_stderr": (ValueError, _with(FIT, p_stderr=-0.1)),
-    "FitConfig tau_mode": (ValueError, lambda: FitConfig(tau_mode="pinned")),
-    "FitConfig t_min": (ValueError, lambda: FitConfig(t_min=0)),
+    # The fit range [1, 2] is valid, so the tau_mode check is the one that refuses.
+    "bootstrap_errors tau_mode": (
+        ValueError,
+        lambda: bootstrap_errors(VOL, EVENTS, 2, 2, 0, t_min=1, tau_mode="pinned"),
+    ),
+    "bootstrap_errors t_min": (ValueError, lambda: bootstrap_errors(VOL, EVENTS, 2, 2, 0, t_min=0)),
     "ConditionedProfile v_minus": (ValueError, _with(PROFILE, v_minus=[1.0, 0.5])),
     "ConditionedProfile max_lag": (
         ValueError,
@@ -91,27 +95,20 @@ _CASES = {
     "PriceSeries slot_index": (ValueError, _with(PRICES, slot_index=[0, 1, 0])),
     "ReturnSeries values": (ValueError, _with(RETURNS, values=[0.01] * 7 + [float("inf")])),
     "VolatilitySeries values": (ValueError, _with(VOL, values=[-0.01] + [0.01] * 7)),
-    "SeriesStats sigma": (EmptySeries, lambda: SeriesStats(sigma=0.0, n_obs=3)),
+    "mean_volatility sigma": (
+        EmptySeries, lambda: mean_volatility(dataclasses.replace(VOL, values=[0.0] * 8))
+    ),
     "PlantedRelaxationSpec shock_rate": (ValueError, _with(SPEC, shock_rate=0.0)),
     "remanent_profile max_lag": (ValueError, lambda: remanent_profile(VOL, EVENTS, 0)),
-    "omori_counts max_lag": (
-        ValueError,
-        lambda: omori_counts(VOL, EVENTS, 2.0, SeriesStats(sigma=0.01, n_obs=8), 0),
-    ),
-    "omori_counts no mainshocks": (
-        NoEvents,
-        lambda: omori_counts(VOL, NO_EVENTS, 2.0, SeriesStats(sigma=0.01, n_obs=8), 2),
-    ),
+    "omori_counts max_lag": (ValueError, lambda: omori_counts(VOL, EVENTS, 2.0, 0)),
+    "omori_counts no mainshocks": (NoEvents, lambda: omori_counts(VOL, NO_EVENTS, 2.0, 2)),
     "write_omori_tsv max_lag": (
         ValueError,
         lambda: write_omori_tsv(
             CUM, dataclasses.replace(OMORI, max_lag=1, N_minus=[0, 1], N_plus=[0, 1]), os.devnull
         ),
     ),
-    "bootstrap_errors no events": (
-        NoEvents,
-        lambda: bootstrap_errors(VOL, NO_EVENTS, FitConfig(max_lag=2), 2, 0),
-    ),
+    "bootstrap_errors no events": (NoEvents, lambda: bootstrap_errors(VOL, NO_EVENTS, 2, 2, 0)),
     "fit with no computed lag in its range": (
         InsufficientPositivePoints,
         lambda: fit_offset_power_law([1, 100], [1.0, 2.0], t_min=2, t_max=99),

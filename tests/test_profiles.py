@@ -327,23 +327,22 @@ def test_cumulative_of_power_profile_tracks_integral():
 def test_omori_hand_case():
     values = np.array([1, 1, 1, 100, 1, 5, 1, 1, 5, 1, 1, 1], dtype=np.float64)
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    mainshocks = select_events(vol, 5.0, stats)
+    sigma = mean_volatility(vol)
+    mainshocks = select_events(vol, 5.0)
     np.testing.assert_array_equal(mainshocks.indices, [3])
-    omori = omori_counts(vol, mainshocks, 0.3, stats, 6)
+    omori = omori_counts(vol, mainshocks, 0.3, 6)
     np.testing.assert_array_equal(omori.N_plus, [0, 0, 1, 1, 1, 2, 2])
     np.testing.assert_array_equal(omori.N_minus, np.zeros(7))
     assert omori.n_mainshocks == 1
-    assert omori.zeta1 == pytest.approx(0.3 * stats.sigma)
+    assert omori.zeta1 == pytest.approx(0.3 * sigma)
 
 
 def test_side_is_the_curve_before_or_after():
     values = np.array([1, 1, 1, 100, 1, 5, 1, 1, 5, 1, 1, 1], dtype=np.float64)
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    mainshocks = select_events(vol, 5.0, stats)
+    mainshocks = select_events(vol, 5.0)
     cum = cumulative(remanent_profile(vol, mainshocks, 6))
-    omori = omori_counts(vol, mainshocks, 0.3, stats, 6)
+    omori = omori_counts(vol, mainshocks, 0.3, 6)
     for curves, minus, plus in ((cum, cum.V_minus, cum.V_plus), (omori, omori.N_minus, omori.N_plus)):
         assert curves.side("-") is minus
         assert curves.side("+") is plus
@@ -358,12 +357,12 @@ def test_omori_matches_brute_on_random_series():
     values = rng.exponential(0.01, 4000)
     values[rng.integers(0, 4000, 25)] *= 40.0
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    mainshocks = select_events(vol, 6.0, stats)
+    sigma = mean_volatility(vol)
+    mainshocks = select_events(vol, 6.0)
     assert len(mainshocks) >= 10
-    omori = omori_counts(vol, mainshocks, 2.0, stats, 50)
+    omori = omori_counts(vol, mainshocks, 2.0, 50)
     ref_m, ref_p = brute_omori(
-        values.tolist(), mainshocks.indices.tolist(), 2.0 * stats.sigma, 50
+        values.tolist(), mainshocks.indices.tolist(), 2.0 * sigma, 50
     )
     np.testing.assert_allclose(omori.N_minus, ref_m, atol=1e-12)
     np.testing.assert_allclose(omori.N_plus, ref_p, atol=1e-12)
@@ -371,19 +370,17 @@ def test_omori_matches_brute_on_random_series():
 
 def test_omori_threshold_ordering_is_enforced():
     vol = _vol(np.concatenate((np.ones(50), [20.0], np.ones(50))))
-    stats = mean_volatility(vol)
-    mainshocks = select_events(vol, 5.0, stats)
+    mainshocks = select_events(vol, 5.0)
     for bad in (5.0, 7.0, 0.0, -1.0):
         with pytest.raises(ValueError):
-            omori_counts(vol, mainshocks, bad, stats, 10)
+            omori_counts(vol, mainshocks, bad, 10)
 
 
 def test_time_reversed_profile_swaps_sides():
     rng = np.random.default_rng(4)
     values = rng.exponential(0.01, 6000)
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    events = select_events(vol, 3.0, stats)
+    events = select_events(vol, 3.0)
     n = len(vol)
     rev_vol = _vol(values[::-1].copy())
     rev_events = _event_set(
@@ -398,8 +395,8 @@ def test_time_reversed_profile_swaps_sides():
     np.testing.assert_allclose(bwd.v_plus, fwd.v_minus, atol=1e-12)
     np.testing.assert_allclose(bwd.v_minus, fwd.v_plus, atol=1e-12)
     # Exceedance counts swap exactly: 0/1 sums carry no rounding.
-    om_f = omori_counts(vol, events, 1.5, stats, T)
-    om_b = omori_counts(rev_vol, rev_events, 1.5, stats, T)
+    om_f = omori_counts(vol, events, 1.5, T)
+    om_b = omori_counts(rev_vol, rev_events, 1.5, T)
     np.testing.assert_array_equal(om_b.N_plus, om_f.N_minus)
     np.testing.assert_array_equal(om_b.N_minus, om_f.N_plus)
 
@@ -465,10 +462,9 @@ def test_omori_tsv_round_trip(tmp_path):
     values = rng.exponential(0.01, 2000)
     values[rng.integers(0, 2000, 12)] *= 50.0
     vol = _vol(values)
-    stats = mean_volatility(vol)
-    mainshocks = select_events(vol, 6.0, stats)
+    mainshocks = select_events(vol, 6.0)
     cum = cumulative(remanent_profile(vol, mainshocks, 30))
-    omori = omori_counts(vol, mainshocks, 2.0, stats, 30)
+    omori = omori_counts(vol, mainshocks, 2.0, 30)
     path = str(tmp_path / "omori.tsv")
     write_omori_tsv(cum, omori, path)
     cols = read_omori_tsv(path)
