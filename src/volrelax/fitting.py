@@ -18,11 +18,11 @@ by multistart Nelder-Mead descent from a coarse grid.
 
 All the descents of one fit call (three starts per curve, and ``2B``
 curves in :func:`bootstrap_errors`) run in lock step: each is a
-:func:`volrelax.optimize.search`, and every round evaluates the points
-the live searches ask for in one numpy call per sample and ``ln g``
-formula (:func:`_losses`).  Each search takes exactly the steps the
-sequential :func:`volrelax.optimize.minimize` takes on its own, so the
-fits are bit for bit those of one curve and one start at a time.
+:func:`volrelax.optimize.search` over one or two scalars, and every round
+evaluates the points the live searches ask for in one numpy call per
+sample and ``ln g`` formula (:func:`_losses`).  Each search takes exactly
+the steps the sequential :func:`volrelax.optimize.minimize` takes on its
+own, so the fits are bit for bit those of one curve and one start at a time.
 """
 
 from __future__ import annotations

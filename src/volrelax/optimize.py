@@ -2,15 +2,16 @@
 
 The algorithm is the Nelder & Mead (1965) simplex search as scipy
 implements it (``_minimize_neldermead``, non-adaptive), moved step for
-step onto lists of Python floats, which is cheaper on the fits' small
-simplices than scipy's array bookkeeping.  :func:`search` is the search
-itself, written as a generator that asks its caller for each loss, so
-that one caller can advance many searches in lock step and evaluate
-their points together; :func:`minimize` drives one search with a
-function.  A differential test pins it to scipy bit for bit; scipy
-itself is needed by the tests only.  A stalled search (simplex within
-``xatol``, values not within ``fatol``) can cycle to the end of its budget;
-once a state repeats bit for bit, all but a period or two are counted, not run.
+step onto scalar local variables for the two sizes the fits search: one
+parameter (``p``, ``tau`` pinned to zero) and two (``p`` and ``sqrt(tau)``);
+any other size is refused.  :func:`search` is the search itself, written as
+a generator that asks its caller for each loss, so that one caller can
+advance many searches in lock step and evaluate their points together;
+:func:`minimize` drives one search with a function.  A differential test
+pins it to scipy bit for bit; scipy itself is needed by the tests only.  A
+stalled search (simplex within ``xatol``, values not within ``fatol``) can
+cycle to the end of its budget; once a state repeats bit for bit, all but a
+period or two are counted, not run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["MinimizeResult", "minimize", "search"]
+
+# scipy's rho, chi, psi and sigma, and each update's weights on the centroid
+# and on the worst vertex: reflection, expansion, outside and inside contraction.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_WEIGHTS = (1 + _RHO, _RHO, 1 + _RHO * _CHI, _RHO * _CHI, 1 + _PSI * _RHO, _PSI * _RHO, 1 - _PSI, _PSI)
 
 
 class MinimizeResult(NamedTuple):
@@ -38,7 +44,8 @@ class MinimizeResult(NamedTuple):
 def search(
     x0, *, xatol, fatol, maxiter, maxfev
 ) -> Generator[list[float], float, MinimizeResult]:
-    """Nelder-Mead from the start ``x0``, one loss at a time.
+    """Nelder-Mead from the start ``x0`` (one or two coordinates, else
+    ``ValueError``), one loss at a time.
 
     Yields each point it wants evaluated, as a list of floats; send the
     loss back as a float.  Returns (as ``StopIteration.value``) the
@@ -52,97 +59,148 @@ def search(
     on its counts only through the budget tests); ``success`` is False when
     the search ran out of ``maxfev`` evaluations or ``maxiter`` iterations.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = len(x0)
-    sim = [[float(c) for c in x0]]
-    for k in range(n):
-        y = list(sim[0])
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [inf] * (n + 1)
-    nfev = 0
-    for k in range(min(n + 1, maxfev)):
-        fsim[k] = yield sim[k]
+    x0 = [float(c) for c in x0]
+    if len(x0) not in (1, 2):
+        raise ValueError(f"Nelder-Mead searches 1 or 2 parameters, got {len(x0)}")
+    body = _search_1d if len(x0) == 1 else _search_2d
+    return body(*x0, xatol, fatol, maxiter, maxfev)
+
+
+def _step(c: float) -> float:
+    """A coordinate of the initial simplex, moved from the start's ``c``."""
+    return (1 + 0.05) * c if c != 0 else 0.00025
+
+
+def _start(vertices: list[list[float]], maxfev: int):
+    """Ask for the initial simplex's losses while the budget lasts (``inf``
+    for the rest); returns the losses and nfev."""
+    losses, nfev = [inf] * len(vertices), 0
+    while nfev < min(len(vertices), maxfev):
+        losses[nfev] = yield vertices[nfev]
         nfev += 1
-    nit = 1
-    stalled, last, mark = 0, None, None  # stalled heads; (state bits, nit, nfev) of the last and the mark
-    # A refused evaluation (the budget is spent) skips the rest of its
-    # iteration with `continue`, back to this sort, after which the loop ends.
+    return (*losses, nfev)
+
+
+def _skip(cycle: list, bits: bytes, nit: int, nfev: int, maxiter: int, maxfev: int) -> tuple[int, int]:
+    """The counts at a stalled head (one that passed its budget tests) of state ``bits``:
+    ``cycle`` holds the stalled heads so far and the ``(bits, nit, nfev)`` of the last and
+    of the mark; on a repeat of either, all but a period or two of the budget are skipped."""
+    heads, last, mark = cycle
+    for seen in (last, mark):  # last finds a one-iteration cycle at once, mark any other
+        if seen and seen[0] == bits:
+            di, df = nit - seen[1], nfev - seen[2]
+            k = max(min((maxfev - nfev) // df, (maxiter - nit) // di) - 1, 0)
+            nit, nfev = nit + k * di, nfev + k * df
+            break
+    heads, last = heads + 1, (bits, nit, nfev)
+    cycle[:] = heads, last, last if heads & (heads - 1) == 0 else mark  # Brent's: marks at heads 1, 2, 4, ...
+    return nit, nfev
+
+
+def _result(x: list[float], best: float, worst: float, nit, nfev, maxiter, maxfev) -> MinimizeResult:
+    fun = worst if worst != worst else best  # np.min: NaN wins, and sorts last
+    return MinimizeResult(np.array(x), fun, nit, nfev, nfev < maxfev and nit < maxiter)
+
+
+# Vertex k is x{k} (and y{k}) with loss f{k}, sorted at the head of each
+# iteration: b goes before a when b < a, or when a is NaN and b is not.  A
+# refused evaluation (the budget is spent) skips the rest of its iteration
+# with `continue`, back to that sort, after which the loop ends.
+
+
+def _search_1d(x0, xatol, fatol, maxiter, maxfev):
+    rb, rw, eb, ew, cb, cw, ib, iw = _WEIGHTS
+    x1 = _step(x0)
+    f0, f1, nfev = yield from _start([[x0], [x1]], maxfev)
+    nit, cycle = 1, [0, None, None]
     while True:
-        order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        if f1 < f0 or f0 != f0 and f1 == f1:
+            x0, f0, x1, f1 = x1, f1, x0, f0
         if nfev >= maxfev or nit >= maxiter:
             break
-        s0, f0 = sim[0], fsim[0]
-        x_close = all(abs(c - c0) <= xatol for v in sim[1:] for c, c0 in zip(v, s0))
-        if x_close and all(abs(f0 - fv) <= fatol for fv in fsim[1:]):
-            break
-        if x_close:  # stalled: on a repeat, skip all but a period or two (this head passed its budget tests)
-            bits = pack(f"{(n + 1) ** 2}d", *fsim, *(c for v in sim for c in v))
-            for seen in (last, mark):  # last finds a one-iteration cycle at once, mark any other
-                if seen and seen[0] == bits:
-                    di, df = nit - seen[1], nfev - seen[2]
-                    k = max(min((maxfev - nfev) // df, (maxiter - nit) // di) - 1, 0)
-                    nit, nfev = nit + k * di, nfev + k * df
-                    break
-            stalled, last = stalled + 1, (bits, nit, nfev)
-            mark = last if stalled & (stalled - 1) == 0 else mark  # Brent's: at stalled heads 1, 2, 4, ...
-        xbar = s0
-        for v in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, v)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
-        fxr = yield xr
+        if abs(x1 - x0) <= xatol:
+            if abs(f0 - f1) <= fatol:
+                break
+            nit, nfev = _skip(cycle, pack("4d", f0, f1, x0, x1), nit, nfev, maxiter, maxfev)
+        xr = rb * x0 - rw * x1  # the centroid is x0 (x0 / 1)
+        fxr = yield [xr]
         nfev += 1
-        shrink = False
-        if fxr < fsim[0]:
-            if nfev >= maxfev:
-                continue
-            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-            fxe = yield xe
+        if nfev >= maxfev:
+            continue  # every branch of a 1-D step asks for a second loss
+        if fxr < f0:  # expand
+            xe = eb * x0 - ew * x1
+            fxe = yield [xe]
             nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            if nfev >= maxfev:
-                continue
-            xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-            fxc = yield xc
+            x1, f1 = (xe, fxe) if fxe < fxr else (xr, fxr)
+        else:  # contract outside or inside, or shrink
+            outside = fxr < f1
+            xc = cb * x0 - cw * x1 if outside else ib * x0 + iw * x1
+            fxc = yield [xc]
             nfev += 1
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
+            if fxc <= fxr if outside else fxc < f1:
+                x1, f1 = xc, fxc
             else:
-                shrink = True
-        else:
-            if nfev >= maxfev:
-                continue
-            xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-            fxcc = yield xcc
-            nfev += 1
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = [a + sigma * (b - a) for a, b in zip(s0, sim[j])]
+                x1 = x0 + _SIGMA * (x1 - x0)
                 if nfev >= maxfev:
-                    break  # the vertex moved, its value did not, nit stays
-                fsim[j] = yield sim[j]
+                    continue  # the vertex moved, its value did not, nit stays
+                f1 = yield [x1]
                 nfev += 1
+        nit += 1
+    return _result([x0], f0, f1, nit, nfev, maxiter, maxfev)
+
+
+def _search_2d(x0, y0, xatol, fatol, maxiter, maxfev):
+    rb, rw, eb, ew, cb, cw, ib, iw = _WEIGHTS
+    x1, y1, x2, y2 = _step(x0), y0, x0, _step(y0)
+    f0, f1, f2, nfev = yield from _start([[x0, y0], [x1, y1], [x2, y2]], maxfev)
+    nit, cycle = 1, [0, None, None]
+    while True:
+        if f1 < f0 or f0 != f0 and f1 == f1:
+            x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        if f2 < f1 or f1 != f1 and f2 == f2:
+            if f2 < f0 or f0 != f0 and f2 == f2:
+                x0, y0, f0, x1, y1, f1, x2, y2, f2 = x2, y2, f2, x0, y0, f0, x1, y1, f1
             else:
-                nit += 1
-        else:
-            nit += 1
-    return MinimizeResult(
-        x=np.array(sim[0]),
-        fun=fsim[-1] if fsim[-1] != fsim[-1] else fsim[0],  # np.min: NaN wins, and sorts last
-        nit=nit,
-        nfev=nfev,
-        success=nfev < maxfev and nit < maxiter,
-    )
+                x1, y1, f1, x2, y2, f2 = x2, y2, f2, x1, y1, f1
+        if nfev >= maxfev or nit >= maxiter:
+            break
+        if abs(x1 - x0) <= xatol and abs(y1 - y0) <= xatol and abs(x2 - x0) <= xatol and abs(y2 - y0) <= xatol:
+            if abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol:
+                break
+            nit, nfev = _skip(cycle, pack("9d", f0, f1, f2, x0, y0, x1, y1, x2, y2), nit, nfev, maxiter, maxfev)
+        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+        xr, yr = rb * xb - rw * x2, rb * yb - rw * y2
+        fxr = yield [xr, yr]
+        nfev += 1
+        if fxr < f1 and not fxr < f0:  # keep the reflection
+            x2, y2, f2 = xr, yr, fxr
+        elif nfev >= maxfev:  # every other branch asks for a second loss
+            continue
+        elif fxr < f0:  # expand
+            xe, ye = eb * xb - ew * x2, eb * yb - ew * y2
+            fxe = yield [xe, ye]
+            nfev += 1
+            x2, y2, f2 = (xe, ye, fxe) if fxe < fxr else (xr, yr, fxr)
+        else:  # contract outside or inside, or shrink
+            outside = fxr < f2
+            xc, yc = (cb * xb - cw * x2, cb * yb - cw * y2) if outside else (ib * xb + iw * x2, ib * yb + iw * y2)
+            fxc = yield [xc, yc]
+            nfev += 1
+            if fxc <= fxr if outside else fxc < f2:
+                x2, y2, f2 = xc, yc, fxc
+            else:
+                x1, y1 = x0 + _SIGMA * (x1 - x0), y0 + _SIGMA * (y1 - y0)
+                if nfev >= maxfev:
+                    continue  # the vertex moved, its value did not, nit stays
+                f1 = yield [x1, y1]
+                nfev += 1
+                x2, y2 = x0 + _SIGMA * (x2 - x0), y0 + _SIGMA * (y2 - y0)
+                if nfev >= maxfev:
+                    continue
+                f2 = yield [x2, y2]
+                nfev += 1
+        nit += 1
+    return _result([x0, y0], f0, f2, nit, nfev, maxiter, maxfev)
 
 
 def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> MinimizeResult:

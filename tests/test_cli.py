@@ -293,6 +293,8 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         # Daily stamps declared intraday have one time of day, so no slot grid.
         (["pattern", "--input", planted_csv, "--out", out, "--cadence", "1min"],
          "intraday removal needs a slot grid: pass --slots-per-day or disable with --no-intraday-removal"),
+        (["omori", "--input", planted_csv, "--out", out, "--main-threshold", "4", "--z1-thresholds", "0,3"],
+         "aftershock threshold 0 must be above 0 and below the main threshold 4"),
     ]
     for argv, want in [(argv, None) for argv in cases] + worded:
         assert main(argv) == 1, argv
@@ -727,6 +729,23 @@ def test_signal_check_flags_a_profile_without_lags_as_undefined(tmp_path, capsys
     rows = {row[2]: row for row in (line.split("\t") for line in lines[1:])}
     assert rows["+"] == ["20.0", "all", "+", "nan", "undefined"]
     assert rows["-"][3] != "nan" and rows["-"][4] in ("signal", "zero_consistent")
+
+
+@pytest.mark.parametrize("max_lag", [60, 150])
+def test_signal_check_mean_v_is_the_mean_of_the_written_profile(planted_csv, tmp_path, max_lag):
+    # mean_v is the NaN-skipping mean of v over lags 1 to min(100, max_lag),
+    # read back from the run's own profile files.
+    out = str(tmp_path / "out")
+    argv = ["analyze", "--input", planted_csv, "--out", out, "--thresholds", "4,5", "--max-lag", str(max_lag)]
+    assert main([*argv, "--fit-min", "2", "--fit-max", "50", "--tau", "zero"]) == 0
+    lines = open(os.path.join(out, "signal_check.tsv"), encoding="utf-8").read().splitlines()
+    assert len(lines) == 5
+    hi = min(100, max_lag)
+    for m, _, side, mean_v, _ in (line.split("\t") for line in lines[1:]):
+        profile = read_profile_tsv(os.path.join(out, f"profile_z{float(m):g}.tsv"))
+        assert profile["t"].tolist() == list(range(max_lag + 1))
+        v = profile["v_minus" if side == "-" else "v_plus"]
+        assert float(mean_v) == float(np.nanmean(v[1 : hi + 1])), (m, side)
 
 
 def test_omori_command(planted_csv, tmp_path):

@@ -142,15 +142,17 @@ def test_filter_by_sign_and_origin():
 
 def test_decluster_keeps_first_of_each_cluster():
     events = EventSet(
-        indices=np.array([0, 5, 9, 30]),
+        indices=np.array([0, 1, 5, 9, 30]),
         zeta_multiple=2.0,
         zeta_abs=1.0,
-        magnitudes=np.full(4, 3.0),
-        signs=np.zeros(4, dtype=np.int8),
-        origins=np.full(4, "unlabeled"),
+        magnitudes=np.full(5, 3.0),
+        signs=np.zeros(5, dtype=np.int8),
+        origins=np.full(5, "unlabeled"),
     )
     thinned = decluster(events, 10)
     np.testing.assert_array_equal(thinned.indices, [0, 30])
+    # Separation 2 drops only the event right after a kept one.
+    np.testing.assert_array_equal(decluster(events, 2).indices, [0, 5, 9, 30])
     # Separation <= 1 is a no-op.
     np.testing.assert_array_equal(decluster(events, 0).indices, events.indices)
     np.testing.assert_array_equal(decluster(events, 1).indices, events.indices)

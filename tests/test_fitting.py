@@ -1,4 +1,4 @@
-"""Offset power-law fitting, tail slopes and bootstrap errors."""
+"""Offset power-law fitting, its Nelder-Mead search and bootstrap errors."""
 
 import re
 import struct
@@ -626,6 +626,171 @@ def test_fit_budget_counts_a_stalled_search_without_running_it():
         )
         assert res.nfev == fitting._MAX_ITER and not res.success
         assert len(calls) < 1_000
+
+
+def _frozen_search(x0, *, xatol, fatol, maxiter, maxfev):
+    """``optimize.search`` as it was before the scalar bodies: one loop for
+    any size, each vertex a list of floats."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = [[float(c) for c in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [float("inf")] * (n + 1)
+    nfev = 0
+    for k in range(min(n + 1, maxfev)):
+        fsim[k] = yield sim[k]
+        nfev += 1
+    nit = 1
+    stalled, last, mark = 0, None, None
+    while True:
+        order = sorted(range(n + 1), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        if nfev >= maxfev or nit >= maxiter:
+            break
+        s0, f0 = sim[0], fsim[0]
+        x_close = all(abs(c - c0) <= xatol for v in sim[1:] for c, c0 in zip(v, s0))
+        if x_close and all(abs(f0 - fv) <= fatol for fv in fsim[1:]):
+            break
+        if x_close:
+            bits = struct.pack(f"{(n + 1) ** 2}d", *fsim, *(c for v in sim for c in v))
+            for seen in (last, mark):
+                if seen and seen[0] == bits:
+                    di, df = nit - seen[1], nfev - seen[2]
+                    k = max(min((maxfev - nfev) // df, (maxiter - nit) // di) - 1, 0)
+                    nit, nfev = nit + k * di, nfev + k * df
+                    break
+            stalled, last = stalled + 1, (bits, nit, nfev)
+            mark = last if stalled & (stalled - 1) == 0 else mark
+        xbar = s0
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        fxr = yield xr
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            if nfev >= maxfev:
+                continue
+            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+            fxe = yield xe
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            if nfev >= maxfev:
+                continue
+            xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+            fxc = yield xc
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            if nfev >= maxfev:
+                continue
+            xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+            fxcc = yield xcc
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [a + sigma * (b - a) for a, b in zip(s0, sim[j])]
+                if nfev >= maxfev:
+                    break
+                fsim[j] = yield sim[j]
+                nfev += 1
+            else:
+                nit += 1
+        else:
+            nit += 1
+    return volrelax.optimize.MinimizeResult(
+        x=np.array(sim[0]),
+        fun=fsim[-1] if fsim[-1] != fsim[-1] else fsim[0],
+        nit=nit,
+        nfev=nfev,
+        success=nfev < maxfev and nit < maxiter,
+    )
+
+
+@st.composite
+def _hostile_objectives(draw):
+    """A bowl whose loss is NaN on a half-plane of the last coordinate or
+    at scattered points, ``+inf`` on a half-plane of the first, and rounded
+    to a grid (exact ties; a grid of 1e9 makes the loss flat)."""
+    centre = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    grid = draw(st.sampled_from([0.0, 1e-3, 0.25, 1e9]))
+    nan_above = draw(st.none() | st.floats(-1.0, 3.0))
+    inf_below = draw(st.none() | st.floats(-3.0, 1.0))
+    nan_every = draw(st.sampled_from([None, 2, 3, 7]))
+
+    def fun(x):
+        if nan_above is not None and x[-1] > nan_above:
+            return float("nan")
+        if inf_below is not None and x[0] < inf_below:
+            return float("inf")
+        if nan_every and sum(struct.unpack(f"<{len(x)}q", struct.pack(f"<{len(x)}d", *x))) % nan_every == 0:
+            return float("nan")
+        d = [c - c0 for c, c0 in zip(x, centre)]
+        loss = d[0] * d[0] if len(d) == 1 else d[0] * d[0] + d[1] * d[1]
+        if grid and np.isfinite(loss):
+            loss = float(np.rint(loss / grid) * grid)
+        return loss
+
+    return fun
+
+
+def _run_search(steps, fun):
+    """Drive a search with ``fun``: the bit patterns of the points it asked
+    for, and its result."""
+    points = []
+    try:
+        x = next(steps)
+        while True:
+            points.append(struct.pack(f"{len(x)}d", *x))
+            x = steps.send(fun(x))
+    except StopIteration as stop:
+        return points, stop.value
+
+
+_COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+
+@given(
+    _hostile_objectives(),
+    st.lists(_COORDS, min_size=1, max_size=2),
+    _BUDGETS,
+    _BUDGETS,
+    st.sampled_from([(1e-8, 1e-16), (1e-4, 1e-4), (1e-2, 0.0)]),
+)
+@example(lambda x: 0.0, [0.0, -0.0], 10_000, 10_000, (1e-8, 1e-16))
+@settings(max_examples=300, deadline=None)
+def test_search_equals_the_frozen_search(fun, x0, maxfev, maxiter, tols):
+    # Every point asked for, bit for bit, and the result: NaN, +inf and
+    # tied losses put the vertices in every order the stable NaN-last sort
+    # can give, and small budgets stop a search anywhere.
+    options = {"xatol": tols[0], "fatol": tols[1], "maxiter": maxiter, "maxfev": maxfev}
+    got_points, got = _run_search(volrelax.optimize.search(np.array(x0), **options), fun)
+    want_points, want = _run_search(_frozen_search(np.array(x0), **options), fun)
+    assert got_points == want_points
+    assert got.x.tobytes() == want.x.tobytes()
+    assert struct.pack("d", got.fun) == struct.pack("d", want.fun)
+    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
+
+
+@pytest.mark.parametrize("x0", [[], [0.5, 1.0, 2.0]])
+def test_search_refuses_other_sizes(x0):
+    with pytest.raises(ValueError, match="1 or 2 parameters"):
+        next(volrelax.optimize.search(np.array(x0), xatol=1e-8, fatol=1e-16, maxiter=10, maxfev=10))
 
 
 @st.composite
