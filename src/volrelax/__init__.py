@@ -65,7 +65,6 @@ from .profiles import (
     remanent_profile,
 )
 from .series import (
-    CsvSchema,
     PriceSeries,
     ReturnSeries,
     VolatilitySeries,

@@ -43,7 +43,7 @@ from .fitting import bootstrap_errors, fit_cumulative, fit_offset_power_law, fit
 from .intraday import estimate_pattern, remove_pattern, write_pattern_tsv
 from .profiles import cumulative, omori_counts, remanent_profile, write_omori_tsv, write_profile_tsv
 from .series import (
-    CsvSchema, _read_lines, absolute_volatility, log_returns, mean_volatility, read_price_csv,
+    _read_lines, absolute_volatility, log_returns, mean_volatility, read_price_csv,
     shuffle_surrogate,
 )
 from .synth import (
@@ -270,14 +270,13 @@ def _prepare_run(args: argparse.Namespace):
     """
     c = _run_config(args)
     labels = _load_labels(c.labels) if getattr(c, "labels", None) else None
-    schema = CsvSchema(cadence=c.cadence, slots_per_day=c.slots_per_day)
     head = c.out  # the deepest part of --out that exists: a file there is refused before the read
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)
     if head and not os.path.isdir(head):
         _make_out_dir(c.out)  # fails, creating nothing
     try:
-        prices = read_price_csv(c.input, schema)
+        prices = read_price_csv(c.input, cadence=c.cadence, slots_per_day=c.slots_per_day)
     except OSError as exc:
         raise _ConfigError(f"cannot read input {c.input}: {exc}") from None
     returns = log_returns(prices, include_session_crossing=not c.drop_session_crossing)

@@ -80,6 +80,8 @@ FIT_COLUMNS = {
 _P_GRID = np.linspace(0.05, 1.2, 5)
 _TAU_GRID = np.linspace(0.0, 50.0, 5)
 _N_STARTS = 3
+# Lags each fit samples from its range (log_spaced_lags).
+_N_POINTS = 30
 _XATOL = 1e-8
 _MAX_ITER = 10_000
 _PENALTY = 1e12
@@ -147,22 +149,21 @@ def format_with_stderr(value: float, stderr: float | None) -> str:
     return f"{value:.{decimals}f}({digit})"
 
 
-def log_spaced_lags(t_min: int, t_max: int, n_points: int = 30) -> np.ndarray:
+def log_spaced_lags(t_min: int, t_max: int) -> np.ndarray:
     """Approximately log-spaced integer lags covering ``[t_min, t_max]``.
 
-    Returns all lags when the range holds ``n_points`` or fewer;
-    otherwise at least ``n_points`` distinct integers including both
-    endpoints.
+    Returns all lags when the range holds 30 (``_N_POINTS``) or fewer;
+    otherwise at least 30 distinct integers including both endpoints.
     """
     if not 1 <= t_min <= t_max:
         raise ValueError(f"need 1 <= t_min <= t_max, got [{t_min}, {t_max}]")
     total = t_max - t_min + 1
-    if total <= n_points:
+    if total <= _N_POINTS:
         return np.arange(t_min, t_max + 1, dtype=np.int64)
-    k = n_points
+    k = _N_POINTS
     while True:
         cand = np.unique(np.rint(np.geomspace(t_min, t_max, k)).astype(np.int64))
-        if cand.size >= n_points or k > 16 * total:
+        if cand.size >= _N_POINTS or k > 16 * total:
             return cand
         k *= 2
 

@@ -1,7 +1,8 @@
 """Price series ingestion and return/volatility extraction.
 
-The input format is a two-column CSV (``timestamp,price``) with ISO
-timestamps, either dates (daily data) or datetimes (intraday data).
+The input format is a comma-separated ``timestamp,price`` CSV (later
+fields ignored) with ISO timestamps, either dates (daily data) or
+datetimes (intraday data).
 The text is UTF-8, with or without a byte-order mark.  It is read once,
 a chunk of about 256 KiB at a time cut after a newline, and each chunk's
 stamps and prices are written straight into the output columns: beyond
@@ -42,7 +43,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CsvSchema",
     "PriceSeries",
     "ReturnSeries",
     "VolatilitySeries",
@@ -71,42 +71,6 @@ _CHUNK_CHARS = 1 << 18
 _BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """How to read a price CSV.
-
-    Parameters
-    ----------
-    timestamp_col, price_col : int
-        Zero-based column positions.
-    delimiter : str
-        Field separator.
-    header : bool or None
-        ``True``/``False`` force the first row to be skipped/kept;
-        ``None`` auto-detects (a first row whose timestamp field does
-        not parse is treated as a header).
-    cadence : str or None
-        ``'1min'``, ``'5min'``, ``'daily'`` or ``None`` to infer from
-        the timestamps.
-    slots_per_day : int or None
-        Number of intraday slots.  Only consulted when the slot grid
-        cannot be derived from the timestamps themselves.
-    """
-
-    timestamp_col: int = 0
-    price_col: int = 1
-    delimiter: str = ","
-    header: bool | None = None
-    cadence: str | None = None
-    slots_per_day: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        if self.slots_per_day is not None and self.slots_per_day < 1:
-            raise ValueError(f"slots_per_day must be >= 1, got {self.slots_per_day!r}")
 
 
 @dataclass(frozen=True)
@@ -263,16 +227,25 @@ def _assign_slots(
     return s, _positional_slots(ts.size, s)
 
 
-def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None) -> PriceSeries:
-    """Parse a ``timestamp,price`` CSV into a :class:`PriceSeries`, reading the
-    stream once, from where it stands, by its ``read`` alone.  Every stream, str or
+def parse_price_csv(
+    stream: IO[str] | IO[bytes], *, cadence: str | None = None, slots_per_day: int | None = None
+) -> PriceSeries:
+    """Parse a price CSV into a :class:`PriceSeries`, reading the stream once, from
+    where it stands, by its ``read`` alone.  The layout is fixed: comma-separated
+    fields, the stamp first and the price second, later fields ignored, and a first
+    record whose stamp does not parse skipped as a header.  Every stream, str or
     bytes, reads as :func:`read_price_csv` reads its file: UTF-8, a line ending at
     ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``.  A text file can name a byte that is not UTF-8
     one line early (when a read ends on the ``"\\r"`` before it): for an exact line, pass
     the path to :func:`read_price_csv` or a binary stream.
 
+    ``cadence`` (``'1min'``, ``'5min'``, ``'daily'``) is inferred from the stamps if
+    ``None``; ``slots_per_day`` is read only where the stamps give no slot grid.
+
     Raises
     ------
+    ValueError
+        ``slots_per_day`` below 1.
     MalformedRow
         Wrong field count, an unparseable or missing (``NaT``)
         timestamp or price, a timestamp whose year is not exactly four
@@ -283,21 +256,25 @@ def parse_price_csv(stream: IO[str] | IO[bytes], schema: CsvSchema | None = None
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
+    if slots_per_day is not None and slots_per_day < 1:
+        raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
     try:  # the columns are sized from a regular file's size; a pipe or a memory stream has none
         st = os.fstat(stream.fileno())
     except (AttributeError, OSError):
         st = None
     size = st.st_size if st and stat.S_ISREG(st.st_mode) else None
-    schema = schema or CsvSchema()
-    return _price_series(*_read_columns(_blocks(stream), schema, size), schema)
+    ts, px = _read_columns(_blocks(stream), size)
+    cadence = cadence or _infer_cadence(ts)
+    return PriceSeries(ts, px, cadence, *_assign_slots(ts, cadence, slots_per_day))
 
 
-def read_price_csv(path: str, schema: CsvSchema | None = None) -> PriceSeries:
+def read_price_csv(path: str, *, cadence: str | None = None, slots_per_day: int | None = None) -> PriceSeries:
     """Read a price CSV from a file or a pipe (such as ``/dev/stdin``) as :func:`parse_price_csv`
-    reads any stream: a line ends at ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, as in text mode.  A file
-    that is not UTF-8 is :class:`MalformedRow`, naming the line of its first byte that is not."""
+    reads any stream, in its one layout and with its keywords: a line ends at ``"\\r\\n"``,
+    ``"\\r"`` or ``"\\n"``, as in text mode.  A file that is not UTF-8 is :class:`MalformedRow`,
+    naming the line of its first byte that is not."""
     with open(path, "rb") as fh:
-        return parse_price_csv(fh, schema)
+        return parse_price_csv(fh, cadence=cadence, slots_per_day=slots_per_day)
 
 
 def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:
@@ -352,18 +329,6 @@ def _read_lines(stream: IO[str] | IO[bytes], where: str = "") -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines  # a last line end starts no line
 
 
-def _price_series(ts: np.ndarray, px: np.ndarray, schema: CsvSchema) -> PriceSeries:
-    cadence = schema.cadence or _infer_cadence(ts)
-    slots_per_day, slot_index = _assign_slots(ts, cadence, schema.slots_per_day)
-    return PriceSeries(
-        timestamps=ts,
-        prices=px,
-        cadence=cadence,
-        slots_per_day=slots_per_day,
-        slot_index=slot_index,
-    )
-
-
 def _parses_as_time(field: str) -> bool:
     try:
         np.datetime64(field)
@@ -408,7 +373,7 @@ class _Unfinished(Exception):
 
 
 def _read_columns(
-    blocks: Iterable[str], schema: CsvSchema, size: int | None = None
+    blocks: Iterable[str], size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and prices of the text in ``blocks``, parsed a chunk at a time.
 
@@ -433,9 +398,9 @@ def _read_columns(
         if not chunk.isascii() and _UNDECODABLE.search(chunk):
             raise _not_utf8(chunk, line=line)
         try:
-            if header is None and (first := next(_records(chunk, schema, line, last), None)):
+            if header is None and (first := next(_records(chunk, line, last), None)):
                 _, end, stamp, _ = first
-                header = schema.header if schema.header is not None else not _parses_as_time(stamp)
+                header = not _parses_as_time(stamp)
                 if header:
                     chunk, line = "".join(chunk.split("\n", end - line)[end - line :]), end
             # Before the first record all is blank; empty lines are blank to csv.reader,
@@ -446,9 +411,9 @@ def _read_columns(
             # Quotes move field boundaries in a way only csv.reader follows,
             # and a trailing NUL would vanish from a bytes stamp.
             lines = None if '"' in chunk or "\0" in chunk else chunk.split("\n")
-            columns = _read_chunk(lines, schema) if lines else None
+            columns = _read_chunk(lines) if lines else None
             if columns is None:
-                columns = _read_rows(chunk, schema, line, n, last)
+                columns = _read_rows(chunk, line, n, last)
         except _Unfinished:
             back.append(chunk)
             continue
@@ -471,15 +436,15 @@ def _read_columns(
     return ts, px
 
 
-def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """One chunk's stamps and prices, read by loadtxt from its lines, or ``None`` on any doubt."""
     # Without quotes, csv.reader's records are the "\n"-separated lines.
     try:
         table = np.loadtxt(
             lines,
             dtype=_COLUMNS,
-            usecols=(schema.timestamp_col, schema.price_col),
-            delimiter=schema.delimiter,
+            usecols=(0, 1),
+            delimiter=",",
             comments=None,
             ndmin=1,
         )
@@ -507,19 +472,18 @@ def _read_chunk(lines: list[str], schema: CsvSchema) -> tuple[np.ndarray, np.nda
     return ts, table["price"].copy()
 
 
-def _records(text: str, schema: CsvSchema, line: int = 1, last: bool = True) -> Iterator[tuple[int, int, str, str]]:
+def _records(text: str, line: int = 1, last: bool = True) -> Iterator[tuple[int, int, str, str]]:
     """Each record of ``text`` csv.reader does not skip as blank: its first file line, the
     line after it, and its stripped stamp and price, ``text`` starting on line ``line``.
     A record csv.reader refuses, or one with too few fields, is :class:`MalformedRow`, and one
     ``text`` ends inside is :class:`_Unfinished` unless ``text`` is the ``last`` chunk."""
-    width = max(schema.timestamp_col, schema.price_col) + 1
     # Lines about _CHUNK_CHARS at a time: one io.StringIO would hold a long chunk at 4 bytes a character.
     pieces = (m[0] for m in re.finditer(rf"(?s:.{{1,{_CHUNK_CHARS}}}[^\n]*\n?)", text))
     lines = itertools.chain.from_iterable(map(io.StringIO, pieces))
     # After a chunk that is not the last, an empty line on file line ``stop``: csv.reader
     # reads it as a blank record of its own, or as nothing more of one the chunk ends inside.
     stop = None if last else line + text.count("\n")
-    rows = csv.reader(lines if last else itertools.chain(lines, [""]), delimiter=schema.delimiter)
+    rows = csv.reader(lines if last else itertools.chain(lines, [""]))
     end = line
     try:
         for row in rows:
@@ -528,21 +492,19 @@ def _records(text: str, schema: CsvSchema, line: int = 1, last: bool = True) -> 
                 raise _Unfinished
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) < width:
-                raise MalformedRow(f"line {start}: expected >= {width} fields, got {len(row)}")
-            yield start, end, row[schema.timestamp_col].strip(), row[schema.price_col].strip()
+            if len(row) < 2:
+                raise MalformedRow(f"line {start}: expected >= 2 fields, got {len(row)}")
+            yield start, end, row[0].strip(), row[1].strip()
     except csv.Error as exc:
         raise MalformedRow(f"line {line - 1 + rows.line_num}: {exc}") from None
 
 
-def _read_rows(
-    text: str, schema: CsvSchema, line: int = 1, before: int = 0, last: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def _read_rows(text: str, line: int = 1, before: int = 0, last: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and prices of the records of ``text`` (:func:`_records`), which words
     every parse error with the file line of its record.  With the ``before`` rows the file held
     ahead of ``text``, fewer than two are found first: :class:`TooShort` if ``last``, else :class:`_Unfinished`."""
     ts_strs, px_strs, linenos = [], [], []
-    for lineno, _, stamp, price in _records(text, schema, line, last):
+    for lineno, _, stamp, price in _records(text, line, last):
         ts_strs.append(stamp)
         px_strs.append(price)
         linenos.append(lineno)

@@ -39,6 +39,9 @@ __all__ = [
 _HALF_NORMAL_SCALE = float(np.sqrt(np.pi / 2.0))
 # (column in "THH:MM:SS", seconds per unit, units per next digit) of each clock digit.
 _CLOCK_DIGITS = ((1, 36000, 10), (2, 3600, 10), (4, 600, 6), (5, 60, 10), (7, 10, 6), (8, 1, 10))
+# A synthetic series starts on this day; each intraday day's first slot is at 09:00.
+_DAY0 = np.datetime64("2000-01-03", "D")
+_SESSION_START = _DAY0 + np.timedelta64(9, "h")
 
 
 @dataclass(frozen=True)
@@ -166,16 +169,11 @@ def gen_intraday_modulated(base: ReturnSeries, factors: np.ndarray) -> ReturnSer
     return replace(base, values=base.values * f[base.slot_index])
 
 
-def returns_to_prices(
-    returns: ReturnSeries,
-    p0: float = 100.0,
-    start: str = "2000-01-03",
-    session_start: str = "09:00",
-) -> PriceSeries:
+def returns_to_prices(returns: ReturnSeries, p0: float = 100.0) -> PriceSeries:
     """Exponentiate cumulative returns into a price path from ``P(0) = p0``.
 
-    Daily series get consecutive calendar dates; intraday series get
-    one-minute slots from ``session_start``, one day per ``slots_per_day``
+    Daily series get consecutive calendar dates from 2000-01-03; intraday
+    series get one-minute slots from 09:00, one day per ``slots_per_day``
     records.
     """
     if not p0 > 0:
@@ -185,14 +183,12 @@ def returns_to_prices(
     prices = p0 * np.exp(log_p)
     s = returns.slots_per_day
     grid = _grid(n, s)
-    day0 = np.datetime64(start, "D")
     if s == 1:
-        ts = (day0 + np.arange(n)).astype("datetime64[s]")
+        ts = (_DAY0 + np.arange(n)).astype("datetime64[s]")
     else:
         days = np.arange(n) // s
-        t0 = np.datetime64(f"{start}T{session_start}:00", "s")
         minutes = grid["slot_index"] * np.timedelta64(60, "s")
-        ts = t0 + days.astype("timedelta64[D]").astype("timedelta64[s]") + minutes
+        ts = _SESSION_START + days.astype("timedelta64[D]").astype("timedelta64[s]") + minutes
     return PriceSeries(timestamps=ts, prices=prices, **grid)
 
 

@@ -13,7 +13,7 @@ import volrelax
 from volrelax import PowerLawFit
 
 PUBLIC = """
-BootstrapResult BootstrapUnstable CRASH ConditionedProfile CsvSchema
+BootstrapResult BootstrapUnstable CRASH ConditionedProfile
 CumulativeProfile DailyCadence DataError DegenerateZ ENDOGENOUS EXOGENOUS
 EmptySeries EmptySlot EventLabel EventSet FitError
 InsufficientPositivePoints IntradayPattern LabelDateUnmatched MalformedRow

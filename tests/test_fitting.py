@@ -55,7 +55,7 @@ def test_log_spaced_lags_small_range_is_dense():
 
 
 def test_log_spaced_lags_covers_endpoints():
-    lags = log_spaced_lags(5, 1000, 30)
+    lags = log_spaced_lags(5, 1000)
     assert lags[0] == 5
     assert lags[-1] == 1000
     assert lags.size >= 30

@@ -1,4 +1,4 @@
-"""Golden outputs: stored values of two small runs through the CLI.
+"""Golden outputs: stored values of four small runs through the CLI.
 
 - The daily plant ``synth --mode planted --n 12500 --shock-rate 500
   --seed 1``, run with ``analyze --bootstrap 20 --seed 1`` (the daily
@@ -10,6 +10,13 @@
   40000``), run with ``analyze --thresholds 2,4,6``, which removes its
   intraday pattern: every cell of ``fits.tsv``, and ``profile_z4.tsv`` at
   the lags stored below.
+- The daily plant, run with ``analyze --labels builtin:dax_daily --split
+  origin``: every cell of ``fits.tsv`` and ``signal_check.tsv``, whose
+  ``exogenous`` rows at z2 hold the plant's events on the label dates.
+- The daily plant, run with the CI's ``omori --main-threshold 6
+  --z1-thresholds 2,3 --max-lag 60 --fit-min 2 --fit-max 50 --tau zero``:
+  every cell of ``fits.tsv``, and ``omori_z6_z12.tsv`` at the lags stored
+  below.
 
 Text and integer cells compare exactly.  Float cells compare at the
 metamorphic tests' bounds: profile values (and ``mean_v``, a mean of them)
@@ -31,6 +38,7 @@ PROFILE_COLUMNS = {
     "t": int, "v_minus": float, "v_plus": float, "V_minus": float, "V_plus": float,
     "count_minus": int, "count_plus": int,
 }
+OMORI_COLUMNS = {**PROFILE_COLUMNS, "N_minus": float, "N_plus": float}
 
 DAILY_FITS = """\
 side zeta_multiple origin_filter sign_filter p p_stderr tau A t_min t_max method rms_log_residual
@@ -80,15 +88,83 @@ t v_minus v_plus V_minus V_plus count_minus count_plus
 1000 -0.021459332117128173 -9.760719600146621e-05 4.261852531157444 3.0652980856164413 355 346
 """
 
+SPLIT_FITS = """\
+side zeta_multiple origin_filter sign_filter p p_stderr tau A t_min t_max method rms_log_residual
+- 2.0 all all 0.6802789591218273 nan 7.2409772964512 0.5634853031365936 5 100 full_fit 0.02206379131959856
++ 2.0 all all 1.4921993083873648 nan 41.93368878711053 30.35206117848046 5 100 full_fit 0.01891287685174202
+- 2.0 endogenous all 0.672319932471549 nan 7.104944682540412 0.5435160831004243 5 100 full_fit 0.0219500800399144
++ 2.0 endogenous all 1.6070708866154442 nan 46.689649204911504 54.97420532651948 5 100 full_fit 0.01837846109734902
+- 2.0 exogenous all 5.422824657579717 nan 93.20449785271609 40696287650.02124 5 100 full_fit 0.0640122535845671
++ 2.0 exogenous all 0.33352876378853713 nan 2.3394977449736236e-23 0.3673989486757942 5 100 full_fit 0.3095246358029208
+- 4.0 all all 1.1350179600103107 nan 6.291147712331707 2.0133174939286986 5 100 full_fit 0.036296369619248474
++ 4.0 all all 1.1826921203899623 nan 8.656075424269593 2.9010896582344943 5 100 full_fit 0.022274530486588968
+- 4.0 endogenous all 1.1350179600103107 nan 6.291147712331707 2.0133174939286986 5 100 full_fit 0.036296369619248474
++ 4.0 endogenous all 1.1826921203899623 nan 8.656075424269593 2.9010896582344943 5 100 full_fit 0.022274530486588968
+- 4.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
++ 4.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
+- 6.0 all all 0.6104052486579392 nan 7.18881027555861 0.5799834172379666 5 100 full_fit 0.10755184306536754
++ 6.0 all all 116.32124126707076 nan 596.8203993426314 inf 5 100 full_fit 0.20758239917034593
+- 6.0 endogenous all 0.6104052486579392 nan 7.18881027555861 0.5799834172379666 5 100 full_fit 0.10755184306536754
++ 6.0 endogenous all 116.32124126707076 nan 596.8203993426314 inf 5 100 full_fit 0.20758239917034593
+- 6.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
++ 6.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
+- 8.0 all all nan nan nan nan 0 0 failed:NoEvents nan
++ 8.0 all all nan nan nan nan 0 0 failed:NoEvents nan
+- 8.0 endogenous all nan nan nan nan 0 0 failed:NoEvents nan
++ 8.0 endogenous all nan nan nan nan 0 0 failed:NoEvents nan
+- 8.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
++ 8.0 exogenous all nan nan nan nan 0 0 failed:NoEvents nan
+"""
 
-def _run(tmp_path_factory, synth_options, analyze_options):
-    """``synth --mode planted --shock-rate 500 --seed 1`` with
-    ``synth_options``, then ``analyze`` on it; the exit code and output dir."""
+SPLIT_SIGNAL = """\
+zeta_multiple split side mean_v flag
+2.0 all - 0.043185586700136065 signal
+2.0 all + 0.04278581203032717 signal
+2.0 endogenous - 0.043000964683400714 signal
+2.0 endogenous + 0.04263311549914567 signal
+2.0 exogenous - 0.15726706322908943 signal
+2.0 exogenous + 0.1367682342010529 signal
+4.0 all - 0.035023983927999665 signal
+4.0 all + 0.038564701192765345 signal
+4.0 endogenous - 0.035023983927999665 signal
+4.0 endogenous + 0.038564701192765345 signal
+6.0 all - 0.054893408792018594 signal
+6.0 all + 0.01401215003097567 signal
+6.0 endogenous - 0.054893408792018594 signal
+6.0 endogenous + 0.01401215003097567 signal
+"""
+
+OMORI_FITS = """\
+side zeta_multiple origin_filter sign_filter p p_stderr tau A t_min t_max method rms_log_residual
+- 2.0 all all -0.004112929105758667 nan 0.0 0.27958590463370303 2 50 full_fit 0.1174846580619359
++ 2.0 all all 0.25674607872962946 nan 0.0 0.4161874780992989 2 50 full_fit 0.14955675326346624
+- 3.0 all all 0.20468391478061676 nan 0.0 0.199726047088793 2 50 full_fit 0.1055516967015161
++ 3.0 all all 0.7862304663658138 nan 0.0 0.18942188620073705 2 50 full_fit 0.1617252462291053
+"""
+
+OMORI_Z6_Z12 = """\
+t v_minus v_plus V_minus V_plus count_minus count_plus N_minus N_plus
+0 1.0 1.0 0.0 0.0 2 2 0.0 0.0
+1 0.2888679536930142 0.33890404244700784 0.2888679536930142 0.33890404244700784 2 2 0.5 0.5
+2 0.016710665540766015 0.18127240964867614 0.3055786192337802 0.520176452095684 2 2 0.5 1.0
+3 0.1741075219071389 -0.027264292793734112 0.4796861411409191 0.49291215930194987 2 2 1.0 1.0
+5 0.05012523717647457 0.04289069700414689 0.8431937421612378 0.8304926144791119 2 2 1.5 1.5
+10 0.21819458928356752 0.023902901707052455 1.4465149393518764 1.1589603047502566 2 2 3.0 3.5
+20 0.20614107595422082 -0.010416773411706258 2.1947807902309946 1.7088087136501195 2 2 6.0 6.0
+30 0.1925030664149055 -0.1171275917413755 2.9509481077670863 1.0997144956945772 2 2 9.0 6.0
+50 0.002636230177821937 -0.024479040152096357 3.9315141610102606 1.8101190795675373 2 2 12.5 9.5
+60 0.01949771486506393 -0.03059780101201953 4.905011107670585 1.7492374602624319 2 2 14.5 11.0
+"""
+
+
+def _run(tmp_path_factory, synth_options, options, command="analyze"):
+    """``synth --mode planted --shock-rate 500 --seed 1`` with ``synth_options``,
+    then ``command`` (``analyze``) on it; the exit code and output dir."""
     work = tmp_path_factory.mktemp("golden")
     csv, out = str(work / "plant.csv"), work / "out"
     synth = ["synth", "--mode", "planted", "--shock-rate", "500", "--seed", "1", *synth_options]
     assert main([*synth, "--out", csv]) == 0
-    return main(["analyze", "--input", csv, "--out", str(out), *analyze_options]), out
+    return main([command, "--input", csv, "--out", str(out), *options]), out
 
 
 def _table(text: str) -> list[list[str]]:
@@ -142,3 +218,22 @@ def test_minute_plant_keeps_its_golden_values(tmp_path_factory):
     assert (out / "pattern.tsv").is_file()
     _assert_cells(out / "fits.tsv", MINUTE_FITS, FIT_COLUMNS, _fit_bound)
     _assert_cells(out / "profile_z4.tsv", MINUTE_PROFILE_Z4, PROFILE_COLUMNS, _profile_bound, lags=True)
+
+
+def test_daily_plant_split_by_origin_keeps_its_golden_values(tmp_path_factory):
+    labelled = ["--labels", "builtin:dax_daily", "--split", "origin"]
+    rc, out = _run(tmp_path_factory, ["--n", "12500"], labelled)
+    assert rc == 3  # z8 selects no events, nor z4 and z6 on the label dates
+    _assert_cells(out / "fits.tsv", SPLIT_FITS, FIT_COLUMNS, _fit_bound)
+    _assert_cells(out / "signal_check.tsv", SPLIT_SIGNAL, SIGNAL_COLUMNS, _profile_bound)
+
+
+def test_daily_plant_omori_keeps_its_golden_values(tmp_path_factory):
+    options = [
+        "--main-threshold", "6", "--z1-thresholds", "2,3", "--max-lag", "60",
+        "--fit-min", "2", "--fit-max", "50", "--tau", "zero",
+    ]
+    rc, out = _run(tmp_path_factory, ["--n", "12500"], options, command="omori")
+    assert rc == 0
+    _assert_cells(out / "fits.tsv", OMORI_FITS, FIT_COLUMNS, _fit_bound)
+    _assert_cells(out / "omori_z6_z12.tsv", OMORI_Z6_Z12, OMORI_COLUMNS, _profile_bound, lags=True)

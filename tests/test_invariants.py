@@ -83,6 +83,7 @@ _CASES = {
     "OmoriProfile zeta1": (ValueError, _with(OMORI, zeta1=0.2)),
     "EventSet magnitudes": (ValueError, _with(EVENTS, magnitudes=[0.05])),
     "EventSet zeta_abs": (ValueError, _with(EVENTS, zeta_abs=float("nan"))),
+    "EventSet zeta_abs zero": (ValueError, _with(EVENTS, zeta_abs=0.0)),
     "EventSet indices": (ValueError, _with(EVENTS, indices=[-1, 5])),
     "EventSet origins": (ValueError, _with(EVENTS, origins=["exogenous", "other"])),
     "EventLabel origin": (MalformedRow, lambda: EventLabel(date="2000-01-03", origin="other")),
@@ -112,6 +113,10 @@ _CASES = {
     "fit with no computed lag in its range": (
         InsufficientPositivePoints,
         lambda: fit_offset_power_law([1, 100], [1.0, 2.0], t_min=2, t_max=99),
+    ),
+    "fit with a repeated lag": (
+        ValueError,
+        lambda: fit_offset_power_law([1, 2, 2, 3, 4], [1.0, 0.8, 0.7, 0.6, 0.5], t_min=1),
     ),
     "returns_to_prices p0": (ValueError, lambda: returns_to_prices(RETURNS, p0=0.0)),
 }

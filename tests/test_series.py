@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volrelax import (
-    CsvSchema,
     EmptySeries,
     MalformedRow,
     NonMonotoneTimestamp,
@@ -51,8 +50,8 @@ timestamp,price
 """
 
 
-def _parse(text, schema=None):
-    return parse_price_csv(io.StringIO(text), schema)
+def _parse(text, **keywords):
+    return parse_price_csv(io.StringIO(text), **keywords)
 
 
 def test_parse_daily_basics():
@@ -65,12 +64,10 @@ def test_parse_daily_basics():
     assert prices.timestamps[0] == np.datetime64("2000-01-03T00:00:00")
 
 
-def test_parse_header_autodetect_and_force():
+def test_parse_header_autodetect():
     with_header = "timestamp,price\n" + DAILY_CSV
     assert len(_parse(with_header)) == 3
-    assert len(_parse(DAILY_CSV, CsvSchema(header=False))) == 3
-    # Forcing header=True on headerless data drops the first record.
-    assert len(_parse(DAILY_CSV, CsvSchema(header=True))) == 2
+    assert len(_parse(DAILY_CSV)) == 3
 
 
 def test_parse_intraday_slot_grid():
@@ -107,7 +104,7 @@ def test_slot_grid_matches_sorted_distinct_times_of_day(stamps):
 
 def test_parse_slot_count_conflict():
     with pytest.raises(SlotMismatch):
-        _parse(INTRADAY_CSV, CsvSchema(slots_per_day=5))
+        _parse(INTRADAY_CSV, slots_per_day=5)
 
 
 def test_parse_rejects_short_row():
@@ -123,7 +120,7 @@ def test_parse_rejects_bad_price():
 def test_parse_rejects_bad_timestamp():
     bad = "2000-01-03,100.0\nnot-a-date,101.0\n"
     with pytest.raises(MalformedRow):
-        _parse(bad, CsvSchema(header=False))
+        _parse(bad)
 
 
 @pytest.mark.parametrize(
@@ -267,47 +264,50 @@ def test_parse_rejects_single_row():
 
 
 def test_parse_extra_columns_and_delimiter():
-    text = "2000-01-03;x;100.0\n2000-01-04;y;110.0\n"
-    prices = _parse(text, CsvSchema(price_col=2, delimiter=";"))
-    np.testing.assert_allclose(prices.prices, [100.0, 110.0])
-
-
-def test_schema_rejects_multicharacter_delimiter():
-    with pytest.raises(ValueError, match="one character"):
-        CsvSchema(delimiter=",,")
+    # The one layout: the stamp and the price are the first two comma-separated
+    # fields, and those after them are ignored, on the column path and on the
+    # row path a quote sends the text to.
+    text = "timestamp,price,volume\n2000-01-03,100.0,7\n2000-01-04,110.0,8\n"
+    quoted = text.replace(",7", ',"7"')
+    for t, row_path in ((text, False), (quoted, True)):
+        with mock.patch.object(series, "_read_rows", wraps=series._read_rows) as read_rows:
+            prices = _parse(t)
+        assert read_rows.called == row_path
+        np.testing.assert_array_equal(prices.prices, [100.0, 110.0])
+        assert prices.timestamps[1] == np.datetime64("2000-01-04")
+    # Any other separator leaves a record one field.
+    for t in (text, quoted):
+        with pytest.raises(MalformedRow, match=r"^line 1: expected >= 2 fields, got 1$"):
+            _parse(t.replace(",", ";"))
 
 
 @pytest.mark.parametrize("slots", [0, -2])
-def test_schema_rejects_slots_per_day_below_one(slots):
+def test_parse_rejects_slots_per_day_below_one(slots):
     with pytest.raises(ValueError, match="^slots_per_day must be >= 1"):
-        CsvSchema(cadence="1min", slots_per_day=slots)
+        _parse(INTRADAY_CSV, cadence="1min", slots_per_day=slots)
 
 
-def _whole_text_rows(raw, schema):
+def _whole_text_rows(raw):
     """The csv.reader row path as it read the whole text before the parse went a
     chunk at a time, frozen as the reference: one header rule and one
     :class:`TooShort` for the file, and a wrong field count anywhere in it
     reported before a bad stamp."""
-    width = max(schema.timestamp_col, schema.price_col) + 1
     ts_strs, px_strs, linenos = [], [], []
-    rows = csv.reader(io.StringIO(raw), delimiter=schema.delimiter)
+    rows = csv.reader(io.StringIO(raw))
     next_line = 1
     try:
         for row in rows:
             lineno, next_line = next_line, rows.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) < width:
-                raise MalformedRow(f"line {lineno}: expected >= {width} fields, got {len(row)}")
-            ts_strs.append(row[schema.timestamp_col].strip())
-            px_strs.append(row[schema.price_col].strip())
+            if len(row) < 2:
+                raise MalformedRow(f"line {lineno}: expected >= 2 fields, got {len(row)}")
+            ts_strs.append(row[0].strip())
+            px_strs.append(row[1].strip())
             linenos.append(lineno)
     except csv.Error as exc:
         raise MalformedRow(f"line {rows.line_num}: {exc}") from None
-    skip_header = schema.header
-    if skip_header is None and ts_strs:
-        skip_header = not series._parses_as_time(ts_strs[0])
-    if skip_header:
+    if ts_strs and not series._parses_as_time(ts_strs[0]):
         ts_strs, px_strs, linenos = ts_strs[1:], px_strs[1:], linenos[1:]
     if len(ts_strs) < 2:
         raise TooShort(f"need at least 2 data rows, got {len(ts_strs)}")
@@ -343,16 +343,21 @@ def _as_read(text):
     return io.StringIO(text, newline=None).read()
 
 
-def _row_path(text, schema=None):
+def _price_series(ts, px):
+    """The series the parse makes of its columns, its cadence and slot grid found from the stamps."""
+    cadence = series._infer_cadence(ts)
+    return PriceSeries(ts, px, cadence, *series._assign_slots(ts, cadence, None))
+
+
+def _row_path(text):
     """The whole-text row path on its own, of ``text`` as its file reads it: the reference for the parse."""
-    schema = schema or CsvSchema()
-    return series._price_series(*_whole_text_rows(_as_read(text), schema), schema)
+    return _price_series(*_whole_text_rows(_as_read(text)))
 
 
-def _outcome(parse, text, schema):
+def _outcome(parse, text):
     """What a parse gives, comparable with ``==``: arrays, or the exception."""
     try:
-        s = parse(text, schema)
+        s = parse(text)
     except Exception as exc:  # both paths must raise alike
         return type(exc), str(exc)
     return (
@@ -376,8 +381,8 @@ def test_plain_csv_takes_the_column_path(monkeypatch):
         raise AssertionError("plain text went through the row path")
 
     monkeypatch.setattr(series, "_read_rows", no_row_path)
-    text = "price;timestamp;note\r\n\r\n 100.5 ;2000-01-03T09:00:00;a\r\n101;2000-01-03T09:01:00;b\r\n"
-    prices = _parse(text, CsvSchema(timestamp_col=1, price_col=0, delimiter=";"))
+    text = "timestamp,price,note\r\n\r\n2000-01-03T09:00:00, 100.5 ,a\r\n2000-01-03T09:01:00,101,b\r\n"
+    prices = _parse(text)
     np.testing.assert_array_equal(prices.prices, [100.5, 101.0])
     assert prices.timestamps[1] == np.datetime64("2000-01-03T09:01:00")
     assert prices.cadence == "1min"
@@ -395,25 +400,22 @@ def test_plain_csv_takes_the_column_path_in_tiny_chunks(monkeypatch, chunk_chars
 
 @pytest.mark.filterwarnings(_TZ_WARNING)
 @pytest.mark.parametrize(
-    ("text", "schema"),
+    "text",
     [
         # Cut to 64 bytes, the second stamp would lose its trailing "x".
-        (
-            "2000-01-02T09:30:00,1\n2000-01-03T09:30:00" + " " * 45 + "x,2\n2000-01-04T09:30:00,3\n",
-            CsvSchema(),
-        ),
-        # To csv.reader a line of blanks and a delimiter is a record, here the header.
-        ("\t\n2000-01-03\t1\n2000-01-04\t2\n2000-01-05\t3\n", CsvSchema(delimiter="\t", header=True)),
+        "2000-01-02T09:30:00,1\n2000-01-03T09:30:00" + " " * 45 + "x,2\n2000-01-04T09:30:00,3\n",
+        # To csv.reader a line of blanks and a comma is a record, here one without a stamp.
+        "\t,\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
         # A lone "\r" ends a blank line before the header, as in a file.
-        ("\r2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n", CsvSchema(header=True)),
+        "\rt,p\n2000-01-03,1\n2000-01-04,2\n2000-01-05,3\n",
         # Parsed unstripped, the second stamp would read as year 1.
-        ("2000-01-03,1\n\t-01-05,2\n", CsvSchema()),
+        "2000-01-03,1\n\t-01-05,2\n",
         # A bytes stamp would lose its trailing NUL.
-        ("2000-01-03,1\n2000-01-04\0,2\n2000-01-05,3\n", CsvSchema()),
+        "2000-01-03,1\n2000-01-04\0,2\n2000-01-05,3\n",
     ],
 )
-def test_row_path_decides_what_loadtxt_would_misread(text, schema):
-    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+def test_row_path_decides_what_loadtxt_would_misread(text):
+    assert _outcome(_parse, text) == _outcome(_row_path, text)
 
 
 def test_header_only_csv_is_too_short_without_warnings():
@@ -424,24 +426,26 @@ def test_header_only_csv_is_too_short_without_warnings():
 
 
 def test_quoted_delimiter_is_one_field():
-    # loadtxt would split the quoted field and read 3.0 as the price.
-    text = '2000-01-03,"a,3.0,x",5.0\n2000-01-04,b,6.0\n'
-    prices = _parse(text, CsvSchema(price_col=2))
+    # loadtxt would split the quoted price and read 5.0.
+    with pytest.raises(MalformedRow, match=r"^line 1: unparseable price '5.0,3.0'$"):
+        _parse('2000-01-03,"5.0,3.0"\n2000-01-04,6.0\n')
+    # A quoted comma after the price is in a field that is ignored.
+    prices = _parse('2000-01-03,5.0,"a,3.0,x"\n2000-01-04,6.0,b\n')
     np.testing.assert_array_equal(prices.prices, [5.0, 6.0])
 
 
 # A quote inside an unquoted field is a character, so the quotes before a
-# newline tell nothing: 2"x then "3<newline>4" are the second and third
+# newline tell nothing: 2"x then "3<newline>4" are the third and fourth
 # fields of the second record, whose quotes on its first line are even.
 # In the third record, a quote after a quote is a doubled one, not the
 # closing quote: "d ""<newline>e"" f" is one field of two lines.  The
 # quoted first stamp is data, not a header.
 _STRAY_QUOTE_CSV = (
-    '"2000-01-03",a,b,1\n2000-01-04,2"x,"3\n4",5\n2000-01-05,c,"d ""\ne"" f",6\n2000-01-06,f,g,{}\n'
+    '"2000-01-03",1,a,b\n2000-01-04,5,2"x,"3\n4"\n2000-01-05,6,c,"d ""\ne"" f"\n2000-01-06,{},f,g\n'
 )
 
 
-def _parse_in_pieces(text, schema, chunk_chars):
+def _parse_in_pieces(text, chunk_chars):
     """What the parse of ``text`` in chunks of ``chunk_chars`` gives (:func:`_outcome`), the
     pieces of the text it takes, each chunk of ``_chunks`` less what goes back to it, and
     the texts its row path reads.  A chunk in which the parse stops is a piece whole."""
@@ -457,19 +461,18 @@ def _parse_in_pieces(text, schema, chunk_chars):
     with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
         series, "_chunks", taken
     ), mock.patch.object(series, "_read_rows", wraps=series._read_rows) as read_rows:
-        got = _outcome(_parse, text, schema)
+        got = _outcome(_parse, text)
     return got, pieces, [call.args[0] for call in read_rows.call_args_list]
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 4, 5, 6, 7, 8, 1 << 20])
 def test_chunks_end_where_csv_reader_ends_a_record(chunk_chars):
     text = _STRAY_QUOTE_CSV.format(7)
-    schema = CsvSchema(price_col=3)
-    _, pieces, _ = _parse_in_pieces(text, schema, chunk_chars)
+    _, pieces, _ = _parse_in_pieces(text, chunk_chars)
     with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
-        prices = _parse(text, schema)
+        prices = _parse(text)
         with pytest.raises(MalformedRow, match=r"^line 6: unparseable price 'x'$"):
-            _parse(_STRAY_QUOTE_CSV.format("x"), schema)
+            _parse(_STRAY_QUOTE_CSV.format("x"))
     assert "".join(pieces) == text
     assert [row for piece in pieces for row in csv.reader(io.StringIO(piece))] == list(csv.reader(io.StringIO(text)))
     np.testing.assert_array_equal(prices.prices, [1, 5, 6, 7])
@@ -487,8 +490,8 @@ def test_field_at_the_size_limit_across_cuts_reads_as_in_one_text(chunk_chars, e
     note = ("x" * 99 + "\n") * (limit // 100) + "y" * (limit % 100 + extra)
     text = f'2000-01-03,1,a\n2000-01-04,2,"{note}"\n2000-01-05,3,b\n'
     with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars):
-        got = _outcome(_parse, text, CsvSchema())
-    assert got == _outcome(_row_path, text, CsvSchema())
+        got = _outcome(_parse, text)
+    assert got == _outcome(_row_path, text)
     assert got[0] == ("daily" if not extra else MalformedRow)
 
 
@@ -502,7 +505,7 @@ def test_faults_in_two_chunks_report_the_earlier_chunks():
     text = "\n".join(rows) + "\n"
     with pytest.raises(MalformedRow, match=r"^line 21: expected >= 2 fields, got 1$"):
         _parse(text)
-    assert _outcome(_parse, text, CsvSchema()) == _outcome(_row_path, text, CsvSchema())
+    assert _outcome(_parse, text) == _outcome(_row_path, text)
     with mock.patch.object(series, "_CHUNK_CHARS", 64):
         with pytest.raises(MalformedRow, match=r"^line 3: unparseable timestamp '2000-13-05'$"):
             _parse(text)
@@ -543,7 +546,7 @@ def test_quote_never_closed_is_refused_without_a_copy_of_the_rest():
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(text)
-    assert _outcome(_parse, text, CsvSchema()) == _outcome(_row_path, text, CsvSchema())
+    assert _outcome(_parse, text) == _outcome(_row_path, text)
 
 
 def test_quote_never_closed_is_refused_before_the_rest_is_read():
@@ -563,7 +566,7 @@ def test_quote_never_closed_is_refused_before_the_rest_is_read():
 
     with pytest.raises(MalformedRow, match=r"^line \d+: field larger than field limit") as refused:
         parse_price_csv(Reader())
-    assert (MalformedRow, str(refused.value)) == _outcome(_row_path, text, CsvSchema())
+    assert (MalformedRow, str(refused.value)) == _outcome(_row_path, text)
     assert sum(handed) <= csv.field_size_limit() + 2 * series._CHUNK_CHARS
 
 
@@ -584,9 +587,7 @@ def _csv_cases(draw):
     def rarely(one_in):
         return draw(st.integers(0, one_in - 1)) == 0
 
-    delim = draw(st.sampled_from([",", ";", "\t"]))
     ncols = draw(st.integers(2, 4))
-    ts_col, px_col = draw(st.permutations(range(ncols)))[:2]
     intraday = draw(st.booleans())
     unit = np.timedelta64(1, "m" if intraday else "D")
     t = np.datetime64("2000-01-03T09:00:00" if intraday else "2000-01-03")
@@ -594,9 +595,7 @@ def _csv_cases(draw):
     pad = st.sampled_from(["", " ", "  "])
     lines = []
     if draw(st.booleans()):
-        names = [f"c{i}" for i in range(ncols)]
-        names[ts_col], names[px_col] = "timestamp", "price"
-        lines.append(delim.join(names))
+        lines.append(",".join(["timestamp", "price"] + [f"c{i}" for i in range(2, ncols)]))
     for _ in range(draw(st.integers(0, 1) if rarely(4) else st.integers(2, 3))):
         t = t + draw(st.integers(-1, 3) if rarely(5) else st.integers(1, 3)) * unit
         stamp = str(t).replace("T", sep)
@@ -608,60 +607,52 @@ def _csv_cases(draw):
             price = draw(st.floats(1e-3, 1e6).map(repr) | st.floats(1e-3, 1e6).map("{:.2f}".format))
         fields = [draw(st.sampled_from(_EXTRA_FIELDS)) for _ in range(ncols)]
         if rarely(8):
-            fields[draw(st.integers(0, ncols - 1))] = f'"q{delim}1"'
+            fields[draw(st.integers(0, ncols - 1))] = '"q,1"'
         if rarely(8):  # a record across lines, which a chunk cut may split
             fields[draw(st.integers(0, ncols - 1))] = draw(st.sampled_from(['"a\nb"', '"a""\n""b"', '"\n\n"']))
-        fields[ts_col] = draw(pad) + stamp + (" " if rarely(10) else "")
-        fields[px_col] = draw(pad) + price + draw(pad)
+        fields[0] = draw(pad) + stamp + (" " if rarely(10) else "")
+        fields[1] = draw(pad) + price + draw(pad)
         if rarely(20):
             fields = fields[: draw(st.integers(1, ncols))]
-        lines.append(delim.join(fields))
+        lines.append(",".join(fields))
         if rarely(5):
             lines.append(draw(st.sampled_from(["", "", "   ", " \t"])))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
-    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
-    schema = CsvSchema(
-        timestamp_col=ts_col,
-        price_col=px_col,
-        delimiter=delim,
-        header=draw(st.sampled_from([None, True, False])),
-    )
-    return text, schema
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
 
 
 @pytest.mark.filterwarnings(_TZ_WARNING)
 @given(_csv_cases())
 @settings(max_examples=400, deadline=None)
-def test_column_path_matches_row_path(case):
-    text, schema = case
-    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+def test_column_path_matches_row_path(text):
+    assert _outcome(_parse, text) == _outcome(_row_path, text)
 
 
 # Chunk sizes small enough that records straddle the nominal chunk ends.
 _SMALL_CHUNKS = st.integers(1, 64)
 
 
-def _csv_rows(texts, delimiter):
+def _csv_rows(texts):
     """The rows csv.reader reads from each of ``texts`` in turn, up to the first
     it refuses, and whether it refused one."""
     rows = []
     try:
         for text in texts:
-            rows.extend(csv.reader(io.StringIO(text), delimiter=delimiter))
+            rows.extend(csv.reader(io.StringIO(text)))
     except csv.Error:
         return rows, True
     return rows, False
 
 
-def _doubted(chunk, schema=CsvSchema()):
+def _doubted(chunk):
     """Whether the column path leaves ``chunk`` to the row path."""
-    return '"' in chunk or "\0" in chunk or series._read_chunk(chunk.split("\n"), schema) is None
+    return '"' in chunk or "\0" in chunk or series._read_chunk(chunk.split("\n")) is None
 
 
-def _record_ends(text, delimiter):
+def _record_ends(text):
     """The offsets in ``text`` at which csv.reader ends a record, up to one it refuses."""
     line_ends = [m.end() for m in re.finditer("\n", text)] + [len(text)]
-    rows, ends = csv.reader(io.StringIO(text), delimiter=delimiter), [0]
+    rows, ends = csv.reader(io.StringIO(text)), [0]
     try:
         for _ in rows:
             ends.append(line_ends[rows.line_num - 1])
@@ -670,7 +661,7 @@ def _record_ends(text, delimiter):
     return ends
 
 
-def _check_small_chunks(text, schema, chunk_chars):
+def _check_small_chunks(text, chunk_chars):
     """In one chunk and in small ones, the parse gives what the whole text gives,
     but for a fault: there it reports the fault of the first piece it takes to hold
     one, which is what the text up to the end of that piece gives, read to the end
@@ -679,19 +670,19 @@ def _check_small_chunks(text, schema, chunk_chars):
     where csv.reader ends a record.  Only chunks that hold a doubt reach the row
     path, and none if the text in one chunk did not.  The text is what its file reads."""
     read = _as_read(text)
-    calls, records = [], _record_ends(read, schema.delimiter)
+    calls, records = [], _record_ends(read)
     for size in (1 << 20, chunk_chars):
-        got, pieces, doubted = _parse_in_pieces(text, schema, size)
+        got, pieces, doubted = _parse_in_pieces(text, size)
         calls.append(doubted)
         joined = "".join(pieces)
         assert joined == read or got[0] is MalformedRow and read.startswith(joined)
-        assert _csv_rows(pieces, schema.delimiter) == _csv_rows([joined], schema.delimiter)
+        assert _csv_rows(pieces) == _csv_rows([joined])
         ends = list(itertools.accumulate(map(len, pieces)))
         assert set(ends[:-1]) <= set(records)
         ends = [next((r for r in records if r >= end), len(read)) for end in ends]
-        faults = (o for end in ends if (o := _outcome(_row_path, read[:end], schema))[0] is MalformedRow)
-        assert got == next(faults, _outcome(_row_path, read, schema))
-    assert all(_doubted(chunk, schema) for chunk in calls[1])
+        faults = (o for end in ends if (o := _outcome(_row_path, read[:end]))[0] is MalformedRow)
+        assert got == next(faults, _outcome(_row_path, read))
+    assert all(_doubted(chunk) for chunk in calls[1])
     if not calls[0]:
         assert not calls[1]
 
@@ -699,8 +690,8 @@ def _check_small_chunks(text, schema, chunk_chars):
 @pytest.mark.filterwarnings(_TZ_WARNING)
 @given(_csv_cases(), _SMALL_CHUNKS)
 @settings(max_examples=400, deadline=None)
-def test_column_path_matches_row_path_in_small_chunks(case, chunk_chars):
-    _check_small_chunks(*case, chunk_chars)
+def test_column_path_matches_row_path_in_small_chunks(text, chunk_chars):
+    _check_small_chunks(text, chunk_chars)
 
 
 _CLEAN_CSV = "2000-01-03,1.5\n2000-01-04,2\n2000-01-05,2.5\n"
@@ -721,23 +712,17 @@ def _spliced_csvs(draw):
 
 
 @pytest.mark.filterwarnings(_TZ_WARNING)
-@given(_spliced_csvs(), st.sampled_from([",", ";", "\t"]), st.sampled_from([None, True, False]))
+@given(_spliced_csvs())
 @settings(max_examples=400, deadline=None)
-def test_column_path_matches_row_path_on_spliced_text(text, delim, header):
-    schema = CsvSchema(delimiter=delim, header=header)
-    assert _outcome(_parse, text, schema) == _outcome(_row_path, text, schema)
+def test_column_path_matches_row_path_on_spliced_text(text):
+    assert _outcome(_parse, text) == _outcome(_row_path, text)
 
 
 @pytest.mark.filterwarnings(_TZ_WARNING)
-@given(
-    _spliced_csvs(),
-    st.sampled_from([",", ";", "\t"]),
-    st.sampled_from([None, True, False]),
-    _SMALL_CHUNKS,
-)
+@given(_spliced_csvs(), _SMALL_CHUNKS)
 @settings(max_examples=400, deadline=None)
-def test_column_path_matches_row_path_on_spliced_text_in_small_chunks(text, delim, header, chunk_chars):
-    _check_small_chunks(text, CsvSchema(delimiter=delim, header=header), chunk_chars)
+def test_column_path_matches_row_path_on_spliced_text_in_small_chunks(text, chunk_chars):
+    _check_small_chunks(text, chunk_chars)
 
 
 def test_parse_peak_memory_is_bounded_by_the_chunk():
@@ -771,13 +756,13 @@ _BOM_CASES = [
 
 @pytest.mark.parametrize("text", _BOM_CASES)
 def test_byte_order_mark_is_not_read_as_data(text):
-    def parse_bytes(text, schema):
-        return parse_price_csv(io.BytesIO(text.encode("utf-8")), schema)
+    def parse_bytes(text):
+        return parse_price_csv(io.BytesIO(text.encode("utf-8")))
 
-    expected = _outcome(_parse, text, CsvSchema())
+    expected = _outcome(_parse, text)
     assert len(expected[3]) == 3
     for parse in (_parse, parse_bytes):
-        assert _outcome(parse, "\ufeff" + text, CsvSchema()) == expected
+        assert _outcome(parse, "\ufeff" + text) == expected
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
@@ -857,26 +842,25 @@ def test_every_stream_reads_as_its_file_does(name, tmp_path):
     data = _LINE_ENDS[name]
     path = tmp_path / "prices.csv"
     path.write_bytes(data)
-    from_file = _outcome(lambda at, schema: series.read_price_csv(at, schema), str(path), CsvSchema())
+    from_file = _outcome(series.read_price_csv, str(path))
     with open(path, encoding="utf-8", newline="") as text_file:
         streams = [io.StringIO(data.decode()), text_file, io.BytesIO(data)]
-        assert [_outcome(parse_price_csv, stream, CsvSchema()) for stream in streams] == [from_file] * 3
+        assert [_outcome(parse_price_csv, stream) for stream in streams] == [from_file] * 3
     # A read that ends on a "\r" leaves the "\n" after it to the next: one line end.
     for at in (m.end() for m in re.finditer(b"\r", data)):
         with mock.patch.object(series, "_CHUNK_CHARS", at):
             streams = [io.StringIO(data.decode()), io.BytesIO(data)]
-            assert [_outcome(parse_price_csv, stream, CsvSchema()) for stream in streams] == [from_file] * 2
+            assert [_outcome(parse_price_csv, stream) for stream in streams] == [from_file] * 2
     if name in ("LF", "CRLF", "CR"):
-        assert from_file == _outcome(parse_price_csv, io.BytesIO(_LINE_ENDS["LF"]), CsvSchema())
+        assert from_file == _outcome(parse_price_csv, io.BytesIO(_LINE_ENDS["LF"]))
     else:
         assert from_file[0] is MalformedRow
 
 
-def _whole_text_parse(stream, schema=None):
+def _whole_text_parse(stream):
     """The parse as it was before it read the stream in blocks, frozen as
     the reference: the whole text read first, as its file reads it, then cut
     into chunks of at least ``_CHUNK_CHARS`` characters."""
-    schema = schema or CsvSchema()
     try:
         raw = stream.read()
     except UnicodeDecodeError as exc:
@@ -887,31 +871,28 @@ def _whole_text_parse(stream, schema=None):
         except UnicodeDecodeError:
             raise series._not_utf8(_as_read(raw.decode("utf-8", "surrogateescape"))) from None
     raw = _as_read(raw).removeprefix("\ufeff")
-    columns = None if '"' in raw or "\0" in raw else _whole_text_columns(raw, schema)
-    ts, px = columns if columns is not None else _whole_text_rows(raw, schema)
-    return series._price_series(ts, px, schema)
+    columns = None if '"' in raw or "\0" in raw else _whole_text_columns(raw)
+    ts, px = columns if columns is not None else _whole_text_rows(raw)
+    return _price_series(ts, px)
 
 
-def _whole_text_columns(raw, schema):
+def _whole_text_columns(raw):
     # The first line that csv.reader does not skip as blank.
     line_start = 0
     while True:
         line_end = raw.find("\n", line_start)
         line_end = len(raw) if line_end < 0 else line_end
         line = raw[line_start:line_end]
-        if schema.delimiter in line or line.strip():
+        if "," in line or line.strip():
             break
         if line_end == len(raw):
             return None
         line_start = line_end + 1
-    fields = raw[line_start:line_end].split(schema.delimiter)
-    if len(fields) <= max(schema.timestamp_col, schema.price_col):
+    fields = raw[line_start:line_end].split(",")
+    if len(fields) < 2:
         return None
-    skip_header = schema.header
-    if skip_header is None:
-        skip_header = not series._parses_as_time(fields[schema.timestamp_col].strip())
     pos = 0
-    if skip_header:
+    if not series._parses_as_time(fields[0].strip()):
         pos = line_end + 1
     ts_parts, px_parts = [], []
     while pos < len(raw):
@@ -921,7 +902,7 @@ def _whole_text_columns(raw, schema):
         pos = end
         if not chunk.strip("\n"):
             continue
-        columns = series._read_chunk(chunk.split("\n"), schema)
+        columns = series._read_chunk(chunk.split("\n"))
         if columns is None:
             return None
         ts_parts.append(columns[0])
@@ -1020,7 +1001,7 @@ def test_streamed_parse_matches_whole_text_parse(
         with mock.patch.object(series, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
             series, "_read_rows", wraps=series._read_rows
         ) as read_rows:
-            outcomes.append(_outcome(lambda _text, schema: parse(stream, schema), None, CsvSchema()))
+            outcomes.append(_outcome(lambda _text: parse(stream), None))
         getattr(stream, "close", lambda: None)()
     assert outcomes[1] == outcomes[0]
     # Only chunks that hold a doubt reach the row path, and none of a plain file.
@@ -1176,7 +1157,7 @@ def _copied_returns(prices, include_session_crossing):
 def test_log_returns_equal_the_differences_of_copies(records, include_session_crossing, block):
     steps = np.array([step for _, step in records], dtype=np.int64)
     ts = (np.datetime64("1969-12-31T09:30:00") + np.cumsum(steps).astype("timedelta64[s]")).astype("datetime64[s]")
-    prices = series._price_series(ts, np.array([p for p, _ in records]), CsvSchema())
+    prices = _price_series(ts, np.array([p for p, _ in records]))
     want = _copied_returns(prices, include_session_crossing)
     with mock.patch.object(series, "_BLOCK", block):
         try:
