@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DataError, FitError, LabelDateUnmatched, MalformedRow
+from .errors import DataError, FitError, LabelDateUnmatched, MalformedRow, SlotMismatch
 
 # The benchmark tracer (perfbench/tracing.py) swaps several of these names
 # in this module to time each layer, so call them through these globals.
@@ -126,8 +126,8 @@ class _Option:
 # neither a config-file key nor echoed.
 _OPTIONS = (
     _Option("input", str, help="price CSV (timestamp,price)", required=True),
-    _Option("cadence", str, None, "sampling cadence (default: infer)", choices=("1min", "5min", "daily")),
-    _Option("slots_per_day", int, None, "intraday slots when not derivable from timestamps", minimum=1),
+    _Option("cadence", str, None, "check: the cadence the stamps must give", choices=("1min", "5min", "daily")),
+    _Option("slots_per_day", int, None, "check: the times of day the stamps must give", minimum=1),
     _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)", _SELECT),
     _Option("no_intraday_removal", _bool, False, "keep the raw intraday pattern"),
     _Option("labels", str, None, "label file, or builtin:<name>", _SELECT),
@@ -264,8 +264,9 @@ def _make_out_dir(out: str) -> None:
 def _prepare_run(args: argparse.Namespace):
     """Configure, load and de-season; write ``config.echo`` and ``pattern.tsv``.
 
-    The configuration comes back with the data's cadence and slot count
-    and, for the commands that fit, ``max_lag`` and ``fit_max`` filled in and checked.
+    The configuration comes back with the data's cadence and slot count (which
+    ``--cadence`` and ``--slots-per-day`` only check) and, for the commands that
+    fit, ``max_lag`` and ``fit_max`` filled in and checked.
     events writes no ``pattern.tsv``; pattern always writes one.
     """
     c = _run_config(args)
@@ -276,9 +277,14 @@ def _prepare_run(args: argparse.Namespace):
     if head and not os.path.isdir(head):
         _make_out_dir(c.out)  # fails, creating nothing
     try:
-        prices = read_price_csv(c.input, cadence=c.cadence, slots_per_day=c.slots_per_day)
+        prices = read_price_csv(c.input)
     except OSError as exc:
         raise _ConfigError(f"cannot read input {c.input}: {exc}") from None
+    for key in ("cadence", "slots_per_day"):  # the stamps decide; a flag only checks them
+        stamped, flagged = getattr(prices, key), getattr(c, key)
+        if flagged not in (None, stamped):
+            raise SlotMismatch(f"--{key.replace('_', '-')} {flagged}, but the stamps give {stamped}")
+        setattr(c, key, stamped)
     returns = log_returns(prices, include_session_crossing=not c.drop_session_crossing)
     del prices  # the returns view its slots and stamps; free its 8-byte prices
     if labels is None and c.command != "events":  # nothing else reads the stamps: free 8 bytes a record
@@ -288,18 +294,12 @@ def _prepare_run(args: argparse.Namespace):
     vol = absolute_volatility(returns)
     pattern = None
     if not c.no_intraday_removal and vol.cadence != "daily":
-        if vol.slots_per_day < 2:
-            raise _ConfigError(
-                "intraday removal needs a slot grid: pass --slots-per-day "
-                "or disable with --no-intraday-removal"
-            )
         pattern = estimate_pattern(vol)
         vol = remove_pattern(vol, pattern)
     mean_volatility(vol)  # a zero-volatility series is EmptySeries (exit 2) before --out is made
     if pattern is None and c.command == "pattern":
         # Intraday data with removal off: estimate only to dump; daily raises DailyCadence (exit 2).
-        pattern = estimate_pattern(absolute_volatility(returns))
-    c.cadence, c.slots_per_day = vol.cadence, vol.slots_per_day
+        pattern = estimate_pattern(vol)
     if "max_lag" in c:
         c.max_lag = c.max_lag or (100 if vol.cadence == "daily" else 1000)
         c.fit_max = c.max_lag if c.fit_max is None else c.fit_max

@@ -50,7 +50,7 @@ class DailyCadence(DataError):
 
 
 class SlotMismatch(DataError):
-    """Slot grid of the pattern does not match the series."""
+    """A slot grid or cadence that does not match the series: a pattern's, or one a run declares."""
 
 
 class NoEvents(DataError):

@@ -37,6 +37,8 @@ class IntradayPattern:
         (f,) = _array_fields(self, factors=np.float64)
         if f.size != self.slots_per_day:
             raise ValueError("need exactly one factor per slot")
+        if not f.size:
+            raise ValueError("a pattern needs at least one slot")
         if not np.all(np.isfinite(f) & (f > 0)):
             raise ValueError("pattern factors must be finite and positive")
         if abs(float(np.mean(f)) - 1.0) > 1e-12:

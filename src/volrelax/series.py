@@ -38,7 +38,6 @@ from .errors import (
     MalformedRow,
     NonMonotoneTimestamp,
     NonPositivePrice,
-    SlotMismatch,
     TooShort,
 )
 
@@ -78,8 +77,7 @@ class PriceSeries:
     """Strictly increasing timestamps with positive prices.
 
     ``slot_index[i]`` is the intraday slot of record ``i`` on the grid
-    of distinct times-of-day seen in the data (or a positional grid
-    when the calendar is not derivable).  Daily data has a single slot.
+    of distinct times-of-day seen in the data.  Daily data has a single slot.
     A ``NaT`` stamp has no place in that order and is rejected as
     :class:`NonMonotoneTimestamp`.
     """
@@ -180,13 +178,6 @@ def _array_fields(obj, **dtypes) -> list[np.ndarray]:
     return arrays
 
 
-def _positional_slots(n: int, slots_per_day: int) -> np.ndarray:
-    """The positional grid of ``n`` records: record ``i`` is in slot ``i % slots_per_day``."""
-    if slots_per_day < 1:
-        raise ValueError("slots_per_day must be >= 1")
-    return (np.arange(n, dtype=np.int64) % slots_per_day).astype(np.int32)
-
-
 def _times_of_day(ts: np.ndarray) -> np.ndarray:
     return ts.view(np.int64) % _SECONDS_PER_DAY  # a floor modulo: right before 1970 too
 
@@ -202,34 +193,21 @@ def _infer_cadence(ts: np.ndarray) -> str:
     return f"{step}s"
 
 
-def _assign_slots(
-    ts: np.ndarray, cadence: str, requested: int | None
-) -> tuple[int, np.ndarray]:
+def _assign_slots(ts: np.ndarray, cadence: str) -> tuple[int, np.ndarray]:
+    """The slot count and slot index of ``ts``: one slot if ``cadence`` is daily, else the grid of
+    its sorted distinct times of day.  Strictly increasing stamps whose median step is under a day
+    have a step under a day, so they have at least two times of day."""
     if cadence == "daily":
         return 1, np.zeros(ts.size, dtype=np.int32)
     tod = _times_of_day(ts)
-    # The grid is the sorted distinct times of day: a table of the seconds
-    # of a day that occur, whose running count is each second's slot.
+    # A table of the seconds of a day that occur, whose running count is each second's slot.
     present = np.zeros(_SECONDS_PER_DAY, dtype=bool)
     present[tod] = True
     slot_of_second = np.cumsum(present, dtype=np.int32) - 1
-    n_slots = int(slot_of_second[-1]) + 1
-    if n_slots >= 2:
-        if requested is not None and requested != n_slots:
-            raise SlotMismatch(
-                f"data has {n_slots} distinct times of day, "
-                f"but slots_per_day={requested} was requested"
-            )
-        return n_slots, slot_of_second[tod]
-    # No usable times of day (e.g. bare dates declared intraday): fall
-    # back to a positional grid.
-    s = int(requested) if requested is not None else 1
-    return s, _positional_slots(ts.size, s)
+    return int(slot_of_second[-1]) + 1, slot_of_second[tod]
 
 
-def parse_price_csv(
-    stream: IO[str] | IO[bytes], *, cadence: str | None = None, slots_per_day: int | None = None
-) -> PriceSeries:
+def parse_price_csv(stream: IO[str] | IO[bytes]) -> PriceSeries:
     """Parse a price CSV into a :class:`PriceSeries`, reading the stream once, from
     where it stands, by its ``read`` alone.  The layout is fixed: comma-separated
     fields, the stamp first and the price second, later fields ignored, and a first
@@ -239,13 +217,12 @@ def parse_price_csv(
     one line early (when a read ends on the ``"\\r"`` before it): for an exact line, pass
     the path to :func:`read_price_csv` or a binary stream.
 
-    ``cadence`` (``'1min'``, ``'5min'``, ``'daily'``) is inferred from the stamps if
-    ``None``; ``slots_per_day`` is read only where the stamps give no slot grid.
+    The read takes no settings: the stamps alone give the cadence (``'daily'`` for a
+    median step of a day or more, else ``'1min'``, ``'5min'`` or ``'<seconds>s'``) and
+    the slot grid (the sorted distinct times of day; one slot for daily data).
 
     Raises
     ------
-    ValueError
-        ``slots_per_day`` below 1.
     MalformedRow
         Wrong field count, an unparseable or missing (``NaT``)
         timestamp or price, a timestamp whose year is not exactly four
@@ -256,25 +233,23 @@ def parse_price_csv(
     NonMonotoneTimestamp, NonPositivePrice, TooShort
         Validation failures, reported with the offending row.
     """
-    if slots_per_day is not None and slots_per_day < 1:
-        raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day!r}")
     try:  # the columns are sized from a regular file's size; a pipe or a memory stream has none
         st = os.fstat(stream.fileno())
     except (AttributeError, OSError):
         st = None
     size = st.st_size if st and stat.S_ISREG(st.st_mode) else None
     ts, px = _read_columns(_blocks(stream), size)
-    cadence = cadence or _infer_cadence(ts)
-    return PriceSeries(ts, px, cadence, *_assign_slots(ts, cadence, slots_per_day))
+    cadence = _infer_cadence(ts)
+    return PriceSeries(ts, px, cadence, *_assign_slots(ts, cadence))
 
 
-def read_price_csv(path: str, *, cadence: str | None = None, slots_per_day: int | None = None) -> PriceSeries:
+def read_price_csv(path: str) -> PriceSeries:
     """Read a price CSV from a file or a pipe (such as ``/dev/stdin``) as :func:`parse_price_csv`
-    reads any stream, in its one layout and with its keywords: a line ends at ``"\\r\\n"``,
-    ``"\\r"`` or ``"\\n"``, as in text mode.  A file that is not UTF-8 is :class:`MalformedRow`,
-    naming the line of its first byte that is not."""
+    reads any stream, in its one layout, its cadence and slot grid from the stamps: a line ends at
+    ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, as in text mode.  A file that is not UTF-8 is
+    :class:`MalformedRow`, naming the line of its first byte that is not."""
     with open(path, "rb") as fh:
-        return parse_price_csv(fh, cadence=cadence, slots_per_day=slots_per_day)
+        return parse_price_csv(fh)
 
 
 def _blocks(stream: IO[str] | IO[bytes]) -> Iterator[str]:

@@ -12,10 +12,9 @@ where ``d >= 1`` is the distance to the *nearest* shock.  The kernel
 may differ on the two sides of a shock (``*_before`` overrides), which
 emulates an asymmetric before/after relaxation.
 
-Synthetic records sit on the positional slot grid that
-:mod:`volrelax.series` also gives bare dates declared intraday: record
-``i`` is in slot ``i % slots_per_day``.  The cadence is one minute, or
-daily when a day has one slot.
+Synthetic records sit on a positional slot grid: record ``i`` is in slot
+``i % slots_per_day``.  The cadence is one minute, or daily when a day
+has one slot.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .series import _BLOCK, _SECONDS_PER_DAY, PriceSeries, ReturnSeries, _positional_slots, _times_of_day
+from .series import _BLOCK, _SECONDS_PER_DAY, PriceSeries, ReturnSeries, _times_of_day
 
 __all__ = [
     "PlantedRelaxationSpec",
@@ -94,9 +93,12 @@ class PlantedRelaxationSpec:
 
 
 def _grid(n: int, slots_per_day: int) -> dict:
-    """The grid fields of ``n`` synthetic records: positional slots, one minute apart or daily."""
+    """The grid fields of ``n`` synthetic records: record ``i`` in slot ``i % slots_per_day``,
+    one minute apart or daily."""
+    if slots_per_day < 1:
+        raise ValueError("slots_per_day must be >= 1")
     return dict(
-        slot_index=_positional_slots(n, slots_per_day),
+        slot_index=(np.arange(n, dtype=np.int64) % slots_per_day).astype(np.int32),
         slots_per_day=slots_per_day,
         cadence="daily" if slots_per_day == 1 else "1min",
     )

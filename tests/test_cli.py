@@ -274,7 +274,7 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         ["analyze", "--input", planted_csv, "--out", out, "--seed", "-1", "--surrogate", "shuffle"],
         ["events", "--input", planted_csv, "--out", out, "--seed", "-1", "--surrogate", "shuffle"],
         ["analyze", "--input", planted_csv, "--out", out, "--seed", "-1", "--bootstrap", "3"],
-        # A daily file declared intraday takes the positional grid of --slots-per-day.
+        # The option table refuses a slot count below 1 before the stamps are read.
         ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "0"],
         ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "-2"],
         # One replica has no spread: its p_stderr would be NaN.
@@ -290,9 +290,6 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         (["events", "--input", planted_csv, "--out", out, "--labels", "builtin:nope"],
          f"no packaged label table 'nope'; available: {volrelax.packaged_label_names()}"),
         (["analyze", "--config", str(maybe_cfg), "--out", out], "--no-intraday-removal: invalid value 'maybe'"),
-        # Daily stamps declared intraday have one time of day, so no slot grid.
-        (["pattern", "--input", planted_csv, "--out", out, "--cadence", "1min"],
-         "intraday removal needs a slot grid: pass --slots-per-day or disable with --no-intraday-removal"),
         (["omori", "--input", planted_csv, "--out", out, "--main-threshold", "4", "--z1-thresholds", "0,3"],
          "aftershock threshold 0 must be above 0 and below the main threshold 4"),
     ]
@@ -399,13 +396,56 @@ def test_data_errors_exit_2(planted_csv, tmp_path, capsys):
     short.write_text("2000-01-03,100.0\n")
     for path in (bad_row, bad_price, short):
         assert main(["analyze", "--input", str(path), "--out", out]) == 2, path
-    # Daily stamps declared intraday: every step crosses a session.
+    # Two hours apart over midnight: intraday stamps whose one step crosses a session.
+    crossing = tmp_path / "crossing.csv"
+    crossing.write_text("2000-01-03T23:00:00,100.0\n2000-01-04T01:00:00,101.0\n")
     capsys.readouterr()
-    argv = ["analyze", "--input", planted_csv, "--out", out, "--cadence", "1min", "--slots-per-day", "1",
-            "--no-intraday-removal", "--drop-session-crossing"]
+    argv = ["analyze", "--input", str(crossing), "--out", out, "--no-intraday-removal", "--drop-session-crossing"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "data error: TooShort: no returns left after dropping session-crossing steps\n"
     assert not os.path.exists(out)
+
+
+# --cadence and --slots-per-day check what the stamps give: each case's flag
+# contradicts its file, and the error line names both values.
+_CONTRADICTIONS = [
+    ("planted_csv", ["events", "--slots-per-day", "5"], "--slots-per-day 5, but the stamps give 1"),
+    ("planted_csv", ["analyze", "--cadence", "1min"], "--cadence 1min, but the stamps give daily"),
+    ("intraday_csv", ["pattern", "--cadence", "5min"], "--cadence 5min, but the stamps give 1min"),
+    ("intraday_csv", ["pattern", "--cadence", "daily"], "--cadence daily, but the stamps give 1min"),
+    ("intraday_csv", ["omori", "--slots-per-day", "29"], "--slots-per-day 29, but the stamps give 30"),
+    ("intraday_csv", ["events", "--cadence", "1min", "--slots-per-day", "390"],
+     "--slots-per-day 390, but the stamps give 30"),
+]
+
+
+@pytest.mark.parametrize("data,argv,want", _CONTRADICTIONS)
+def test_cadence_or_slots_that_contradict_the_stamps_exit_2(data, argv, want, request, tmp_path, capsys):
+    csv = request.getfixturevalue(data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--input", csv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: SlotMismatch: {want}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data,argv,stamped",
+    [
+        ("planted_csv", ["analyze", "--thresholds", "5", "--max-lag", "60", "--split", "sign"], ["daily", "1"]),
+        ("intraday_csv", ["events", "--thresholds", "4"], ["1min", "30"]),
+    ],
+)
+def test_cadence_and_slots_that_agree_with_the_stamps_change_no_byte(data, argv, stamped, request, tmp_path, capsys):
+    csv = request.getfixturevalue(data)
+    plain, checked = str(tmp_path / "plain"), str(tmp_path / "checked")
+    capsys.readouterr()
+    assert main([*argv, "--input", csv, "--out", plain]) == 0
+    stdout = capsys.readouterr().out
+    assert main([*argv, "--input", csv, "--out", checked, "--cadence", stamped[0], "--slots-per-day", stamped[1]]) == 0
+    assert capsys.readouterr().out == stdout.replace(plain, checked)
+    assert _dir_snapshot(checked) == _dir_snapshot(plain)
 
 
 def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
@@ -972,6 +1012,15 @@ def test_synth_modes_produce_parseable_csv(tmp_path):
         assert len(prices) == 3001
 
 
+def test_synth_writes_100000_returns_by_default(tmp_path, capsys):
+    path = str(tmp_path / "iid.csv")
+    capsys.readouterr()
+    assert main(["synth", "--mode", "iid", "--out", path]) == 0
+    assert capsys.readouterr().out == f"wrote {path} (100001 records)\n"
+    with open(path, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 100_001  # the header, then one line per price
+
+
 def test_synth_factor_file(tmp_path):
     factors = tmp_path / "factors.txt"
     factors.write_text("2.0\n0.5\n1.0\n0.5\n")
@@ -1157,7 +1206,7 @@ _FUZZ_PLAIN = {"labels": None, "config": None, "out_kind": "new"}
     options=_FUZZ_OPTIONS,
 )
 # Two inputs that once escaped main as tracebacks: a negative seed reaching
-# numpy, and a zero positional grid on dates declared intraday.
+# numpy, and a zero slot count on daily dates declared intraday.
 @example(command="analyze", data="daily", options={"seed": "-1", "surrogate": "shuffle"}, **_FUZZ_PLAIN)
 @example(command="events", data="daily", options={"cadence": "1min", "slots_per_day": "0"}, **_FUZZ_PLAIN)
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -439,6 +439,33 @@ def test_fit_cumulative_runs_on_real_profiles():
     assert 0.1 < plus.p < 0.6
 
 
+def test_every_fit_defaults_to_lags_5_to_max_lag_with_a_free_offset():
+    # The CLI passes every fit setting; only library callers see the defaults.
+    returns = gen_planted_relaxation(
+        PlantedRelaxationSpec(
+            n=30_000, sigma0=0.01, shock_rate=150.0, boost=3.0, p=0.3, tau=0.0,
+            shock_magnitude=10.0, seed=3,
+        )
+    )
+    vol = VolatilitySeries(
+        values=np.abs(returns.values), slot_index=returns.slot_index, slots_per_day=1, cadence="daily"
+    )
+    events = select_events(vol, 5.0)
+    cum = cumulative(remanent_profile(vol, events, 100))
+    stated = dict(t_min=5, t_max=None, tau_mode="free")
+    for side in "-+":
+        want = fit_cumulative(cum, side, **stated)
+        assert want.fit_range == (5, 100)
+        assert fit_cumulative(cum, side) == want
+        assert fit_offset_power_law(cum.lags, cum.side(side)) == want
+    want = bootstrap_errors(vol, events, 100, 3, 0, **stated)
+    got = bootstrap_errors(vol, events, 100, 3, 0)
+    np.testing.assert_array_equal(np.stack((got.p_minus, got.p_plus)), np.stack((want.p_minus, want.p_plus)))
+    # The replicas' exponents tell a fit from lag 5 from one from lag 6.
+    later = bootstrap_errors(vol, events, 100, 3, 0, **{**stated, "t_min": 6})
+    assert not np.array_equal(later.p_plus, want.p_plus)
+
+
 def test_overflowing_amplitude_emits_no_warning():
     # A saturating, step-like curve drives the best shape to p ~ 100,
     # where ln A exceeds the float range.

@@ -200,6 +200,11 @@ def test_pattern_tsv_round_trip(tmp_path):
     back = read_pattern_tsv(path)
     assert back.slots_per_day == 10
     np.testing.assert_array_equal(back.factors, pattern.factors)
+    # A header with no slot row under it is no pattern.
+    with open(path, "w") as fh:
+        fh.write("slot\tfactor\n")
+    with pytest.raises(ValueError, match="^a pattern needs at least one slot$"):
+        read_pattern_tsv(path)
 
 
 @given(st.integers(2, 9), st.integers(0, 10_000))

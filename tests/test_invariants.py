@@ -9,6 +9,7 @@ import pytest
 from volrelax.errors import EmptySeries, InsufficientPositivePoints, MalformedRow, NoEvents, TooShort
 from volrelax.events import EventLabel, EventSet
 from volrelax.fitting import PowerLawFit, bootstrap_errors, fit_offset_power_law
+from volrelax.intraday import IntradayPattern
 from volrelax.profiles import (
     ConditionedProfile,
     CumulativeProfile,
@@ -87,6 +88,8 @@ _CASES = {
     "EventSet indices": (ValueError, _with(EVENTS, indices=[-1, 5])),
     "EventSet origins": (ValueError, _with(EVENTS, origins=["exogenous", "other"])),
     "EventLabel origin": (MalformedRow, lambda: EventLabel(date="2000-01-03", origin="other")),
+    # Zero factors for zero slots agree in number, but no mean is one.
+    "IntradayPattern no slots": (ValueError, lambda: IntradayPattern(factors=[], slots_per_day=0)),
     "PriceSeries one record": (
         TooShort,
         _with(PRICES, timestamps=PRICES.timestamps[:1], prices=[1.0], slot_index=[0]),

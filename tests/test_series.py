@@ -21,7 +21,6 @@ from volrelax import (
     NonMonotoneTimestamp,
     NonPositivePrice,
     PriceSeries,
-    SlotMismatch,
     TooShort,
     VolatilitySeries,
     absolute_volatility,
@@ -50,8 +49,8 @@ timestamp,price
 """
 
 
-def _parse(text, **keywords):
-    return parse_price_csv(io.StringIO(text), **keywords)
+def _parse(text):
+    return parse_price_csv(io.StringIO(text))
 
 
 def test_parse_daily_basics():
@@ -93,18 +92,29 @@ def test_slot_grid_matches_sorted_distinct_times_of_day(stamps):
     # Days before 1970 have negative epoch seconds.
     seconds = np.array([day * 86400 + tod for day, tod in stamps], dtype=np.int64)
     ts = seconds.astype("datetime64[s]")
-    n_slots, slot_index = series._assign_slots(ts, "1min", None)
+    n_slots, slot_index = series._assign_slots(ts, "1min")
     expected_n, expected_index = _slots_by_sorting(ts)
-    if expected_n < 2:
-        expected_n, expected_index = 1, np.zeros(ts.size, dtype=np.int32)
     assert n_slots == expected_n
     assert slot_index.dtype == np.int32
     np.testing.assert_array_equal(slot_index, expected_index)
 
 
-def test_parse_slot_count_conflict():
-    with pytest.raises(SlotMismatch):
-        _parse(INTRADAY_CSV, slots_per_day=5)
+_STEPS = st.sampled_from([1, 60, 300, 3600, 86399, 86400, 86401, 7 * 86400]) | st.integers(1, 3 * 86400)
+
+
+@given(st.integers(-2_000_000_000, 3_000_000_000), st.lists(_STEPS, min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_stamps_under_a_day_apart_give_at_least_two_slots(start, steps):
+    # The stamps alone give the grid: a median step under a day is a step under a
+    # day between two increasing stamps, so two times of day.
+    seconds = start + np.concatenate(([0], np.cumsum(steps)))
+    stamps = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s")
+    prices = _parse("".join(f"{t},{100 + i}\n" for i, t in enumerate(stamps)))
+    assert (prices.cadence == "daily") == (np.median(steps) >= 86400)
+    if prices.cadence == "daily":
+        assert prices.slots_per_day == 1
+    else:
+        assert prices.slots_per_day >= 2
 
 
 def test_parse_rejects_short_row():
@@ -281,12 +291,6 @@ def test_parse_extra_columns_and_delimiter():
             _parse(t.replace(",", ";"))
 
 
-@pytest.mark.parametrize("slots", [0, -2])
-def test_parse_rejects_slots_per_day_below_one(slots):
-    with pytest.raises(ValueError, match="^slots_per_day must be >= 1"):
-        _parse(INTRADAY_CSV, cadence="1min", slots_per_day=slots)
-
-
 def _whole_text_rows(raw):
     """The csv.reader row path as it read the whole text before the parse went a
     chunk at a time, frozen as the reference: one header rule and one
@@ -346,7 +350,7 @@ def _as_read(text):
 def _price_series(ts, px):
     """The series the parse makes of its columns, its cadence and slot grid found from the stamps."""
     cadence = series._infer_cadence(ts)
-    return PriceSeries(ts, px, cadence, *series._assign_slots(ts, cadence, None))
+    return PriceSeries(ts, px, cadence, *series._assign_slots(ts, cadence))
 
 
 def _row_path(text):
@@ -1096,12 +1100,12 @@ def test_slots_and_checks_add_no_int64_copy_of_the_stamps():
     n = 400_000
     ts = np.datetime64("1969-12-01T09:30:00") + np.arange(n) * np.timedelta64(60, "s")
     prices = 100.0 + np.arange(n) % 997 / 8.0
-    n_slots, slots = series._assign_slots(ts, "1min", None)
+    n_slots, slots = series._assign_slots(ts, "1min")
     assert n_slots == 1440
     # The times of day (int64) and the slots are the results; the tables
     # of the seconds of a day take 5 bytes a second.
     tables = 5 * 86_400
-    assert _traced_peak(series._assign_slots, ts, "1min", None) < ts.nbytes + slots.nbytes + tables + 65_536
+    assert _traced_peak(series._assign_slots, ts, "1min") < ts.nbytes + slots.nbytes + tables + 65_536
     # The cadence takes the steps (int64) and finds their median in place.
     assert _traced_peak(series._infer_cadence, ts) < ts.nbytes + 65_536
     assert series._infer_cadence(ts) == "1min"
@@ -1120,7 +1124,7 @@ def test_log_returns_and_pattern_removal_hold_one_new_array_and_one_block():
         prices=100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0, 1e-3, n))),
         cadence="1min",
         slots_per_day=1440,
-        slot_index=series._assign_slots(ts, "1min", None)[1],
+        slot_index=series._assign_slots(ts, "1min")[1],
     )
     # One new float64 array, and the larger of one block and the checks of
     # the new series, which hold up to three boolean masks.
