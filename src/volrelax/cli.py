@@ -50,7 +50,7 @@ from .synth import (
     PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
     returns_to_prices, write_price_csv,
 )
-from .tsv import write_tsv
+from .tsv import _unlink_for_rewrite, write_tsv
 
 __all__ = ["main", "RunConfig"]
 
@@ -126,7 +126,7 @@ class _Option:
 # neither a config-file key nor echoed.
 _OPTIONS = (
     _Option("input", str, help="price CSV (timestamp,price)", required=True),
-    _Option("cadence", str, None, "check: the cadence the stamps must give", choices=("1min", "5min", "daily")),
+    _Option("cadence", str, None, "check: the cadence the stamps must give (1min, 5min, daily, ...)"),
     _Option("slots_per_day", int, None, "check: the times of day the stamps must give", minimum=1),
     _Option("thresholds", _floats, (2.0, 4.0, 6.0, 8.0), "comma list of sigma multiples (default 2,4,6,8)", _SELECT),
     _Option("no_intraday_removal", _bool, False, "keep the raw intraday pattern"),
@@ -308,7 +308,9 @@ def _prepare_run(args: argparse.Namespace):
                 f"fit range [{c.fit_min}, {c.fit_max}] must lie within computed lags [1, {c.max_lag}]"
             )
     _make_out_dir(c.out)
-    with open(os.path.join(c.out, "config.echo"), "w", encoding="utf-8", newline="\n") as fh:
+    echo = os.path.join(c.out, "config.echo")
+    _unlink_for_rewrite(echo)
+    with open(echo, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(vars(c).items()):
             if key != "out":
                 fh.write(f"{key} = {_echo_value(value)}\n")

@@ -141,7 +141,9 @@ class _OnSlotGrid:
 
 @dataclass(frozen=True)
 class ReturnSeries(_OnSlotGrid):
-    """Log-returns on the grid inherited from the parent price series.
+    """Log-returns on the grid inherited from the parent price series
+    (cut after its last occupied slot when the session-crossing returns
+    are dropped).
 
     ``timestamps`` are the left stamps of each return (``None`` for
     derived series that no longer live on a calendar, e.g. reversed
@@ -518,6 +520,10 @@ def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> R
     With ``include_session_crossing=False`` (intraday data only) the
     overnight return between the last record of one day and the first
     of the next is dropped; otherwise the slots and stamps view the prices'.
+    A return takes the slot of its left stamp, so after the drop the slot
+    grid ends at the last slot a kept return occupies: for stamps on a full
+    grid, the prices' grid less its last slot, whose returns all cross into
+    the next day.
     """
     logs = np.log(prices.prices)
     values = logs[:-1]  # np.diff's subtraction, in blocks so that numpy copies one block of the overlap
@@ -525,16 +531,18 @@ def log_returns(prices: PriceSeries, include_session_crossing: bool = True) -> R
         np.subtract(logs[lo + 1 : lo + 1 + _BLOCK], values[lo : lo + _BLOCK], out=values[lo : lo + _BLOCK])
     slots = prices.slot_index[:-1]
     stamps = prices.timestamps[:-1]
+    slots_per_day = prices.slots_per_day
     if not include_session_crossing and prices.cadence != "daily":
         days = prices.timestamps.astype("datetime64[D]")
         keep = days[1:] == days[:-1]
         values, slots, stamps = values[keep], slots[keep], stamps[keep]
-    if values.size == 0:
-        raise TooShort("no returns left after dropping session-crossing steps")
+        if values.size == 0:
+            raise TooShort("no returns left after dropping session-crossing steps")
+        slots_per_day = int(slots.max()) + 1
     return ReturnSeries(
         values=values,
         slot_index=slots,
-        slots_per_day=prices.slots_per_day,
+        slots_per_day=slots_per_day,
         cadence=prices.cadence,
         timestamps=stamps,
     )

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import _BLOCK, _SECONDS_PER_DAY, PriceSeries, ReturnSeries, _times_of_day
+from .tsv import _unlink_for_rewrite
 
 __all__ = [
     "PlantedRelaxationSpec",
@@ -206,6 +207,7 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
     block, not with the file.
     """
     daily = prices.cadence == "daily"
+    _unlink_for_rewrite(path)  # a new file: truncating one just written waits for its write-back
     with open(path, "wb") as fh:
         fh.write(b"timestamp,price\n")
         for lo in range(0, len(prices), _BLOCK):

@@ -6,10 +6,15 @@ a float column as ``repr(float)`` of each cell, which reads back bit for
 bit (``nan``, ``inf`` and ``-inf`` included), and any other column
 (integers, strings) as ``str`` of each cell.  So a column that mixes
 integers and floats is written as floats.
+
+Every writer that replaces a whole file, the tables here, ``config.echo``
+and the price CSV, calls :func:`_unlink_for_rewrite` before its ``open``.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -20,6 +25,23 @@ from .series import _read_lines
 __all__ = ["write_tsv", "read_tsv"]
 
 
+def _unlink_for_rewrite(path: str) -> None:
+    """Unlink ``path`` when it is a regular file with one link that may be
+    written, so that the ``open`` after this makes a new file.
+
+    Truncating a file written moments before waits for its write-back; a new
+    file does not, and a reader that holds the old one keeps its bytes.  Any
+    other path (missing, a symlink, a FIFO or device, hard-linked, read-only,
+    or in a directory that refuses the unlink) is left for ``open`` as it is.
+    """
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass
+
+
 def _formatted(column: Iterable) -> Iterable[str]:
     values = np.asarray(column)
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
@@ -28,6 +50,7 @@ def _formatted(column: Iterable) -> Iterable[str]:
 def write_tsv(path: str, header: Iterable[str], columns: Iterable[Iterable]) -> None:
     """Write the ``header`` names, then one tab-joined line per row of the
     equal-length ``columns``."""
+    _unlink_for_rewrite(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in zip(*map(_formatted, columns), strict=True):

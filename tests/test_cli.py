@@ -6,8 +6,10 @@ import filecmp
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -242,8 +244,6 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     inf_cfg.write_text(f"command = analyze\ninput = {planted_csv}\nthresholds = inf\n")
     omori_cfg = tmp_path / "omori.cfg"
     omori_cfg.write_text(f"command = omori\ninput = {planted_csv}\nmain-threshold = nan\n")
-    weekly_cfg = tmp_path / "weekly.cfg"
-    weekly_cfg.write_text(f"input = {planted_csv}\ncadence = weekly\n")
     no_pair_cfg = tmp_path / "no_pair.cfg"
     no_pair_cfg.write_text(f"input {planted_csv}\n")
     maybe_cfg = tmp_path / "maybe.cfg"
@@ -282,8 +282,6 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     ]
     # Refusals whose error line is pinned.
     worded = [
-        (["analyze", "--config", str(weekly_cfg), "--out", out],
-         "--cadence: expected one of ('1min', '5min', 'daily'), got 'weekly'"),
         (["analyze", "--config", str(no_pair_cfg), "--out", out], f"{no_pair_cfg} line 1: expected 'key = value'"),
         (["events", "--input", planted_csv, "--out", out, "--labels", missing_labels],
          f"cannot read label file {missing_labels}: [Errno 2] No such file or directory: '{missing_labels}'"),
@@ -411,6 +409,7 @@ def test_data_errors_exit_2(planted_csv, tmp_path, capsys):
 _CONTRADICTIONS = [
     ("planted_csv", ["events", "--slots-per-day", "5"], "--slots-per-day 5, but the stamps give 1"),
     ("planted_csv", ["analyze", "--cadence", "1min"], "--cadence 1min, but the stamps give daily"),
+    ("planted_csv", ["analyze", "--cadence", "weekly"], "--cadence weekly, but the stamps give daily"),
     ("intraday_csv", ["pattern", "--cadence", "5min"], "--cadence 5min, but the stamps give 1min"),
     ("intraday_csv", ["pattern", "--cadence", "daily"], "--cadence daily, but the stamps give 1min"),
     ("intraday_csv", ["omori", "--slots-per-day", "29"], "--slots-per-day 29, but the stamps give 30"),
@@ -446,6 +445,36 @@ def test_cadence_and_slots_that_agree_with_the_stamps_change_no_byte(data, argv,
     assert main([*argv, "--input", csv, "--out", checked, "--cadence", stamped[0], "--slots-per-day", stamped[1]]) == 0
     assert capsys.readouterr().out == stdout.replace(plain, checked)
     assert _dir_snapshot(checked) == _dir_snapshot(plain)
+
+
+def test_echo_of_a_cadence_outside_the_common_ones_reads_back(tmp_path):
+    # 300 days of 20 stamps 30 s apart: the stamps give the cadence "30s".
+    day = np.datetime64("2000-01-03T09:30:00") + np.arange(20) * np.timedelta64(30, "s")
+    stamps = (day + np.arange(300)[:, None] * np.timedelta64(1, "D")).ravel()
+    prices = np.exp(np.cumsum(np.random.default_rng(1).normal(0, 1e-3, stamps.size)))
+    csv = tmp_path / "30s.csv"
+    csv.write_text("".join(f"{t},{p!r}\n" for t, p in zip(stamps.astype(str), prices.tolist())))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["pattern", "--input", str(csv), "--out", str(first)]) == 0
+    assert "cadence = 30s\n" in (first / "config.echo").read_text()
+    assert main(["pattern", "--config", str(first / "config.echo"), "--out", str(again)]) == 0
+    assert _dir_snapshot(first) == _dir_snapshot(again)
+
+
+def test_drop_session_crossing_with_pattern_removal_covers_all_but_the_last_slot(tmp_path, capsys):
+    # Each day's last slot holds only the overnight return, so the dropped
+    # series has no return there and the pattern ends one slot earlier.
+    csv = str(tmp_path / "minute.csv")
+    argv = ["--slots-per-day", "390", "--n", "40000", "--shock-rate", "500", "--seed", "1"]
+    assert main(["synth", "--mode", "planted", *argv, "--out", csv]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["analyze", "--input", csv, "--out", str(out), "--thresholds", "4", "--max-lag", "100",
+                 "--drop-session-crossing"]) == 0
+    assert capsys.readouterr().err == ""
+    pattern = read_pattern_tsv(str(out / "pattern.tsv"))
+    assert pattern.slots_per_day == 389 and np.all(pattern.factors > 0)
+    assert "slots_per_day = 390\n" in (out / "config.echo").read_text()
 
 
 def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
@@ -1035,6 +1064,75 @@ def test_synth_factor_file(tmp_path):
     assert estimated[0] > estimated[1]
 
 
+def test_rerun_makes_new_files_and_leaves_open_handles_on_the_old(planted_csv, tmp_path):
+    out = tmp_path / "run"
+    assert _analyze(planted_csv, str(out)) == 0
+    old = _dir_snapshot(out)
+    with open(out / "fits.tsv", "rb") as fits, open(out / "config.echo", "rb") as echo:
+        assert _analyze(planted_csv, str(out), "--thresholds", "4") == 0
+        assert fits.read() == old["fits.tsv"] and echo.read() == old["config.echo"]
+    new = _dir_snapshot(out)
+    assert new["fits.tsv"] != old["fits.tsv"] and new["config.echo"] != old["config.echo"]
+    fresh = tmp_path / "fresh"
+    assert _analyze(planted_csv, str(fresh), "--thresholds", "4") == 0
+    assert _dir_snapshot(fresh)["fits.tsv"] == new["fits.tsv"]
+
+
+@pytest.fixture
+def synth_bytes(tmp_path):
+    """``synth`` argv without ``--out``, and the bytes it writes to a new regular file."""
+    argv = ["synth", "--mode", "iid", "--n", "3000", "--seed", "1"]
+    plain = tmp_path / "plain.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    return argv, plain.read_bytes()
+
+
+def test_synth_into_a_fifo_writes_through_it(synth_bytes, tmp_path):
+    argv, want = synth_bytes
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [want]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_synth_into_a_symlink_writes_its_target(synth_bytes, tmp_path):
+    argv, want = synth_bytes
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want
+
+
+def test_synth_into_a_hard_linked_file_rewrites_both_names(synth_bytes, tmp_path):
+    argv, want = synth_bytes
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("old\n")
+    os.link(first, second)
+    assert main([*argv, "--out", str(first)]) == 0
+    assert os.path.samefile(first, second)
+    assert first.read_bytes() == want and second.read_bytes() == want
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="the superuser may write a read-only file")
+def test_synth_into_a_read_only_file_exits_1(synth_bytes, tmp_path, capsys):
+    argv, _ = synth_bytes
+    path = tmp_path / "read_only.csv"
+    path.write_text("keep\n")
+    path.chmod(0o444)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ") and captured.err.count("\n") == 1
+    assert path.read_text() == "keep\n"
+
+
 def test_synth_invalid_args_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["synth", "--out", out]) == 1  # missing mode
@@ -1104,11 +1202,12 @@ _FUZZ_CONFIGS = {
     "not utf-8": "seed = 3\n# r\udce9sum\udce9\n",
     "unknown key": "seed = 3\nverbosity = 11\n",
 }
-# A typical value of each option that takes a number; an option with choices
-# takes each of them.  The fuzz also tries 0, -1, 1, nan and text.
+# Typical values of each option that takes a number or a cadence; an option
+# with choices takes each of them.  The fuzz also tries 0, -1, 1, nan and text.
 _FUZZ_TYPICAL = {
-    "slots_per_day": "30", "thresholds": "2,4", "max_lag": "40", "fit_min": "3", "fit_max": "30",
-    "bootstrap": "3", "seed": "7", "min_separation": "3", "main_threshold": "6", "z1_thresholds": "2,3",
+    "cadence": ("1min", "5min", "daily"), "slots_per_day": ("30",), "thresholds": ("2,4",),
+    "max_lag": ("40",), "fit_min": ("3",), "fit_max": ("30",), "bootstrap": ("3",), "seed": ("7",),
+    "min_separation": ("3",), "main_threshold": ("6",), "z1_thresholds": ("2,3",),
 }
 
 
@@ -1116,7 +1215,7 @@ def _fuzz_values(option):
     """A flag's strategy (``None``: no value), or an option's edge values."""
     if option.conv is cli._bool:
         return st.none()
-    typical = option.choices or (_FUZZ_TYPICAL[option.key],)
+    typical = option.choices or _FUZZ_TYPICAL[option.key]
     return st.sampled_from(["0", "-1", "1", *typical, "nan", "ten"])
 
 

@@ -1254,6 +1254,8 @@ def test_log_returns_session_crossing_drop():
     # The dropped return is the overnight step stamped at the day-1 close.
     np.testing.assert_allclose(intra.values, np.delete(full.values, 2))
     np.testing.assert_array_equal(intra.slot_index, [0, 1, 0, 1])
+    # The 09:02 slot only starts returns into the next day: the grid ends before it.
+    assert full.slots_per_day == 3 and intra.slots_per_day == 2
 
 
 def test_log_returns_crossing_drop_is_noop_for_daily():
