@@ -50,7 +50,7 @@ from .synth import (
     PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
     returns_to_prices, write_price_csv,
 )
-from .tsv import _unlink_for_rewrite, write_tsv
+from .tsv import _open_for_rewrite, write_tsv
 
 __all__ = ["main", "RunConfig"]
 
@@ -309,8 +309,7 @@ def _prepare_run(args: argparse.Namespace):
             )
     _make_out_dir(c.out)
     echo = os.path.join(c.out, "config.echo")
-    _unlink_for_rewrite(echo)
-    with open(echo, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_for_rewrite(echo, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(vars(c).items()):
             if key != "out":
                 fh.write(f"{key} = {_echo_value(value)}\n")
@@ -338,9 +337,7 @@ def _select_and_tag(c: RunConfig, vol, returns, labels) -> Iterator[tuple[float,
     one ``warning:`` line."""
     unmatched = None  # the warnings every threshold so far raised, in label order
     for m in c.thresholds:
-        events = select_events(vol, m)
-        if len(events):
-            events = classify_sign(events, returns)
+        events = classify_sign(select_events(vol, m), returns)
         if c.min_separation:
             events = decluster(events, c.min_separation)
         if labels is not None:

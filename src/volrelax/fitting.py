@@ -12,13 +12,14 @@ squared residual of ``log V`` over about 30 log-spaced lags of the fit
 range ``[t_min, t_max]`` (:func:`log_spaced_lags`), so every decade
 carries comparable weight.  Every fit, a bootstrap replica's included,
 takes the same keywords ``t_min``, ``t_max`` and ``tau_mode``.  The
-amplitude ``A`` has a closed form per ``(p, tau)`` candidate; the
-remaining two (or one, with ``tau`` pinned to zero) parameters are found
-by multistart Nelder-Mead descent from a coarse grid.
+amplitude ``A`` has a closed form per ``(p, tau)`` candidate.  With ``tau``
+pinned to zero, so does ``p``: the fit is log-log least squares
+(:func:`_pinned_fit`).  With ``tau`` free, ``p`` and ``tau`` are found by
+multistart Nelder-Mead descent from a coarse grid.
 
 All the descents of one fit call (three starts per curve, and ``2B``
 curves in :func:`bootstrap_errors`) run in lock step: each is a
-:func:`volrelax.optimize.search` over one or two scalars, and every round
+:func:`volrelax.optimize.search` over ``(p, sqrt(tau))``, and every round
 evaluates the points the live searches ask for in one numpy call per
 sample and ``ln g`` formula (:func:`_losses`).  Each search takes exactly
 the steps the sequential :func:`volrelax.optimize.minimize` takes on its
@@ -303,7 +304,7 @@ def _descend(
     """One Nelder-Mead search per start ``(s, row, x0)``, all in lock step.
 
     Search ``i`` minimizes the loss of curve ``row`` of ``samples[s]``
-    over ``x = (p, sqrt(tau))``, or over ``x = (p,)`` with ``tau = 0``.
+    over ``x = (p, sqrt(tau))``.
     Each round evaluates the point every live search asks for in one
     :func:`_evaluate` call, so a search's result is what
     :func:`volrelax.optimize.minimize` returns for it alone.
@@ -325,11 +326,39 @@ def _descend(
                 continue
             s, row, _ = starts[i]
             asked.append(i)
-            points.append((s, row, x[0], x[1] * x[1] if len(x) == 2 else 0.0))
+            points.append((s, row, x[0], x[1] * x[1]))
         for i, loss in zip(asked, _evaluate(samples, points)):
             losses[i] = loss
         live = asked
     return results
+
+
+def _fit_at(
+    p: float, tau: float, t: np.ndarray, log_v: np.ndarray, fit_range: tuple[int, int]
+) -> PowerLawFit:
+    """The fit of shape ``(p, tau)``, with ``A`` and the rms residual in closed form."""
+    ln_g = _ln_g(t, np.array([p]), np.array([tau]), _branch(p, tau))[0]
+    ln_a = float(np.mean(log_v - ln_g))
+    resid = log_v - ln_g - ln_a
+    return PowerLawFit(
+        A=float(np.exp(ln_a)),
+        p=p,
+        tau=tau,
+        fit_range=fit_range,
+        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
+    )
+
+
+def _pinned_fit(t: np.ndarray, log_v: np.ndarray, fit_range: tuple[int, int]) -> PowerLawFit:
+    """The fit with ``tau = 0``: ``ln q`` (``q = 1 - p``) drops out of the loss
+    with the mean, so ``q`` is the least-squares slope of ``log V`` on ``ln t``,
+    clamped at ``_LOG_LIMIT_EPS`` (``1 - p`` rounds to no less, so ``p`` keeps
+    the ``tau = 0`` shape)."""
+    x = np.log(t)
+    x = x - np.mean(x)
+    y = log_v - np.mean(log_v)
+    q = max(float((x * y).sum() / (x * x).sum()), _LOG_LIMIT_EPS)
+    return _fit_at(1.0 - q, 0.0, t, log_v, fit_range)
 
 
 def _best_fit(
@@ -337,32 +366,16 @@ def _best_fit(
     t: np.ndarray,
     log_v: np.ndarray,
     fit_range: tuple[int, int],
-    free_tau: bool,
 ) -> PowerLawFit:
-    """A curve's fit from its searches, taken in start order: the first
-    converged search with the least loss."""
-    best: tuple[float, float, float] | None = None
-    for res in results:
-        if not res.success or res.fun >= _PENALTY / 2:
-            continue
-        if best is None or res.fun < best[0]:
-            tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
-            best = (float(res.fun), float(res.x[0]), tau_hat)
-    if best is None:
+    """A curve's fit from its searches over ``(p, sqrt(tau))``, taken in
+    start order: the first converged search with the least loss."""
+    converged = [res for res in results if res.success and res.fun < _PENALTY / 2]
+    if not converged:
         raise NonConvergence(
             f"no start converged within {_MAX_ITER} iterations at tolerance {_XATOL}"
         )
-    _, p_hat, tau_hat = best
-    ln_g = _ln_g(t, np.array([p_hat]), np.array([tau_hat]), _branch(p_hat, tau_hat))[0]
-    ln_a = float(np.mean(log_v - ln_g))
-    resid = log_v - ln_g - ln_a
-    return PowerLawFit(
-        A=float(np.exp(ln_a)),
-        p=p_hat,
-        tau=tau_hat,
-        fit_range=fit_range,
-        rms_log_residual=float(np.sqrt(np.mean(resid * resid))),
-    )
+    best = min(converged, key=lambda res: res.fun)
+    return _fit_at(float(best.x[0]), float(best.x[1] ** 2), t, log_v, fit_range)
 
 
 def _fit_many(
@@ -374,53 +387,51 @@ def _fit_many(
     """Fit each ``(lags, values)`` curve as :func:`fit_offset_power_law`
     does, and return per curve its fit or the error that fit raises.
 
-    Each curve is scored on the coarse grid, and its best three starts
-    are searched, once for curves whose samples, ``log V`` and fit range
-    are equal; every search runs in one :func:`_descend`, on one stacked
-    ``log V`` matrix per distinct sample.  A curve's fit is chosen from
-    its searches as one curve at a time would (:func:`_best_fit`).
+    With ``tau`` pinned, each curve's fit is :func:`_pinned_fit`.  With
+    ``tau`` free, each curve is scored on the coarse grid, and its best
+    three starts are searched, once for curves whose samples, ``log V``
+    and fit range are equal; every search runs in one :func:`_descend`,
+    on one stacked ``log V`` matrix per distinct sample.  A curve's fit is
+    chosen from its searches as one curve at a time would (:func:`_best_fit`).
     """
     out: list = [None] * len(curves)
     stacks: dict[bytes, tuple[int, np.ndarray, list[np.ndarray]]] = {}  # t -> (s, t, rows)
     fitted: list[tuple[int, int, int, int]] = []  # curve, sample, row, t_max
     firsts: dict[tuple, int] = {}  # (t, log V, t_max) -> the first curve sampled so
-    for c, (lags, values) in enumerate(curves):
-        try:
-            t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode)
-        except (ValueError, VolrelaxError) as exc:
-            out[c] = exc
-            continue
-        if (first := firsts.setdefault((t.tobytes(), log_v.tobytes(), t_hi), c)) != c:
-            out[c] = first  # its searches would be the first's: it takes that fit at the end
-            continue
-        s, _, rows = stacks.setdefault(t.tobytes(), (len(stacks), t, []))
-        rows.append(log_v)
-        fitted.append((c, s, len(rows) - 1, t_hi))
-    samples = [(t, np.array(rows)) for _, t, rows in stacks.values()]
-
-    free_tau = tau_mode == "free"
-    if free_tau:
-        grid = [(p0, tau0) for p0 in _P_GRID for tau0 in _TAU_GRID]
-    else:
-        grid = [(p0, 0.0) for p0 in _P_GRID]
     # One errstate for all the fits, not one per loss evaluation: an
     # overflowing model becomes _PENALTY, and exp(ln A) may overflow to
     # inf, and neither warns.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for c, (lags, values) in enumerate(curves):
+            try:
+                t, log_v, t_hi = _select_sample(lags, values, t_min, t_max, tau_mode)
+            except (ValueError, VolrelaxError) as exc:
+                out[c] = exc
+                continue
+            if tau_mode == "fixed_zero":
+                out[c] = _pinned_fit(t, log_v, (int(t_min), int(t_hi)))
+                continue
+            if (first := firsts.setdefault((t.tobytes(), log_v.tobytes(), t_hi), c)) != c:
+                out[c] = first  # its searches would be the first's: it takes that fit at the end
+                continue
+            s, _, rows = stacks.setdefault(t.tobytes(), (len(stacks), t, []))
+            rows.append(log_v)
+            fitted.append((c, s, len(rows) - 1, t_hi))
+        samples = [(t, np.array(rows)) for _, t, rows in stacks.values()]
+
+        grid = [(p0, tau0) for p0 in _P_GRID for tau0 in _TAU_GRID]
         scores = _evaluate(samples, [(s, row, *x) for _, s, row, _ in fitted for x in grid])
         starts = []
         for k, (_, s, row, _) in enumerate(fitted):
             score = scores[k * len(grid) : (k + 1) * len(grid)]
             for i in sorted(range(len(grid)), key=lambda i: (score[i], i))[:_N_STARTS]:
                 p0, tau0 = grid[i]
-                starts.append((s, row, np.array([p0, np.sqrt(tau0)] if free_tau else [p0])))
+                starts.append((s, row, np.array([p0, np.sqrt(tau0)])))
         results = _descend(samples, starts)
         for k, (c, s, row, t_hi) in enumerate(fitted):
             mine = results[k * _N_STARTS : (k + 1) * _N_STARTS]
             try:
-                out[c] = _best_fit(
-                    mine, samples[s][0], samples[s][1][row], (int(t_min), int(t_hi)), free_tau
-                )
+                out[c] = _best_fit(mine, samples[s][0], samples[s][1][row], (int(t_min), int(t_hi)))
             except (ValueError, VolrelaxError) as exc:
                 out[c] = exc
     return [out[fit] if isinstance(fit, int) else fit for fit in out]
@@ -445,11 +456,12 @@ def fit_offset_power_law(
     to fit (a cumulative profile or an Omori count), one value per lag.
     The optimizer is Nelder-Mead over ``(p, sqrt(tau))`` — the
     square-root transform enforces ``tau >= 0`` — started from the best
-    three points of a coarse grid; with ``tau_mode='fixed_zero'`` the
-    search is one-dimensional in ``p``.  The three descents run in lock
+    three points of a coarse grid.  The three descents run in lock
     step (:func:`volrelax.optimize.search`), as the many descents of a
     bootstrap do; each is step for step the sequential
-    :func:`volrelax.optimize.minimize`.
+    :func:`volrelax.optimize.minimize`.  With ``tau_mode='fixed_zero'``
+    nothing is searched: ``1 - p`` is the least-squares slope of ``log V``
+    on ``ln t``, clamped at ``1e-6`` (``p = 1 - 1e-6``).
 
     Raises
     ------
@@ -461,7 +473,8 @@ def fit_offset_power_law(
         Fewer than 10 usable points, or more than 20% of the sampled
         points nonpositive.
     NonConvergence
-        No start reached the optimizer tolerance within budget.
+        With ``tau`` free, no start reached the optimizer tolerance within
+        budget.
     """
     return _fit_or_raise(_fit_many([(lags, values)], t_min, t_max, tau_mode)[0])
 

@@ -2,16 +2,16 @@
 
 The algorithm is the Nelder & Mead (1965) simplex search as scipy
 implements it (``_minimize_neldermead``, non-adaptive), moved step for
-step onto scalar local variables for the two sizes the fits search: one
-parameter (``p``, ``tau`` pinned to zero) and two (``p`` and ``sqrt(tau)``);
-any other size is refused.  :func:`search` is the search itself, written as
-a generator that asks its caller for each loss, so that one caller can
-advance many searches in lock step and evaluate their points together;
-:func:`minimize` drives one search with a function.  A differential test
-pins it to scipy bit for bit; scipy itself is needed by the tests only.  A
-stalled search (simplex within ``xatol``, values not within ``fatol``) can
-cycle to the end of its budget; once a state repeats bit for bit, all but a
-period or two are counted, not run.
+step onto scalar local variables for the one size the fits search: two
+parameters, ``p`` and ``sqrt(tau)`` (a fit with ``tau`` pinned to zero has
+a closed form); any other size is refused.  :func:`search` is the search
+itself, written as a generator that asks its caller for each loss, so that
+one caller can advance many searches in lock step and evaluate their points
+together; :func:`minimize` drives one search with a function.  A
+differential test pins it to scipy bit for bit; scipy itself is needed by
+the tests only.  A stalled search (simplex within ``xatol``, values not
+within ``fatol``) can cycle to the end of its budget; once a state repeats
+bit for bit, all but a period or two are counted, not run.
 """
 
 from __future__ import annotations
@@ -44,15 +44,15 @@ class MinimizeResult(NamedTuple):
 def search(
     x0, *, xatol, fatol, maxiter, maxfev
 ) -> Generator[list[float], float, MinimizeResult]:
-    """Nelder-Mead from the start ``x0`` (one or two coordinates, else
+    """Nelder-Mead from the start ``x0`` (two coordinates, else
     ``ValueError``), one loss at a time.
 
     Yields each point it wants evaluated, as a list of floats; send the
     loss back as a float.  Returns (as ``StopIteration.value``) the
     :class:`MinimizeResult`.  Every step is scipy's: the coefficients,
     the initial simplex, the operand order of each update, a stable sort
-    of the vertices with NaN last (numpy's argsort is one on the <= 3
-    vertices of a 1-D or 2-D simplex), the stopping test, and the
+    of the vertices with NaN last (numpy's argsort is one on the 3
+    vertices of the simplex), the stopping test, and the
     evaluation cut-off, which can stop a shrink partway and does not
     count the interrupted iteration.  ``nfev`` and ``nit`` are scipy's
     counts, skipped periods of a cycle included (a search's future depends
@@ -60,25 +60,14 @@ def search(
     the search ran out of ``maxfev`` evaluations or ``maxiter`` iterations.
     """
     x0 = [float(c) for c in x0]
-    if len(x0) not in (1, 2):
-        raise ValueError(f"Nelder-Mead searches 1 or 2 parameters, got {len(x0)}")
-    body = _search_1d if len(x0) == 1 else _search_2d
-    return body(*x0, xatol, fatol, maxiter, maxfev)
+    if len(x0) != 2:
+        raise ValueError(f"Nelder-Mead searches 2 parameters, got {len(x0)}")
+    return _search_2d(*x0, xatol, fatol, maxiter, maxfev)
 
 
 def _step(c: float) -> float:
     """A coordinate of the initial simplex, moved from the start's ``c``."""
     return (1 + 0.05) * c if c != 0 else 0.00025
-
-
-def _start(vertices: list[list[float]], maxfev: int):
-    """Ask for the initial simplex's losses while the budget lasts (``inf``
-    for the rest); returns the losses and nfev."""
-    losses, nfev = [inf] * len(vertices), 0
-    while nfev < min(len(vertices), maxfev):
-        losses[nfev] = yield vertices[nfev]
-        nfev += 1
-    return (*losses, nfev)
 
 
 def _skip(cycle: list, bits: bytes, nit: int, nfev: int, maxiter: int, maxfev: int) -> tuple[int, int]:
@@ -97,62 +86,19 @@ def _skip(cycle: list, bits: bytes, nit: int, nfev: int, maxiter: int, maxfev: i
     return nit, nfev
 
 
-def _result(x: list[float], best: float, worst: float, nit, nfev, maxiter, maxfev) -> MinimizeResult:
-    fun = worst if worst != worst else best  # np.min: NaN wins, and sorts last
-    return MinimizeResult(np.array(x), fun, nit, nfev, nfev < maxfev and nit < maxiter)
-
-
-# Vertex k is x{k} (and y{k}) with loss f{k}, sorted at the head of each
+# Vertex k is (x{k}, y{k}) with loss f{k}, sorted at the head of each
 # iteration: b goes before a when b < a, or when a is NaN and b is not.  A
 # refused evaluation (the budget is spent) skips the rest of its iteration
 # with `continue`, back to that sort, after which the loop ends.
 
 
-def _search_1d(x0, xatol, fatol, maxiter, maxfev):
-    rb, rw, eb, ew, cb, cw, ib, iw = _WEIGHTS
-    x1 = _step(x0)
-    f0, f1, nfev = yield from _start([[x0], [x1]], maxfev)
-    nit, cycle = 1, [0, None, None]
-    while True:
-        if f1 < f0 or f0 != f0 and f1 == f1:
-            x0, f0, x1, f1 = x1, f1, x0, f0
-        if nfev >= maxfev or nit >= maxiter:
-            break
-        if abs(x1 - x0) <= xatol:
-            if abs(f0 - f1) <= fatol:
-                break
-            nit, nfev = _skip(cycle, pack("4d", f0, f1, x0, x1), nit, nfev, maxiter, maxfev)
-        xr = rb * x0 - rw * x1  # the centroid is x0 (x0 / 1)
-        fxr = yield [xr]
-        nfev += 1
-        if nfev >= maxfev:
-            continue  # every branch of a 1-D step asks for a second loss
-        if fxr < f0:  # expand
-            xe = eb * x0 - ew * x1
-            fxe = yield [xe]
-            nfev += 1
-            x1, f1 = (xe, fxe) if fxe < fxr else (xr, fxr)
-        else:  # contract outside or inside, or shrink
-            outside = fxr < f1
-            xc = cb * x0 - cw * x1 if outside else ib * x0 + iw * x1
-            fxc = yield [xc]
-            nfev += 1
-            if fxc <= fxr if outside else fxc < f1:
-                x1, f1 = xc, fxc
-            else:
-                x1 = x0 + _SIGMA * (x1 - x0)
-                if nfev >= maxfev:
-                    continue  # the vertex moved, its value did not, nit stays
-                f1 = yield [x1]
-                nfev += 1
-        nit += 1
-    return _result([x0], f0, f1, nit, nfev, maxiter, maxfev)
-
-
 def _search_2d(x0, y0, xatol, fatol, maxiter, maxfev):
     rb, rw, eb, ew, cb, cw, ib, iw = _WEIGHTS
     x1, y1, x2, y2 = _step(x0), y0, x0, _step(y0)
-    f0, f1, f2, nfev = yield from _start([[x0, y0], [x1, y1], [x2, y2]], maxfev)
+    nfev = min(3, maxfev)  # the initial simplex's losses are asked for while the budget lasts
+    f0 = (yield [x0, y0]) if nfev > 0 else inf
+    f1 = (yield [x1, y1]) if nfev > 1 else inf
+    f2 = (yield [x2, y2]) if nfev > 2 else inf
     nit, cycle = 1, [0, None, None]
     while True:
         if f1 < f0 or f0 != f0 and f1 == f1:
@@ -200,7 +146,8 @@ def _search_2d(x0, y0, xatol, fatol, maxiter, maxfev):
                 f2 = yield [x2, y2]
                 nfev += 1
         nit += 1
-    return _result([x0, y0], f0, f2, nit, nfev, maxiter, maxfev)
+    fun = f2 if f2 != f2 else f0  # np.min: NaN wins, and sorts last
+    return MinimizeResult(np.array([x0, y0]), fun, nit, nfev, nfev < maxfev and nit < maxiter)
 
 
 def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> MinimizeResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import _BLOCK, _SECONDS_PER_DAY, PriceSeries, ReturnSeries, _times_of_day
-from .tsv import _unlink_for_rewrite
+from .tsv import _open_for_rewrite
 
 __all__ = [
     "PlantedRelaxationSpec",
@@ -207,8 +207,7 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
     block, not with the file.
     """
     daily = prices.cadence == "daily"
-    _unlink_for_rewrite(path)  # a new file: truncating one just written waits for its write-back
-    with open(path, "wb") as fh:
+    with _open_for_rewrite(path, "wb") as fh:
         fh.write(b"timestamp,price\n")
         for lo in range(0, len(prices), _BLOCK):
             at = slice(lo, lo + _BLOCK)

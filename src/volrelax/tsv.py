@@ -8,14 +8,15 @@ bit (``nan``, ``inf`` and ``-inf`` included), and any other column
 integers and floats is written as floats.
 
 Every writer that replaces a whole file, the tables here, ``config.echo``
-and the price CSV, calls :func:`_unlink_for_rewrite` before its ``open``.
+and the price CSV, opens it with :func:`_open_for_rewrite`.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-from typing import Callable, Iterable, Mapping
+from contextlib import contextmanager
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,21 +26,34 @@ from .series import _read_lines
 __all__ = ["write_tsv", "read_tsv"]
 
 
-def _unlink_for_rewrite(path: str) -> None:
-    """Unlink ``path`` when it is a regular file with one link that may be
-    written, so that the ``open`` after this makes a new file.
+@contextmanager
+def _open_for_rewrite(path: str, mode: str, **kwargs) -> Iterator[IO]:
+    """``open(path, mode, **kwargs)`` as a context, on a new file with the old
+    one's mode bits (set by ``fchmod``, which the umask does not touch) when
+    ``path`` is a regular file with one link that the effective user owns and
+    may write.
 
     Truncating a file written moments before waits for its write-back; a new
     file does not, and a reader that holds the old one keeps its bytes.  Any
-    other path (missing, a symlink, a FIFO or device, hard-linked, read-only,
-    or in a directory that refuses the unlink) is left for ``open`` as it is.
+    other path (missing, a symlink, a FIFO or device, hard-linked, another
+    user's, read-only, or in a directory that refuses the unlink) is opened
+    as it is, keeping its owner and mode.
     """
+    bits = None
     try:
         st = os.lstat(path)
-        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK):
+        if (
+            stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+            and os.access(path, os.W_OK)
+        ):
             os.unlink(path)
+            bits = stat.S_IMODE(st.st_mode)
     except OSError:
         pass
+    with open(path, mode, **kwargs) as fh:
+        if bits is not None:
+            os.fchmod(fh.fileno(), bits)
+        yield fh
 
 
 def _formatted(column: Iterable) -> Iterable[str]:
@@ -50,8 +64,7 @@ def _formatted(column: Iterable) -> Iterable[str]:
 def write_tsv(path: str, header: Iterable[str], columns: Iterable[Iterable]) -> None:
     """Write the ``header`` names, then one tab-joined line per row of the
     equal-length ``columns``."""
-    _unlink_for_rewrite(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_for_rewrite(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in zip(*map(_formatted, columns), strict=True):
             fh.write("\t".join(row) + "\n")

@@ -965,9 +965,9 @@ def test_omori_fit_failure_keeps_the_other_fits(daily_csv, tmp_path, capsys):
         f"wrote {out}",
     ]
     assert fits == _FIT_HEADER + (
-        "-\t2.0\tall\tall\t-0.004112929105758667\tnan\t0.0\t0.27958590463370303\t2\t50\t"
+        "-\t2.0\tall\tall\t-0.004112928493968049\tnan\t0.0\t0.2795859049450902\t2\t50\t"
         "full_fit\t0.1174846580619359\n"
-        "+\t2.0\tall\tall\t0.25674607872962946\tnan\t0.0\t0.4161874780992989\t2\t50\t"
+        "+\t2.0\tall\tall\t0.25674607514805703\tnan\t0.0\t0.416187475906714\t2\t50\t"
         "full_fit\t0.14955675326346624\n"
         + _marker("-", "5.9", "InsufficientPositivePoints")
         + _marker("+", "5.9", "InsufficientPositivePoints")
@@ -1005,10 +1005,10 @@ def test_min_separation_declusters_events(daily_csv, tmp_path, capsys):
         f"wrote {out}",
     ]
     assert fits == _FIT_HEADER + (
-        "-\t4.0\tall\tall\t0.35656461119651794\tnan\t0.0\t0.10971773601836089\t2\t50\t"
-        "full_fit\t0.06907569665877784\n"
-        "+\t4.0\tall\tall\t0.4067969486117363\tnan\t0.0\t0.2166297395198873\t2\t50\t"
-        "full_fit\t0.051006248814563344\n"
+        "-\t4.0\tall\tall\t0.3565646146587429\tnan\t0.0\t0.10971773649783466\t2\t50\t"
+        "full_fit\t0.06907569665877783\n"
+        "+\t4.0\tall\tall\t0.4067969488284078\tnan\t0.0\t0.21662973957295512\t2\t50\t"
+        "full_fit\t0.05100624881456333\n"
     )
 
 
@@ -1064,13 +1064,23 @@ def test_synth_factor_file(tmp_path):
     assert estimated[0] > estimated[1]
 
 
-def test_rerun_makes_new_files_and_leaves_open_handles_on_the_old(planted_csv, tmp_path):
+@pytest.fixture
+def umask_022():
+    """The umask 022 under which a new file is made ``0o644``."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_rerun_makes_new_files_and_leaves_open_handles_on_the_old(planted_csv, tmp_path, umask_022):
     out = tmp_path / "run"
     assert _analyze(planted_csv, str(out)) == 0
     old = _dir_snapshot(out)
+    (out / "fits.tsv").chmod(0o600)
     with open(out / "fits.tsv", "rb") as fits, open(out / "config.echo", "rb") as echo:
         assert _analyze(planted_csv, str(out), "--thresholds", "4") == 0
         assert fits.read() == old["fits.tsv"] and echo.read() == old["config.echo"]
+    assert stat.S_IMODE(os.stat(out / "fits.tsv").st_mode) == 0o600  # the new file keeps the mode
     new = _dir_snapshot(out)
     assert new["fits.tsv"] != old["fits.tsv"] and new["config.echo"] != old["config.echo"]
     fresh = tmp_path / "fresh"
@@ -1085,6 +1095,27 @@ def synth_bytes(tmp_path):
     plain = tmp_path / "plain.csv"
     assert main([*argv, "--out", str(plain)]) == 0
     return argv, plain.read_bytes()
+
+
+def test_synth_into_a_file_keeps_its_mode(synth_bytes, tmp_path, umask_022):
+    argv, want = synth_bytes
+    path = tmp_path / "private.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    assert main([*argv, "--out", str(path)]) == 0
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert path.read_bytes() == want
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only the superuser can give a file to another user")
+def test_synth_into_another_users_file_keeps_its_owner(synth_bytes, tmp_path):
+    argv, want = synth_bytes
+    path = tmp_path / "theirs.csv"
+    path.write_text("old\n")
+    os.chown(path, 1, -1)
+    assert main([*argv, "--out", str(path)]) == 0
+    assert os.stat(path).st_uid == 1
+    assert path.read_bytes() == want
 
 
 def test_synth_into_a_fifo_writes_through_it(synth_bytes, tmp_path):

@@ -90,6 +90,9 @@ def test_classify_sign():
     np.testing.assert_array_equal(events.signs, [RALLY, CRASH])
     assert sign_label(events.signs[0]) == "rally"
     assert sign_label(events.signs[1]) == "crash"
+    empty = select_events(vol, 4.0)  # an empty set comes back unchanged
+    assert len(empty) == 0
+    assert repr(classify_sign(empty, returns)) == repr(empty)
 
 
 def test_classify_rejects_zero_return():

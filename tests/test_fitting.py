@@ -522,11 +522,9 @@ def _sample_stacks(draw):
     return stacks
 
 
-def _fit_objective(t, log_v, dim):
-    """The objective a fit minimizes, over ``(p, sqrt(tau))`` or ``(p,)``."""
-    if dim == 2:
-        return lambda x: _frozen_loss(t, log_v, x[0], x[1] * x[1])
-    return lambda x: _frozen_loss(t, log_v, x[0], 0.0)
+def _fit_objective(t, log_v):
+    """The objective a free-``tau`` fit minimizes, over ``(p, sqrt(tau))``."""
+    return lambda x: _frozen_loss(t, log_v, x[0], x[1] * x[1])
 
 
 _BUDGETS = st.integers(1, 80) | st.just(10_000)
@@ -542,7 +540,6 @@ _START_ROOT_TAU = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
 
 @given(
     _loss_problems(),
-    st.sampled_from([1, 2]),
     _START_P,
     _START_ROOT_TAU,
     _BUDGETS,
@@ -550,11 +547,11 @@ _START_ROOT_TAU = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
     st.sampled_from([(1e-8, 1e-16), (1e-4, 1e-4)]),
 )
 @settings(max_examples=150, deadline=None)
-def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, maxiter, tols):
+def test_nelder_mead_matches_scipy_step_for_step(problem, p0, r0, maxfev, maxiter, tols):
     # Small budgets stop a run anywhere, also partway through a shrink.
     t, log_v = problem
-    fun = _fit_objective(t, log_v, dim)
-    x0 = np.array([p0, r0][:dim])
+    fun = _fit_objective(t, log_v)
+    x0 = np.array([p0, r0])
     options = {"xatol": tols[0], "fatol": tols[1], "maxiter": maxiter, "maxfev": maxfev}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
@@ -567,10 +564,10 @@ def test_nelder_mead_matches_scipy_step_for_step(problem, dim, p0, r0, maxfev, m
 
 
 def _bowl_with_bit_noise(modulus, calls):
-    """``(x - 1)^2 [+ (y - 2)^2]`` plus ``1e-15 * (bits % modulus)`` per
+    """``(x - 1)^2 + (y - 2)^2`` plus ``1e-15 * (bits % modulus)`` per
     coordinate.  Near the minimum neighbouring points differ by a few ULP
     of loss, more than the fits' ``fatol``, so a collapsed simplex can
-    cycle to the end of its budget, as the fits' searches at ``tau = 0`` do.
+    cycle to the end of its budget, as some of the fits' searches do.
     Each point evaluated is appended to ``calls``."""
 
     def fun(x):
@@ -585,30 +582,37 @@ def _bowl_with_bit_noise(modulus, calls):
 _STALL_BUDGETS = st.integers(150, 1500) | st.just(10_000)
 
 
-def _ends_in_a_cycle(points, longest=100):
-    """Whether the last evaluated points repeat, three times over, with a
-    period of at most ``longest`` points: a search whose state came back."""
-    return any(points[-2 * q :] == points[-3 * q : -q] for q in range(1, min(longest, len(points) // 3) + 1))
+def _cycle_start(points, longest=100):
+    """Where the last evaluated points begin to repeat, when they repeat
+    three times over with a period of at most ``longest`` points (a search
+    whose state came back); None when they do not."""
+    for q in range(1, min(longest, len(points) // 3) + 1):
+        if points[-2 * q :] == points[-3 * q : -q]:
+            start = len(points) - 2 * q
+            while start > 0 and points[start - 1] == points[start - 1 + q]:
+                start -= 1
+            return start
+    return None
 
 
 @given(
-    st.sampled_from([1, 2]),
     st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     st.sampled_from([7, 13]),
     _STALL_BUDGETS,
     _STALL_BUDGETS,
 )
-@example(2, (0.3, 0.7), 7, 10_000, 10_000)
-@example(1, (2.644407133494, 0.0), 13, 10_000, 10_000)
-@example(2, (1.875, 0.03125), 7, 10_000, 10_000)  # converges slowly: 2,007 calls
-@example(2, (2.9375, 1e-06), 7, 10_000, 10_000)  # creeps to the cap: 10,000 calls
+@example((0.3, 0.7), 7, 10_000, 10_000)
+@example((1.875, 0.03125), 7, 10_000, 10_000)  # converges slowly: 2,007 calls
+@example((2.9375, 1e-06), 7, 10_000, 10_000)  # creeps to the cap: 10,000 calls
+@example((-0.044810223978357926, -2.0), 7, 10_000, 10_000)  # repeats after 1,668 calls
 @settings(max_examples=60, deadline=None)
-def test_stalled_search_matches_scipy(dim, start, modulus, maxfev, maxiter):
+def test_stalled_search_matches_scipy(start, modulus, maxfev, maxiter):
     # A cycle's skipped periods leave every count and the stop where scipy
     # has them.  Only a search whose state repeats has periods to skip: with
-    # a 10,000 budget such a search asks for a few hundred losses, and any
-    # other search asks for every loss that scipy's does.
-    x0 = np.array(start[:dim])
+    # a 10,000 budget such a search asks for every loss up to the repeat and
+    # at most a few hundred more, and any other search asks for every loss
+    # that scipy's does.
+    x0 = np.array(start)
     options = {"xatol": fitting._XATOL, "fatol": fitting._XATOL**2, "maxiter": maxiter, "maxfev": maxfev}
     points: list = []
     want = optimize.minimize(_bowl_with_bit_noise(modulus, points), x0, method="Nelder-Mead", options=options)
@@ -619,10 +623,11 @@ def test_stalled_search_matches_scipy(dim, start, modulus, maxfev, maxiter):
     assert got.nfev == want.nfev
     assert got.nit == want.nit
     assert got.success == want.success
-    if not _ends_in_a_cycle(points):
+    repeat = _cycle_start(points)
+    if repeat is None:
         assert calls == points
     elif maxfev == maxiter == 10_000:
-        assert len(calls) < 1_000
+        assert calls[:repeat] == points[:repeat] and len(calls) < repeat + 1_000
 
 
 @pytest.mark.parametrize(
@@ -639,20 +644,19 @@ def test_search_without_a_cycle_asks_for_every_loss(start, calls_wanted, nit, su
     )
     assert len(calls) == res.nfev == calls_wanted
     assert (res.nit, res.success) == (nit, success)
-    assert not _ends_in_a_cycle(calls)
+    assert _cycle_start(calls) is None
 
 
 def test_fit_budget_counts_a_stalled_search_without_running_it():
     # The fits' cap of _MAX_ITER evaluations is scipy's nfev: a search that
     # stalls reaches it, though it asks for far fewer losses.
-    for dim, x0, modulus in ((2, [0.3, 0.7], 7), (1, [2.644407133494], 13)):
-        calls: list = []
-        res = volrelax.optimize.minimize(
-            _bowl_with_bit_noise(modulus, calls), np.array(x0), xatol=fitting._XATOL,
-            fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
-        )
-        assert res.nfev == fitting._MAX_ITER and not res.success
-        assert len(calls) < 1_000
+    calls: list = []
+    res = volrelax.optimize.minimize(
+        _bowl_with_bit_noise(7, calls), np.array([0.3, 0.7]), xatol=fitting._XATOL,
+        fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
+    )
+    assert res.nfev == fitting._MAX_ITER and not res.success
+    assert len(calls) < 1_000
 
 
 def _frozen_search(x0, *, xatol, fatol, maxiter, maxfev):
@@ -768,7 +772,7 @@ def _hostile_objectives(draw):
         if nan_every and sum(struct.unpack(f"<{len(x)}q", struct.pack(f"<{len(x)}d", *x))) % nan_every == 0:
             return float("nan")
         d = [c - c0 for c, c0 in zip(x, centre)]
-        loss = d[0] * d[0] if len(d) == 1 else d[0] * d[0] + d[1] * d[1]
+        loss = d[0] * d[0] + d[1] * d[1]
         if grid and np.isfinite(loss):
             loss = float(np.rint(loss / grid) * grid)
         return loss
@@ -794,7 +798,7 @@ _COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
 
 @given(
     _hostile_objectives(),
-    st.lists(_COORDS, min_size=1, max_size=2),
+    st.lists(_COORDS, min_size=2, max_size=2),
     _BUDGETS,
     _BUDGETS,
     st.sampled_from([(1e-8, 1e-16), (1e-4, 1e-4), (1e-2, 0.0)]),
@@ -814,21 +818,21 @@ def test_search_equals_the_frozen_search(fun, x0, maxfev, maxiter, tols):
     assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
 
 
-@pytest.mark.parametrize("x0", [[], [0.5, 1.0, 2.0]])
+@pytest.mark.parametrize("x0", [[], [0.5], [0.5, 1.0, 2.0]])
 def test_search_refuses_other_sizes(x0):
-    with pytest.raises(ValueError, match="1 or 2 parameters"):
+    with pytest.raises(ValueError, match="searches 2 parameters"):
         next(volrelax.optimize.search(np.array(x0), xatol=1e-8, fatol=1e-16, maxiter=10, maxfev=10))
 
 
 @st.composite
 def _descents(draw):
-    """Samples and 1-8 starts ``(s, row, x0)`` on them, of one or two dimensions."""
+    """Samples and 1-8 starts ``(s, row, x0)`` on them."""
     samples = draw(_sample_stacks())
     starts = []
     for _ in range(draw(st.integers(1, 8))):
         s = draw(st.integers(0, len(samples) - 1))
         row = draw(st.integers(0, len(samples[s][1]) - 1))
-        x0 = np.array([draw(_START_P), draw(_START_ROOT_TAU)][: draw(st.sampled_from([1, 2]))])
+        x0 = np.array([draw(_START_P), draw(_START_ROOT_TAU)])
         starts.append((s, row, x0))
     return samples, starts
 
@@ -847,7 +851,7 @@ def test_descend_equals_minimize_per_search(descents, budget):
         t, log_v = samples[s]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             want = volrelax.optimize.minimize(
-                _fit_objective(t, log_v[row], x0.size), x0, xatol=fitting._XATOL,
+                _fit_objective(t, log_v[row]), x0, xatol=fitting._XATOL,
                 fatol=fitting._XATOL**2, maxiter=budget, maxfev=budget,
             )
         assert np.array_equal(res.x, want.x)
@@ -884,7 +888,9 @@ def _frozen_fit(
     minimize=volrelax.optimize.minimize,
 ):
     """``fit_offset_power_law`` as it was before the lock-step searches: one
-    start after the other, each descended by ``minimize``."""
+    start after the other, each descended by ``minimize``; with ``tau``
+    pinned, the closed form (``1 - p`` the least-squares slope of ``log V``
+    on ``ln t``, clamped at the ``tau = 0`` shape's edge)."""
     lags = np.asarray(lags, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if t_max is None:
@@ -895,10 +901,7 @@ def _frozen_fit(
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
     t, log_v = _frozen_select_sample(lags, values, t_min, t_max)
     free_tau = tau_mode == "free"
-    if free_tau:
-        starts = [(p0, tau0) for p0 in fitting._P_GRID for tau0 in fitting._TAU_GRID]
-    else:
-        starts = [(p0, 0.0) for p0 in fitting._P_GRID]
+    starts = [(p0, tau0) for p0 in fitting._P_GRID for tau0 in fitting._TAU_GRID] if free_tau else []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         coarse = sorted(
             range(len(starts)), key=lambda i: (_frozen_loss(t, log_v, *starts[i]), i)
@@ -906,18 +909,20 @@ def _frozen_fit(
         best = None
         for i in coarse:
             p0, tau0 = starts[i]
-            x0 = np.array([p0, np.sqrt(tau0)]) if free_tau else np.array([p0])
+            x0 = np.array([p0, np.sqrt(tau0)])
             res = minimize(
-                _fit_objective(t, log_v, x0.size), x0, xatol=fitting._XATOL,
+                _fit_objective(t, log_v), x0, xatol=fitting._XATOL,
                 fatol=fitting._XATOL**2, maxiter=fitting._MAX_ITER, maxfev=fitting._MAX_ITER,
             )
             if not res.success or res.fun >= fitting._PENALTY / 2:
                 continue
             if best is None or res.fun < best[0]:
-                tau_hat = float(res.x[1] ** 2) if free_tau else 0.0
-                best = (float(res.fun), float(res.x[0]), tau_hat)
+                best = (float(res.fun), float(res.x[0]), float(res.x[1] ** 2))
             if best is not None and best[0] == 0.0:
                 break
+        if not free_tau:
+            x, y = np.log(t) - np.mean(np.log(t)), log_v - np.mean(log_v)
+            best = (None, 1.0 - max(float((x * y).sum() / (x * x).sum()), fitting._LOG_LIMIT_EPS), 0.0)
         if best is None:
             raise NonConvergence(
                 f"no start converged within {fitting._MAX_ITER} iterations "
@@ -1035,7 +1040,7 @@ def test_fit_many_equals_the_sequential_fit(curves, t_min, t_max, tau_mode):
             continue
         distinct.add((t.tobytes(), log_v.tobytes(), t_hi))
     searches = len(descend.call_args.args[1]) if descend.called else 0
-    assert searches == fitting._N_STARTS * len(distinct)
+    assert searches == (fitting._N_STARTS * len(distinct) if tau_mode == "free" else 0)
 
 
 def _planted_events(seed, threshold):
@@ -1085,7 +1090,7 @@ def test_bootstrap_equals_the_sequential_bootstrap(source, B, seed, fit_range, t
 )
 def test_fit_equals_the_fit_with_scipy_nelder_mead(V, tau_mode):
     # The lock-step fit against one start after the other, each descended
-    # by scipy's Nelder-Mead.
+    # by scipy's Nelder-Mead; with tau pinned, against the closed form.
     lags = np.arange(V.size, dtype=np.int64)
     ours = fit_offset_power_law(lags, V, t_min=2, tau_mode=tau_mode)
 
@@ -1094,6 +1099,43 @@ def test_fit_equals_the_fit_with_scipy_nelder_mead(V, tau_mode):
 
     theirs = _frozen_fit(lags, V, t_min=2, tau_mode=tau_mode, minimize=scipy_minimize)
     assert ours == theirs
+
+
+@st.composite
+def _sloped_curves(draw):
+    """``t^slope`` times lognormal noise on lags from 1: a slope below
+    ``_LOG_LIMIT_EPS`` puts the pinned fit at its clamp."""
+    lags = np.arange(1, draw(st.integers(12, 400)) + 1, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.normal(0.0, draw(st.floats(0.0, 0.5)), lags.size)
+    return lags, lags.astype(np.float64) ** draw(st.floats(-1.0, 2.0)) * np.exp(noise)
+
+
+@given(_curves() | _sloped_curves(), st.integers(1, 6), st.sampled_from([None, 30, 60]))
+@example((np.arange(1, 401), np.arange(1, 401) ** -0.5), 1, None)  # slope -0.5: the clamp
+@example((np.arange(1, 401), np.arange(1, 401) ** 1e-6), 1, None)  # slope at the clamp
+@settings(max_examples=100, deadline=None)
+def test_pinned_fit_is_the_log_log_least_squares_slope(curve, t_min, t_max):
+    lags, V = curve
+    try:
+        t, log_v, _ = fitting._select_sample(lags, V, t_min, t_max, "fixed_zero")
+    except (ValueError, VolrelaxError) as exc:
+        with pytest.raises(type(exc)):
+            fit_offset_power_law(lags, V, t_min, t_max, tau_mode="fixed_zero")
+        return
+    fit = fit_offset_power_law(lags, V, t_min, t_max, tau_mode="fixed_zero")
+    slope = np.polyfit(np.log(t), log_v, 1)[0]
+    assert abs((1.0 - fit.p) - max(slope, fitting._LOG_LIMIT_EPS)) <= 1e-9
+    assert fitting._branch(fit.p, 0.0) == fitting._TAU0
+    # No larger a loss than scipy's one-parameter Nelder-Mead reaches from
+    # any point of the p grid.
+    options = {"xatol": fitting._XATOL, "fatol": fitting._XATOL**2, "maxiter": 10_000, "maxfev": 10_000}
+    loss = lambda x: _frozen_loss(t, log_v, x[0], 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        searched = min(
+            optimize.minimize(loss, [p0], method="Nelder-Mead", options=options).fun for p0 in fitting._P_GRID
+        )
+    assert _frozen_loss(t, log_v, fit.p, 0.0) <= searched + 1e-15
 
 
 def _frozen_log_model(t, p, tau):

@@ -1,4 +1,4 @@
-"""Golden outputs: stored values of four small runs through the CLI.
+"""Golden outputs: stored values of five small runs through the CLI.
 
 - The daily plant ``synth --mode planted --n 12500 --shock-rate 500
   --seed 1``, run with ``analyze --bootstrap 20 --seed 1`` (the daily
@@ -10,6 +10,10 @@
   40000``), run with ``analyze --thresholds 2,4,6``, which removes its
   intraday pattern: every cell of ``fits.tsv``, and ``profile_z4.tsv`` at
   the lags stored below.
+- The daily plant, run with ``analyze --bootstrap 20 --seed 1 --tau zero
+  --fit-min 2 --fit-max 30 --thresholds 2,4,6`` (the pinned-offset fit the
+  minute-scale exponents take): every cell of ``fits.tsv`` and
+  ``signal_check.tsv``.
 - The daily plant, run with ``analyze --labels builtin:dax_daily --split
   origin``: every cell of ``fits.tsv`` and ``signal_check.tsv``, whose
   ``exogenous`` rows at z2 hold the plant's events on the label dates.
@@ -53,6 +57,26 @@ side zeta_multiple origin_filter sign_filter p p_stderr tau A t_min t_max method
 """
 
 DAILY_SIGNAL = """\
+zeta_multiple split side mean_v flag
+2.0 all - 0.043185586700136065 signal
+2.0 all + 0.04278581203032717 signal
+4.0 all - 0.035023983927999665 signal
+4.0 all + 0.038564701192765345 signal
+6.0 all - 0.054893408792018594 signal
+6.0 all + 0.01401215003097567 signal
+"""
+
+PINNED_FITS = """\
+side zeta_multiple origin_filter sign_filter p p_stderr tau A t_min t_max method rms_log_residual
+- 2.0 all all 0.24687121391296463 0.034821865435074276 0.0 0.1367606439171664 2 30 full_fit 0.03671370509369506
++ 2.0 all all 0.18988995552063037 0.032724816571239095 0.0 0.12051676297741111 2 30 full_fit 0.0281267981530813
+- 4.0 all all 0.40396547317504883 0.033051222195303494 0.0 0.20188038963893373 2 30 full_fit 0.05101653949133528
++ 4.0 all all 0.3777619838714611 0.0470421586441058 0.0 0.20219464025719663 2 30 full_fit 0.026682328179899482
+- 6.0 all all 0.28260754376649855 0.404107871466475 0.0 0.17207323987602927 2 30 full_fit 0.1204839949098527
++ 6.0 all all 0.6270613230019798 0.1455133143917516 0.0 0.17473398315184852 2 30 full_fit 0.17267110287520238
+"""
+
+PINNED_SIGNAL = """\
 zeta_multiple split side mean_v flag
 2.0 all - 0.043185586700136065 signal
 2.0 all + 0.04278581203032717 signal
@@ -210,6 +234,17 @@ def test_daily_plant_with_bootstrap_keeps_its_golden_values(tmp_path_factory):
     assert rc == 3  # z6's bootstrap is unstable and z8 selects no events
     _assert_cells(out / "fits.tsv", DAILY_FITS, FIT_COLUMNS, _fit_bound)
     _assert_cells(out / "signal_check.tsv", DAILY_SIGNAL, SIGNAL_COLUMNS, _profile_bound)
+
+
+def test_daily_plant_with_pinned_offset_keeps_its_golden_values(tmp_path_factory):
+    pinned = [
+        "--bootstrap", "20", "--seed", "1", "--tau", "zero",
+        "--fit-min", "2", "--fit-max", "30", "--thresholds", "2,4,6",
+    ]
+    rc, out = _run(tmp_path_factory, ["--n", "12500"], pinned)
+    assert rc == 0
+    _assert_cells(out / "fits.tsv", PINNED_FITS, FIT_COLUMNS, _fit_bound)
+    _assert_cells(out / "signal_check.tsv", PINNED_SIGNAL, SIGNAL_COLUMNS, _profile_bound)
 
 
 def test_minute_plant_keeps_its_golden_values(tmp_path_factory):
