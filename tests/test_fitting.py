@@ -605,13 +605,16 @@ def _cycle_start(points, longest=100):
 @example((1.875, 0.03125), 7, 10_000, 10_000)  # converges slowly: 2,007 calls
 @example((2.9375, 1e-06), 7, 10_000, 10_000)  # creeps to the cap: 10,000 calls
 @example((-0.044810223978357926, -2.0), 7, 10_000, 10_000)  # repeats after 1,668 calls
+@example((0.0, -1.967256097258702), 13, 10_000, 10_000)  # repeats after 7,736 calls
 @settings(max_examples=60, deadline=None)
 def test_stalled_search_matches_scipy(start, modulus, maxfev, maxiter):
     # A cycle's skipped periods leave every count and the stop where scipy
     # has them.  Only a search whose state repeats has periods to skip: with
     # a 10,000 budget such a search asks for every loss up to the repeat and
-    # at most a few hundred more, and any other search asks for every loss
-    # that scipy's does.
+    # fewer than three of the longest periods _cycle_start finds after it
+    # (the most seen over 1,236 random repeating searches was 16), and any
+    # other search asks for every loss that scipy's does.  The repeat itself
+    # can come late: the examples above repeat after 1,668 and 7,736 losses.
     x0 = np.array(start)
     options = {"xatol": fitting._XATOL, "fatol": fitting._XATOL**2, "maxiter": maxiter, "maxfev": maxfev}
     points: list = []
@@ -627,7 +630,7 @@ def test_stalled_search_matches_scipy(start, modulus, maxfev, maxiter):
     if repeat is None:
         assert calls == points
     elif maxfev == maxiter == 10_000:
-        assert calls[:repeat] == points[:repeat] and len(calls) < repeat + 1_000
+        assert calls[:repeat] == points[:repeat] and len(calls) < repeat + 300
 
 
 @pytest.mark.parametrize(
