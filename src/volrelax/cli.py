@@ -15,8 +15,9 @@ That file records the effective configuration and is itself a valid
 config file.  ``synth`` writes no output directory and no echo.
 
 Exit codes: 0 success, 1 invalid configuration or a file it names that
-cannot be used, 2 data error, 3 one or more fits failed (partial outputs
-are kept, with marker rows).  Exits 1 and 2 print one error line.
+cannot be used, 2 data error, 3 a fit failed: a ``fits.tsv`` row is a
+``failed:`` marker, or the run took ``--bootstrap`` and a row's ``p_stderr``
+is NaN (partial outputs are kept).  Exits 1 and 2 print one error line.
 """
 
 from __future__ import annotations
@@ -351,29 +352,27 @@ def _select_and_tag(c: RunConfig, vol, returns, labels) -> Iterator[tuple[float,
         print(f"warning: {note}", file=sys.stderr)
 
 
-def _failed_rows(exc: Exception, m: float, origin: str = "all", sign: str = "all") -> list[tuple]:
-    """Marker rows for the two fits ``exc`` stopped."""
-    return [fit_report_row(side, m, origin, sign, None, type(exc).__name__) for side in "-+"]
-
-
-def _fit_sides(tag: str, fit_side, rows: list, m: float, origin="all", sign="all", boot=None) -> bool:
-    """Fit both sides of one curve with ``fit_side(side)``, append their rows
-    (a marker row for a failed fit) and print their lines; return whether a
-    side failed.  ``boot``, if given, holds the stderr of ``p``."""
-    failed = False
+def _fit_sides(tag: str, fit_side, rows: list, m: float, origin="all", sign="all", boot=None) -> None:
+    """Fit both sides of one curve with ``fit_side(side)``, append their rows (a marker
+    row for a failed fit) and print their lines; ``boot``, if given, holds the stderr of ``p``."""
     for side in "-+":
         try:
             fit = fit_side(side)
         except FitError as exc:
-            failed = True
-            rows.append(fit_report_row(side, m, origin, sign, None, type(exc).__name__))
+            rows.append(fit_report_row(side, m, origin, sign, exc))
             print(f"{tag} {side}: fit failed: {type(exc).__name__}")
             continue
         if boot is not None:
             fit = replace(fit, p_stderr=boot.stderr_minus if side == "-" else boot.stderr_plus)
         rows.append(fit_report_row(side, m, origin, sign, fit))
         print(f"{tag} {side}: {fit.summary()}")
-    return failed
+
+
+def _write_fits(c: RunConfig, rows: list[tuple]) -> int:
+    """Write ``fits.tsv``; return the exit status its rows give, 3 or 0 (see the module docstring)."""
+    write_fit_tsv(rows, os.path.join(c.out, "fits.tsv"))
+    boot = getattr(c, "bootstrap", 0)  # row[10] is the method, row[5] p_stderr
+    return 3 if any(row[10].startswith("failed:") or (boot and math.isnan(row[5])) for row in rows) else 0
 
 
 def _null_check_rows(m: float, split: str, profile, max_lag: int) -> list[tuple]:
@@ -399,7 +398,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     fit_args = _fit_args(c)
     fit_rows: list[tuple] = []
     signal_rows: list[tuple] = []
-    failed = False
     for m, events in _select_and_tag(c, vol, returns, labels):
         for split, origin, sign in (("all", None, None), *_SPLITS[c.split]):
             subset = filter_events(events, sign=sign, origin=origin)
@@ -408,8 +406,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             try:
                 profile = remanent_profile(vol, subset, c.max_lag)
             except DataError as exc:
-                fit_rows += _failed_rows(exc, *key)
-                failed = True
+                fit_rows += (fit_report_row(side, *key, exc) for side in "-+")
                 print(f"z{m:g} {split}: profile failed: {type(exc).__name__}: {exc}")
                 continue
             cum = cumulative(profile)
@@ -420,17 +417,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 try:
                     boot = bootstrap_errors(vol, subset, c.max_lag, c.bootstrap, c.seed, *fit_args)
                 except (FitError, DataError) as exc:
-                    failed = True
                     print(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
             fit_side = lambda side: fit_cumulative(cum, side, *fit_args)  # noqa: E731
-            failed |= _fit_sides(f"z{m:g} {split}", fit_side, fit_rows, *key, boot)
-    write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
+            _fit_sides(f"z{m:g} {split}", fit_side, fit_rows, *key, boot)
+    status = _write_fits(c, fit_rows)
     header = ("zeta_multiple", "split", "side", "mean_v", "flag")
     write_tsv(os.path.join(c.out, "signal_check.tsv"), header, zip(*signal_rows))
     n_zero = sum(1 for r in signal_rows if r[4] == "zero_consistent")
     print(f"signal check: {n_zero}/{len(signal_rows)} profiles consistent with zero signal")
     print(f"wrote {c.out}")
-    return 3 if failed else 0
+    return status
 
 
 def _cmd_omori(args: argparse.Namespace) -> int:
@@ -442,20 +438,18 @@ def _cmd_omori(args: argparse.Namespace) -> int:
         mainshocks = select_events(vol, m)
         cum = cumulative(remanent_profile(vol, mainshocks, c.max_lag))
     except DataError as exc:
-        fit_rows = [row for m1 in c.z1_thresholds for row in _failed_rows(exc, m1)]
-        write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
+        fit_rows = [fit_report_row(side, m1, "all", "all", exc) for m1 in c.z1_thresholds for side in "-+"]
         print(f"mainshock selection failed: {type(exc).__name__}: {exc}")
-        return 3
+        return _write_fits(c, fit_rows)
     print(f"{len(mainshocks)} mainshocks above {m:g} sigma")
-    failed = False
     for m1 in c.z1_thresholds:
         omori = omori_counts(vol, mainshocks, m1, c.max_lag)
         write_omori_tsv(cum, omori, os.path.join(c.out, f"omori_z{m:g}_z1{m1:g}.tsv"))
         fit_side = lambda side: fit_offset_power_law(cum.lags, omori.side(side), *fit_args)  # noqa: E731
-        failed |= _fit_sides(f"z1={m1:g}", fit_side, fit_rows, m1)
-    write_fit_tsv(fit_rows, os.path.join(c.out, "fits.tsv"))
+        _fit_sides(f"z1={m1:g}", fit_side, fit_rows, m1)
+    status = _write_fits(c, fit_rows)
     print(f"wrote {c.out}")
-    return 3 if failed else 0
+    return status
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:

@@ -511,10 +511,10 @@ def bootstrap_errors(
     replicas are identical regardless of any larger ``B`` requested later
     (seeding is per replica).  All ``2B`` refits run as one lock-step
     :func:`_fit_many`, each equal to its own :func:`fit_cumulative`.
-    A replica fails, and counts once in ``n_failed``, when its profile
-    or a side's fit raises a :class:`VolrelaxError`: a failed profile or
-    ``-`` side leaves both exponents NaN, a failed ``+`` side keeps
-    ``p_minus[r]``.
+    A replica fails when its profile or a side's fit raises a
+    :class:`VolrelaxError`: a failed profile or ``-`` side leaves both
+    exponents NaN, a failed ``+`` side keeps ``p_minus[r]``.  No fit gives
+    a NaN ``p``, so ``n_failed`` is the number of replicas whose ``p_plus`` is NaN.
     """
     if B < 2:
         raise ValueError("need at least 2 bootstrap replicas")
@@ -522,31 +522,26 @@ def bootstrap_errors(
         raise NoEvents("cannot bootstrap an empty event set")
     sigma = mean_volatility(vol)
     n_ev = len(events)
-    cums: list[CumulativeProfile | None] = []
+    cums: dict[int, CumulativeProfile] = {}  # replica -> its profile, if it has one
     for r in range(B):
         rng = np.random.default_rng(seed + r)
         idx = events.indices[rng.integers(0, n_ev, n_ev)]
         try:
             prof = _profile_from_indices(vol.values, idx, max_lag, sigma)
         except VolrelaxError:
-            cums.append(None)
-        else:
-            cums.append(cumulative(prof))
-    curves = [(cum.lags, cum.side(side)) for cum in cums if cum is not None for side in "-+"]
-    fits = iter(_fit_many(curves, t_min, t_max, tau_mode))
+            continue
+        cums[r] = cumulative(prof)
+    curves = [(cum.lags, cum.side(side)) for cum in cums.values() for side in "-+"]
+    fits = _fit_many(curves, t_min, t_max, tau_mode)
     p_m = np.full(B, np.nan)
     p_p = np.full(B, np.nan)
-    n_failed = 0
-    for r, cum in enumerate(cums):
-        if cum is None:
-            n_failed += 1
-            continue
-        fit_m, fit_p = next(fits), next(fits)
+    for r, fit_m, fit_p in zip(cums, fits[::2], fits[1::2]):
         try:
             p_m[r] = _fit_or_raise(fit_m).p
             p_p[r] = _fit_or_raise(fit_p).p
         except VolrelaxError:
-            n_failed += 1
+            pass
+    n_failed = int(np.isnan(p_p).sum())
     if n_failed > 0.1 * B:
         raise BootstrapUnstable(f"{n_failed}/{B} bootstrap replicas failed to fit")
     return BootstrapResult(
@@ -564,14 +559,13 @@ def fit_report_row(
     zeta_multiple: float,
     origin_filter: str,
     sign_filter: str,
-    fit: PowerLawFit | None,
-    failure: str | None = None,
+    fit: PowerLawFit | Exception,
 ) -> tuple:
-    """One fit-report row for :func:`write_fit_tsv`; a failed fit becomes a marker row."""
+    """One fit-report row for :func:`write_fit_tsv`: the fit, or a marker row for the error that stopped it."""
     nan = float("nan")
     head = (side, float(zeta_multiple), origin_filter, sign_filter)
-    if fit is None:
-        return (*head, nan, nan, nan, nan, 0, 0, f"failed:{failure or 'unknown'}", nan)
+    if isinstance(fit, Exception):
+        return (*head, nan, nan, nan, nan, 0, 0, f"failed:{type(fit).__name__}", nan)
     stderr = nan if fit.p_stderr is None else fit.p_stderr
     return (*head, fit.p, stderr, fit.tau, fit.A, *fit.fit_range, fit.method, fit.rms_log_residual)
 

@@ -248,6 +248,9 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
     no_pair_cfg.write_text(f"input {planted_csv}\n")
     maybe_cfg = tmp_path / "maybe.cfg"
     maybe_cfg.write_text(f"input = {planted_csv}\nno_intraday_removal = maybe\n")
+    # argparse refuses a bad --tau flag itself; a config file's value reaches the option table.
+    sideways_cfg = tmp_path / "sideways.cfg"
+    sideways_cfg.write_text(f"input = {planted_csv}\ntau = sideways\n")
     missing_labels = str(tmp_path / "missing_labels.csv")
     cases = [
         ["analyze", "--out", out],  # no input
@@ -288,6 +291,8 @@ def test_invalid_configurations_exit_1(planted_csv, tmp_path, capsys):
         (["events", "--input", planted_csv, "--out", out, "--labels", "builtin:nope"],
          f"no packaged label table 'nope'; available: {volrelax.packaged_label_names()}"),
         (["analyze", "--config", str(maybe_cfg), "--out", out], "--no-intraday-removal: invalid value 'maybe'"),
+        (["analyze", "--config", str(sideways_cfg), "--out", out],
+         "--tau: expected one of ('free', 'zero'), got 'sideways'"),
         (["omori", "--input", planted_csv, "--out", out, "--main-threshold", "4", "--z1-thresholds", "0,3"],
          "aftershock threshold 0 must be above 0 and below the main threshold 4"),
     ]
@@ -1379,6 +1384,12 @@ def test_input_files_give_a_tree_or_one_error_line(
         return
     written = sorted(os.listdir(out))
     assert any(name.startswith(_FUZZ_WRITES[command]) for name in written), written
+    if command in ("analyze", "omori"):
+        # Exit 3 exactly when a fit failed: a row is a marker, or a bootstrapped row has no stderr.
+        boot = command == "analyze" and options.get("bootstrap", "0") != "0"
+        rows = read_fit_tsv(str(out / "fits.tsv"))
+        lost = any(r["method"].startswith("failed:") or (boot and np.isnan(r["p_stderr"])) for r in rows)
+        assert (rc == 3) == lost, rows
     # A rerun into a fresh directory, with every BOM taken out of the files, writes the same tree.
     for path, text in files.items():
         path.write_bytes(text.removeprefix("\ufeff").encode("utf-8", "surrogateescape"))

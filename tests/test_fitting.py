@@ -36,7 +36,7 @@ from volrelax.fitting import (
     read_fit_tsv,
     write_fit_tsv,
 )
-from volrelax.errors import MalformedRow, VolrelaxError
+from volrelax.errors import MalformedRow, NoEvents, VolrelaxError
 
 
 def _curve(p, tau, A=1.0, t_max=500):
@@ -327,9 +327,11 @@ def test_bootstrap_failed_replica_leaves_nan_and_counts_once(odd):
     good = np.arange(B) != bad
     assert np.all(np.isfinite(boot.p_minus[good]))
     assert np.all(np.isfinite(boot.p_plus[good]))
+    # n_failed counts the NaN entries of p_plus: every way a replica fails leaves one.
     assert np.isnan(boot.p_plus[bad])
     if odd == "right":
         # Only the + side failed: the - exponent is kept.
+        assert np.isfinite(boot.p_minus[bad])
         assert boot.p_minus[bad] == fit_cumulative(_replica(vol, events, at), "-", 2, 80, "fixed_zero").p
     else:
         assert np.isnan(boot.p_minus[bad])
@@ -377,7 +379,7 @@ def test_fit_report_round_trip(tmp_path):
     fit = fit_offset_power_law(lags, V, t_min=1)
     rows = [
         fit_report_row("-", 4.0, "all", "all", fit),
-        fit_report_row("+", 4.0, "all", "crash", None, "NoEvents"),
+        fit_report_row("+", 4.0, "all", "crash", NoEvents("no events")),
     ]
     path = str(tmp_path / "fits.tsv")
     write_fit_tsv(rows, path)

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from volrelax import tsv
-from volrelax.errors import MalformedRow
+from volrelax.errors import MalformedRow, NoEvents
 from volrelax.fitting import PowerLawFit, fit_report_row, read_fit_tsv, write_fit_tsv
 from volrelax.intraday import IntradayPattern, read_pattern_tsv, write_pattern_tsv
 from volrelax.profiles import (
@@ -72,7 +72,7 @@ def test_fit_writer_bytes(tmp_path):
     fit = PowerLawFit(A=INF, p=-INF, tau=0.0, fit_range=(2, 30), rms_log_residual=0.25)
     rows = [
         fit_report_row("-", 4, "all", "crash", fit),
-        fit_report_row("+", 4.5, "exogenous", "all", None, "NoEvents"),
+        fit_report_row("+", 4.5, "exogenous", "all", NoEvents("no events")),
     ]
     path = str(tmp_path / "fits.tsv")
     write_fit_tsv(rows, path)
