@@ -23,12 +23,16 @@ curves in :func:`bootstrap_errors`) run in lock step: each is a
 evaluates the points the live searches ask for in one numpy call per
 sample and ``ln g`` formula (:func:`_losses`).  Each search takes exactly
 the steps the sequential :func:`volrelax.optimize.minimize` takes on its
-own, so the fits are bit for bit those of one curve and one start at a time.
+own, so the fits are bit for bit those of one curve and one start at a time,
+and replica ``r`` draws the events ``default_rng(seed + r)`` would draw,
+without loading ``numpy.random`` (:func:`_resample`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import floor, log10
 from typing import ClassVar
 
@@ -169,6 +173,14 @@ def log_spaced_lags(t_min: int, t_max: int) -> np.ndarray:
         k *= 2
 
 
+@lru_cache
+def _log_spaced_lags(t_min: int, t_max: int) -> np.ndarray:
+    """:func:`log_spaced_lags`, computed once per range and shared, so read-only."""
+    lags = log_spaced_lags(t_min, t_max)
+    lags.flags.writeable = False
+    return lags
+
+
 # The shapes ln g takes, one formula each; _branch picks one per (p, tau).
 _OFFSET, _LOG_LIMIT, _TAU0, _NONE = range(4)
 # numpy's power takes a fast path for some exponents given as a scalar (a
@@ -259,7 +271,7 @@ def _select_sample(
         raise ValueError(f"fit range [{t_min}, {t_max}] not within computed lags")
     if tau_mode not in ("free", "fixed_zero"):
         raise ValueError(f"tau_mode must be 'free' or 'fixed_zero', got {tau_mode!r}")
-    sample = log_spaced_lags(t_min, t_max)
+    sample = _log_spaced_lags(t_min, t_max)
     pos = np.searchsorted(lags, sample)
     ok = (pos < lags.size) & (lags[np.minimum(pos, lags.size - 1)] == sample)
     sample, pos = sample[ok], pos[ok]
@@ -490,6 +502,55 @@ def fit_cumulative(
     return fit_offset_power_law(cum.lags, cum.side(side), t_min=t_min, t_max=t_max, tau_mode=tau_mode)
 
 
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
+
+
+def _word_hash(const: int, mult: int):
+    """SeedSequence's hash of one 32-bit word; its constant steps by ``mult`` per word."""
+    def hashed(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashed
+
+
+def _resample(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(0, n, n)`` for ``1 <= n <= 2**31``, bit
+    for bit, without loading ``numpy.random`` (it maps OpenSSL through ``secrets``):
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of 4 and the
+    pool into a PCG64 state; each XSL-RR output gives two words, low half first;
+    Lemire's multiply-shift draws ``w * n >> 32``, unless ``w * n mod 2**32 < 2**32 mod n``.
+    """
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    mix_hash = _word_hash(0x43B0D7E5, 0x931E8875)
+    pool = [mix_hash(word) for word in (entropy + [0, 0, 0])[:4]]
+    for i in range(max(4, len(entropy))):  # each pool word, then each seed word past the pool
+        for dst in [d for d in range(4) if d != i]:
+            y = mix_hash(pool[i] if i < 4 else entropy[i])
+            x = (0xCA01F9DD * pool[dst] - 0x4973F715 * y) & _M32
+            pool[dst] = x ^ x >> 16
+    w = list(map(_word_hash(0x8B51F9DD, 0x58F38DED), pool + pool))  # the state's 8 words
+    inc = (w[4] << 64 | w[5] << 96 | w[6] | w[7] << 32) << 1 & _M128 | 1
+    state = ((inc + (w[0] << 64 | w[1] << 96 | w[2] | w[3] << 32)) * _PCG_MULT + inc) & _M128
+    threshold, drawn = (1 << 32) % n, np.empty(0, dtype=np.int64)
+    while drawn.size < n:  # a rejected word's draw is taken from the next word
+        raw = b"".join(
+            (state := (state * _PCG_MULT + inc) & _M128).to_bytes(16, "little")
+            for _ in range((n - drawn.size + 1) // 2)  # outputs of two words each
+        )
+        lo, hi = np.frombuffer(raw, dtype="<u8").reshape(-1, 2).T
+        x, rot = lo ^ hi, hi >> np.uint64(58)
+        x = (x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))).astype("<u8")
+        m = x.view("<u4").astype(np.int64) * n
+        drawn = np.concatenate([drawn, m[(m & _M32) >= threshold] >> 32])
+    return drawn[:n]
+
+
 def bootstrap_errors(
     vol: VolatilitySeries,
     events: EventSet,
@@ -502,8 +563,9 @@ def bootstrap_errors(
 ) -> BootstrapResult:
     """Bootstrap standard errors of ``p`` for both sides.
 
-    Replica ``r`` resamples the events with replacement using
-    ``default_rng(seed + r)``, recomputes the profile over lags
+    Replica ``r`` resamples the ``n`` events with replacement at the indices
+    ``default_rng(seed + r).integers(0, n, n)`` gives, computed without
+    loading ``numpy.random`` (:func:`_resample`), recomputes the profile over lags
     ``0..max_lag`` (``sigma`` from ``vol``, as :func:`remanent_profile`
     takes it) and refits both sides with :func:`fit_cumulative`'s
     ``t_min``, ``t_max`` and ``tau_mode``; the standard error is the
@@ -521,11 +583,9 @@ def bootstrap_errors(
     if len(events) == 0:
         raise NoEvents("cannot bootstrap an empty event set")
     sigma = mean_volatility(vol)
-    n_ev = len(events)
     cums: dict[int, CumulativeProfile] = {}  # replica -> its profile, if it has one
     for r in range(B):
-        rng = np.random.default_rng(seed + r)
-        idx = events.indices[rng.integers(0, n_ev, n_ev)]
+        idx = events.indices[_resample(seed + r, len(events))]
         try:
             prof = _profile_from_indices(vol.values, idx, max_lag, sigma)
         except VolrelaxError:

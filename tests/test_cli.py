@@ -1224,6 +1224,33 @@ def test_commands_run_without_scipy(tmp_path):
     assert os.path.getsize(os.path.join(out, "fits.tsv")) > 0
 
 
+_MODULES_A_BOOTSTRAP_LOADS = """
+import sys
+import volrelax.cli
+watched = ("numpy.random", "_hashlib")
+print(*[name in sys.modules for name in watched], file=sys.stderr)
+rc = volrelax.cli.main(["analyze", "--bootstrap", "3", "--input", sys.argv[1], "--out", sys.argv[2]])
+print(*[name in sys.modules for name in watched], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_a_bootstrapped_analyze_loads_no_numpy_random(daily_csv, tmp_path):
+    # The bootstrap draws numpy's stream without numpy.random, whose import
+    # maps OpenSSL (secrets -> hmac -> _hashlib).  A fresh interpreter,
+    # because this one may have imported numpy.random already.
+    src = os.path.dirname(os.path.dirname(volrelax.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_A_BOOTSTRAP_LOADS, daily_csv, str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3, proc.stderr  # z=8 selects no events
+    before, after = proc.stderr.splitlines()
+    if before != "False False":
+        pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
+    assert after == "False False"
+
+
 # The input fuzz: analyze, omori, pattern and events on small CSVs of eight
 # kinds, with each kind of label file, config file and --out target, and any
 # subset of the command's options, each with an edge value.

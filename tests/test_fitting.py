@@ -364,6 +364,33 @@ def test_bootstrap_validates_arguments():
         bootstrap_errors(vol, events, B=1, seed=0, **cfg)
 
 
+@given(seed=st.integers(0, 2**130), n=st.integers(1, 5000))
+@example(seed=0, n=1)
+@example(seed=2**32 - 1, n=2)
+@example(seed=2**32, n=2)
+@example(seed=2**128 + 5, n=1000)
+# Each of these three draws a word that Lemire's method rejects.
+@example(seed=70, n=5000)
+@example(seed=32, n=10007)
+@example(seed=972, n=3000)
+@settings(max_examples=60, deadline=None)
+def test_resample_is_numpys_pcg64_stream(seed, n):
+    # bootstrap_errors' draw against the numpy call it stands for: seeds of
+    # one to five 32-bit words, so SeedSequence's pool of 4 runs both short
+    # and over, and bounds with and without rejected words.
+    want = np.random.default_rng(seed).integers(0, n, n)
+    got = fitting._resample(seed, n)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_resample_refuses_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        fitting._resample(-1, 5)
+
+
 def test_format_with_stderr():
     assert format_with_stderr(0.47, 0.04) == "0.47(4)"
     assert format_with_stderr(0.2, 0.011) == "0.20(1)"
