@@ -19,6 +19,8 @@ has one slot.
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,16 +184,20 @@ def returns_to_prices(returns: ReturnSeries, p0: float = 100.0) -> PriceSeries:
     if not p0 > 0:
         raise ValueError("p0 must be positive")
     n = len(returns) + 1
-    log_p = np.concatenate(([0.0], np.cumsum(returns.values)))
-    prices = p0 * np.exp(log_p)
+    prices = np.zeros(n)
+    np.cumsum(returns.values, out=prices[1:])
+    np.exp(prices, out=prices)
+    prices *= p0
     s = returns.slots_per_day
     grid = _grid(n, s)
-    if s == 1:
-        ts = (_DAY0 + np.arange(n)).astype("datetime64[s]")
-    else:
-        days = np.arange(n) // s
-        minutes = grid["slot_index"] * np.timedelta64(60, "s")
-        ts = _SESSION_START + days.astype("timedelta64[D]").astype("timedelta64[s]") + minutes
+    # Seconds from the first day's start: (day * 1440 + minute of day) * 60.
+    ts = np.arange(n, dtype=np.int64)
+    ts //= s
+    ts *= 1440
+    ts += grid["slot_index"]
+    ts *= 60
+    ts += (_DAY0 if s == 1 else _SESSION_START).astype("datetime64[s]").astype(np.int64)
+    ts = ts.view("datetime64[s]")
     return PriceSeries(timestamps=ts, prices=prices, **grid)
 
 
@@ -205,13 +211,66 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
     and a price is its shortest round-trip ``repr``.  The records are
     formatted and written ``_BLOCK`` at a time, so memory grows with the
     block, not with the file.
+
+    Where ``os.fork`` exists and the process may use two CPUs, a series of
+    two blocks or more is formatted in two processes: a forked helper
+    formats every other block and hands it back through a pipe, so each
+    process still holds about one block.  The bytes are the one-process
+    writer's, and the helper is gone when this returns or raises.
     """
     daily = prices.cadence == "daily"
+    n = len(prices)
+
+    def block(lo: int) -> np.ndarray:
+        at = slice(lo, lo + _BLOCK)
+        return _csv_lines(prices.timestamps[at], prices.prices[at], daily)
+
     with _open_for_rewrite(path, "wb") as fh:
         fh.write(b"timestamp,price\n")
-        for lo in range(0, len(prices), _BLOCK):
-            at = slice(lo, lo + _BLOCK)
-            fh.write(_csv_lines(prices.timestamps[at], prices.prices[at], daily))
+        if n <= _BLOCK or not hasattr(os, "fork") or _cpus() < 2:
+            for lo in range(0, n, _BLOCK):
+                fh.write(block(lo))
+            return
+        from signal import SIGKILL  # here, so that no analyze run loads signal
+
+        fh.flush()  # the helper inherits the buffer and must find it empty
+        r, w = os.pipe()
+        # The helper only formats blocks and writes its pipe: it imports
+        # nothing and takes no lock another thread could hold (glibc resets
+        # malloc's locks at fork), so the multi-threaded fork warning, which
+        # would raise here under -W error and lose the pid, is ignored.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    for lo in range(_BLOCK, n, 2 * _BLOCK):
+                        lines = block(lo)
+                        pipe.writelines((lines.size.to_bytes(8, "little"), lines))
+            finally:
+                os._exit(0)  # flushes no inherited buffer and runs no caller's cleanup
+        os.close(w)
+        try:
+            with open(r, "rb") as pipe:
+                for lo in range(0, n, _BLOCK):
+                    lines = b""
+                    if lo // _BLOCK % 2:
+                        head = pipe.read(8)  # the block's length, then its bytes
+                        size = int.from_bytes(head, "little") if len(head) == 8 else 0
+                        lines = pipe.read(size)
+                        if len(lines) < size:
+                            lines = b""
+                    fh.write(lines or block(lo))
+        finally:
+            os.kill(pid, SIGKILL)  # a helper that has exited stays until reaped
+            os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _csv_lines(timestamps: np.ndarray, prices: np.ndarray, daily: bool) -> np.ndarray:

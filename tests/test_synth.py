@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -288,6 +290,7 @@ _MOST_ROWS = 40
 @example(True, 951696000, [86_400, 86_400, 1], [0.1, 2.5, 1e-05, 123.0], 3)
 @example(False, -_INT64_MAX, [1, 60, 40_000 * 86_400], [1.5] * 4, 1)
 @example(False, 253402300740, [59, 1, 60], [1.5] * 4, 3)
+@example(False, 951696000, [60] * 4, [1.0, 2.5, 0.1, 1e16, 5e-324], 2)
 @settings(max_examples=300, deadline=None)
 def test_write_price_csv_bytes_match_loop_writer_on_any_series(tmp_path_factory, daily, start, steps, prices, block):
     # A small block makes most series span several blocks.
@@ -330,3 +333,95 @@ def test_write_price_csv_memory_grows_with_the_block_not_the_file(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "prices.csv").stat().st_size > 7e6
     assert peaks[1] < 1.2 * peaks[0]
+
+
+# The helper that formats every other block in a forked process: enough
+# rows for five blocks of 1,000, each test's writes and forks counted.
+_HELPER_BLOCK = 1_000
+
+
+def _helper_series():
+    return returns_to_prices(gen_iid_gaussian(5 * _HELPER_BLOCK - 2, 0.01, seed=47, slots_per_day=390))
+
+
+@pytest.fixture
+def forks():
+    """The calls of ``os.fork`` this process makes, with ``_BLOCK`` small
+    and the process allowed two CPUs."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    with mock.patch.object(synth, "_BLOCK", _HELPER_BLOCK), mock.patch.object(synth, "_cpus", lambda: 2), \
+            mock.patch.object(os, "fork", fork):
+        yield calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_price_csv_helper_writes_the_loop_writers_bytes_and_is_reaped(tmp_path, forks):
+    prices = _helper_series()
+    with warnings.catch_warnings():
+        # From Python 3.12 a fork with other threads running warns; the
+        # writer ignores that warning and no other.
+        warnings.simplefilter("error")
+        new, old = _write_both(prices, tmp_path)
+    assert forks == [os.getpid()]
+    assert new == old
+    _no_child_left()
+
+
+def test_write_price_csv_error_in_the_parent_propagates_and_kills_the_helper(tmp_path, forks):
+    # The parent fails on its second block while the helper, having sent
+    # its first, stalls in its second: the helper is killed, not awaited.
+    me, real, calls = os.getpid(), synth._csv_lines, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            if os.getpid() == me:
+                raise RuntimeError("formatting failed")
+            time.sleep(60)
+        return real(*args)
+
+    start = time.monotonic()
+    with mock.patch.object(synth, "_csv_lines", failing), pytest.raises(RuntimeError, match="formatting failed"):
+        write_price_csv(_helper_series(), str(tmp_path / "prices.csv"))
+    assert time.monotonic() - start < 30
+    assert forks == [me]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("delivered", [0, 1])
+def test_write_price_csv_blocks_a_dead_helper_did_not_send_are_formatted_by_the_parent(tmp_path, forks, delivered):
+    me, real, calls = os.getpid(), synth._csv_lines, []
+
+    def dying(*args):
+        if os.getpid() != me:
+            calls.append(1)
+            if len(calls) > delivered:
+                os._exit(1)
+        return real(*args)
+
+    with mock.patch.object(synth, "_csv_lines", dying):
+        new, old = _write_both(_helper_series(), tmp_path)
+    assert forks == [me]
+    assert new == old
+    _no_child_left()
+
+
+def test_write_price_csv_forks_only_for_two_blocks_on_two_cpus(tmp_path, forks):
+    prices = _helper_series()
+    one_block = _price_series(prices.timestamps[:_HELPER_BLOCK].view(np.int64), prices.prices[:_HELPER_BLOCK], False)
+    new, old = _write_both(one_block, tmp_path)
+    assert new == old
+    with mock.patch.object(synth, "_cpus", lambda: 1):
+        new, old = _write_both(prices, tmp_path)
+    assert new == old
+    assert forks == []
