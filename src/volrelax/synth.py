@@ -184,20 +184,16 @@ def returns_to_prices(returns: ReturnSeries, p0: float = 100.0) -> PriceSeries:
     if not p0 > 0:
         raise ValueError("p0 must be positive")
     n = len(returns) + 1
-    prices = np.zeros(n)
-    np.cumsum(returns.values, out=prices[1:])
-    np.exp(prices, out=prices)
-    prices *= p0
+    log_p = np.concatenate(([0.0], np.cumsum(returns.values)))
+    prices = p0 * np.exp(log_p)
     s = returns.slots_per_day
     grid = _grid(n, s)
-    # Seconds from the first day's start: (day * 1440 + minute of day) * 60.
-    ts = np.arange(n, dtype=np.int64)
-    ts //= s
-    ts *= 1440
-    ts += grid["slot_index"]
-    ts *= 60
-    ts += (_DAY0 if s == 1 else _SESSION_START).astype("datetime64[s]").astype(np.int64)
-    ts = ts.view("datetime64[s]")
+    if s == 1:
+        ts = (_DAY0 + np.arange(n)).astype("datetime64[s]")
+    else:
+        days = np.arange(n) // s
+        minutes = grid["slot_index"] * np.timedelta64(60, "s")
+        ts = _SESSION_START + days.astype("timedelta64[D]").astype("timedelta64[s]") + minutes
     return PriceSeries(timestamps=ts, prices=prices, **grid)
 
 
@@ -212,11 +208,11 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
     formatted and written ``_BLOCK`` at a time, so memory grows with the
     block, not with the file.
 
-    Where ``os.fork`` exists and the process may use two CPUs, a series of
-    two blocks or more is formatted in two processes: a forked helper
-    formats every other block and hands it back through a pipe, so each
-    process still holds about one block.  The bytes are the one-process
-    writer's, and the helper is gone when this returns or raises.
+    Where ``os.fork`` exists and works, a series of two blocks or more is
+    formatted in two processes: a forked helper formats every other block
+    and hands it back through a pipe, so each process still holds about one
+    block.  The bytes are the one-process writer's, and the helper is gone
+    when this returns or raises.
     """
     daily = prices.cadence == "daily"
     n = len(prices)
@@ -227,21 +223,26 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
 
     with _open_for_rewrite(path, "wb") as fh:
         fh.write(b"timestamp,price\n")
-        if n <= _BLOCK or not hasattr(os, "fork") or _cpus() < 2:
+        fds, pid = (), None
+        if n > _BLOCK and hasattr(os, "fork"):
+            fh.flush()  # the helper inherits the buffer and must find it empty
+            # The helper only formats blocks and writes its pipe: it imports
+            # nothing and takes no lock another thread could hold (glibc resets
+            # malloc's at fork), so the multi-threaded fork warning, which would
+            # raise here under -W error and lose the pid, is ignored.
+            try:
+                fds = os.pipe()
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # out of descriptors, processes or memory: no helper
+                for fd in fds:
+                    os.close(fd)
+        if pid is None:
             for lo in range(0, n, _BLOCK):
                 fh.write(block(lo))
             return
-        from signal import SIGKILL  # here, so that no analyze run loads signal
-
-        fh.flush()  # the helper inherits the buffer and must find it empty
-        r, w = os.pipe()
-        # The helper only formats blocks and writes its pipe: it imports
-        # nothing and takes no lock another thread could hold (glibc resets
-        # malloc's locks at fork), so the multi-threaded fork warning, which
-        # would raise here under -W error and lose the pid, is ignored.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
+        r, w = fds
         if pid == 0:
             try:
                 os.close(r)
@@ -252,25 +253,23 @@ def write_price_csv(prices: PriceSeries, path: str) -> None:
             finally:
                 os._exit(0)  # flushes no inherited buffer and runs no caller's cleanup
         os.close(w)
+        done = False  # once the helper's last block is read, it is exiting
         try:
             with open(r, "rb") as pipe:
                 for lo in range(0, n, _BLOCK):
-                    lines = b""
-                    if lo // _BLOCK % 2:
-                        head = pipe.read(8)  # the block's length, then its bytes
-                        size = int.from_bytes(head, "little") if len(head) == 8 else 0
-                        lines = pipe.read(size)
-                        if len(lines) < size:
-                            lines = b""
-                    fh.write(lines or block(lo))
+                    head = pipe.read(8) if lo // _BLOCK % 2 else b""  # a helper block's length, then its bytes
+                    size = int.from_bytes(head, "little") if len(head) == 8 else 0
+                    lines = pipe.read(size)
+                    fh.write(lines if size and len(lines) == size else block(lo))
+            done = True
         finally:
-            os.kill(pid, SIGKILL)  # a helper that has exited stays until reaped
-            os.waitpid(pid, 0)
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            try:
+                if not done:
+                    from signal import SIGKILL  # here, so that no analyze run loads signal
+                    os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already: SIGCHLD ignored, or another thread's waitpid(-1)
 
 
 def _csv_lines(timestamps: np.ndarray, prices: np.ndarray, daily: bool) -> np.ndarray:

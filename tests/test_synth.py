@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import signal
 import time
 import tracemalloc
 import warnings
@@ -346,8 +347,7 @@ def _helper_series():
 
 @pytest.fixture
 def forks():
-    """The calls of ``os.fork`` this process makes, with ``_BLOCK`` small
-    and the process allowed two CPUs."""
+    """The calls of ``os.fork`` this process makes, with ``_BLOCK`` small."""
     calls = []
     real_fork = os.fork
 
@@ -355,8 +355,7 @@ def forks():
         calls.append(os.getpid())
         return real_fork()
 
-    with mock.patch.object(synth, "_BLOCK", _HELPER_BLOCK), mock.patch.object(synth, "_cpus", lambda: 2), \
-            mock.patch.object(os, "fork", fork):
+    with mock.patch.object(synth, "_BLOCK", _HELPER_BLOCK), mock.patch.object(os, "fork", fork):
         yield calls
 
 
@@ -416,12 +415,44 @@ def test_write_price_csv_blocks_a_dead_helper_did_not_send_are_formatted_by_the_
     _no_child_left()
 
 
-def test_write_price_csv_forks_only_for_two_blocks_on_two_cpus(tmp_path, forks):
+def test_write_price_csv_forks_only_for_two_blocks(tmp_path, forks):
     prices = _helper_series()
     one_block = _price_series(prices.timestamps[:_HELPER_BLOCK].view(np.int64), prices.prices[:_HELPER_BLOCK], False)
     new, old = _write_both(one_block, tmp_path)
     assert new == old
-    with mock.patch.object(synth, "_cpus", lambda: 1):
-        new, old = _write_both(prices, tmp_path)
-    assert new == old
     assert forks == []
+
+
+def test_write_price_csv_writes_alone_when_the_fork_fails(tmp_path, forks):
+    # Out of processes (EAGAIN): the pipe is closed and every block is
+    # formatted here.
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        pipes.extend(real_pipe())
+        return tuple(pipes)
+
+    prices = _helper_series()
+    with mock.patch.object(os, "pipe", pipe), \
+            mock.patch.object(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "Resource temporarily unavailable"))):
+        write_price_csv(prices, str(tmp_path / "new.csv"))
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _loop_write_price_csv(prices, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _no_child_left()
+
+
+def test_write_price_csv_helper_reaped_elsewhere_is_no_error(tmp_path, forks):
+    # With SIGCHLD ignored the kernel reaps the helper itself, so the
+    # writer's waitpid finds no child.
+    old_handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        new, old = _write_both(_helper_series(), tmp_path)
+    finally:
+        signal.signal(signal.SIGCHLD, old_handler)
+    assert forks == [os.getpid()]
+    assert new == old
+    _no_child_left()
