@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 invalid configuration or a file it names that
 cannot be used, 2 data error, 3 a fit failed: a ``fits.tsv`` row is a
 ``failed:`` marker, or the run took ``--bootstrap`` and a row's ``p_stderr``
 is NaN (partial outputs are kept).  Exits 1 and 2 print one error line.
+A stdout whose reader has gone ends the report, not the run.
 """
 
 from __future__ import annotations
@@ -352,6 +353,18 @@ def _select_and_tag(c: RunConfig, vol, returns, labels) -> Iterator[tuple[float,
         print(f"warning: {note}", file=sys.stderr)
 
 
+def _say(line: str) -> None:
+    """Print one line of the report on stdout, flushed, so that a reader gone away
+    shows here and not at exit.  Then the rest of the report goes to the null device:
+    the run still writes its files and exits by its usual rule, printing nothing about it."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())  # what the buffer still holds is flushed there too
+        os.close(null)
+
+
 def _fit_sides(tag: str, fit_side, rows: list, m: float, origin="all", sign="all", boot=None) -> None:
     """Fit both sides of one curve with ``fit_side(side)``, append their rows (a marker
     row for a failed fit) and print their lines; ``boot``, if given, holds the stderr of ``p``."""
@@ -360,12 +373,12 @@ def _fit_sides(tag: str, fit_side, rows: list, m: float, origin="all", sign="all
             fit = fit_side(side)
         except FitError as exc:
             rows.append(fit_report_row(side, m, origin, sign, exc))
-            print(f"{tag} {side}: fit failed: {type(exc).__name__}")
+            _say(f"{tag} {side}: fit failed: {type(exc).__name__}")
             continue
         if boot is not None:
             fit = replace(fit, p_stderr=boot.stderr_minus if side == "-" else boot.stderr_plus)
         rows.append(fit_report_row(side, m, origin, sign, fit))
-        print(f"{tag} {side}: {fit.summary()}")
+        _say(f"{tag} {side}: {fit.summary()}")
 
 
 def _write_fits(c: RunConfig, rows: list[tuple]) -> int:
@@ -407,7 +420,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 profile = remanent_profile(vol, subset, c.max_lag)
             except DataError as exc:
                 fit_rows += (fit_report_row(side, *key, exc) for side in "-+")
-                print(f"z{m:g} {split}: profile failed: {type(exc).__name__}: {exc}")
+                _say(f"z{m:g} {split}: profile failed: {type(exc).__name__}: {exc}")
                 continue
             cum = cumulative(profile)
             write_profile_tsv(cum, os.path.join(c.out, f"profile_z{m:g}{suffix}.tsv"))
@@ -417,15 +430,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 try:
                     boot = bootstrap_errors(vol, subset, c.max_lag, c.bootstrap, c.seed, *fit_args)
                 except (FitError, DataError) as exc:
-                    print(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
+                    _say(f"z{m:g} {split}: bootstrap failed: {type(exc).__name__}: {exc}")
             fit_side = lambda side: fit_cumulative(cum, side, *fit_args)  # noqa: E731
             _fit_sides(f"z{m:g} {split}", fit_side, fit_rows, *key, boot)
     status = _write_fits(c, fit_rows)
     header = ("zeta_multiple", "split", "side", "mean_v", "flag")
     write_tsv(os.path.join(c.out, "signal_check.tsv"), header, zip(*signal_rows))
     n_zero = sum(1 for r in signal_rows if r[4] == "zero_consistent")
-    print(f"signal check: {n_zero}/{len(signal_rows)} profiles consistent with zero signal")
-    print(f"wrote {c.out}")
+    _say(f"signal check: {n_zero}/{len(signal_rows)} profiles consistent with zero signal")
+    _say(f"wrote {c.out}")
     return status
 
 
@@ -439,22 +452,22 @@ def _cmd_omori(args: argparse.Namespace) -> int:
         cum = cumulative(remanent_profile(vol, mainshocks, c.max_lag))
     except DataError as exc:
         fit_rows = [fit_report_row(side, m1, "all", "all", exc) for m1 in c.z1_thresholds for side in "-+"]
-        print(f"mainshock selection failed: {type(exc).__name__}: {exc}")
+        _say(f"mainshock selection failed: {type(exc).__name__}: {exc}")
         return _write_fits(c, fit_rows)
-    print(f"{len(mainshocks)} mainshocks above {m:g} sigma")
+    _say(f"{len(mainshocks)} mainshocks above {m:g} sigma")
     for m1 in c.z1_thresholds:
         omori = omori_counts(vol, mainshocks, m1, c.max_lag)
         write_omori_tsv(cum, omori, os.path.join(c.out, f"omori_z{m:g}_z1{m1:g}.tsv"))
         fit_side = lambda side: fit_offset_power_law(cum.lags, omori.side(side), *fit_args)  # noqa: E731
         _fit_sides(f"z1={m1:g}", fit_side, fit_rows, m1)
     status = _write_fits(c, fit_rows)
-    print(f"wrote {c.out}")
+    _say(f"wrote {c.out}")
     return status
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
     c = _prepare_run(args)[0]
-    print(f"wrote {c.out}")
+    _say(f"wrote {c.out}")
     return 0
 
 
@@ -466,8 +479,8 @@ def _cmd_events(args: argparse.Namespace) -> int:
         columns = [events.indices, stamps, events.magnitudes, signs, events.origins]
         header = ("index", "timestamp", "magnitude", "sign", "origin")
         write_tsv(os.path.join(c.out, f"events_z{m:g}.tsv"), header, columns)
-        print(f"z{m:g}: {len(events)} events")
-    print(f"wrote {c.out}")
+        _say(f"z{m:g}: {len(events)} events")
+    _say(f"wrote {c.out}")
     return 0
 
 
@@ -505,7 +518,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         write_price_csv(prices, c.out)
     except OSError as exc:
         raise _ConfigError(f"cannot write {c.out}: {exc}") from None
-    print(f"wrote {c.out} ({len(prices)} records)")
+    _say(f"wrote {c.out} ({len(prices)} records)")
     return 0
 
 

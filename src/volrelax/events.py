@@ -104,7 +104,8 @@ class EventSet:
                 raise ValueError("event indices must be non-negative")
             if not np.all(mag > self.zeta_abs):
                 raise ValueError("every event magnitude must strictly exceed zeta_abs")
-        if not np.all(np.isin(org, _ORIGINS)):
+        # np.isin's small-set test, without its np.unique, which imports numpy.ma (numpy 2).
+        if not np.all(np.logical_or.reduce([org == origin for origin in _ORIGINS])):
             raise ValueError(f"origins must be one of {_ORIGINS}")
 
     def __len__(self) -> int:

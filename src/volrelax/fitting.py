@@ -167,7 +167,9 @@ def log_spaced_lags(t_min: int, t_max: int) -> np.ndarray:
         return np.arange(t_min, t_max + 1, dtype=np.int64)
     k = _N_POINTS
     while True:
-        cand = np.unique(np.rint(np.geomspace(t_min, t_max, k)).astype(np.int64))
+        # np.unique's own sort and mask: np.unique itself imports numpy.ma (numpy 2).
+        cand = np.sort(np.rint(np.geomspace(t_min, t_max, k)).astype(np.int64))
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
         if cand.size >= _N_POINTS or k > 16 * total:
             return cand
         k *= 2

@@ -4,7 +4,7 @@ The input format is a comma-separated ``timestamp,price`` CSV (later
 fields ignored) with ISO timestamps, either dates (daily data) or
 datetimes (intraday data).
 The text is UTF-8, with or without a byte-order mark.  It is read once,
-a chunk of about 256 KiB at a time cut after a newline, and each chunk's
+a chunk of about 128 KiB at a time cut after a newline, and each chunk's
 stamps and prices are written straight into the output columns: beyond
 them, the parse needs memory bounded by the chunk, not by the file.
 ``np.loadtxt`` parses a chunk; one it doubts (a quote, a NUL, a field it
@@ -66,7 +66,7 @@ _FOUR_DIGIT_YEAR = re.compile(r"[0-9]{4}(?![0-9])")
 # The parse reads this many characters (or bytes) at a time and parses
 # what it read up to the last record's end.  Its line strings and 72-byte-
 # per-record loadtxt table then grow with the chunk, not with the file.
-_CHUNK_CHARS = 1 << 18
+_CHUNK_CHARS = 1 << 17
 _BLOCK = 1 << 16  # values per block of the in-place returns and the pattern removal
 # Where "surrogateescape" decoding puts the bytes that are not UTF-8.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")

@@ -1224,31 +1224,82 @@ def test_commands_run_without_scipy(tmp_path):
     assert os.path.getsize(os.path.join(out, "fits.tsv")) > 0
 
 
-_MODULES_A_BOOTSTRAP_LOADS = """
+_MODULES_A_RUN_LOADS = """
 import sys
+import numpy
+watched = ("numpy.random", "numpy.ma", "_hashlib")
+with_numpy = [name for name in watched if name in sys.modules]
 import volrelax.cli
-watched = ("numpy.random", "_hashlib")
-print(*[name in sys.modules for name in watched], file=sys.stderr)
-rc = volrelax.cli.main(["analyze", "--bootstrap", "3", "--input", sys.argv[1], "--out", sys.argv[2]])
-print(*[name in sys.modules for name in watched], file=sys.stderr)
+rc = volrelax.cli.main(sys.argv[1:])
+print((with_numpy, [name for name in watched if name in sys.modules and name not in with_numpy]), file=sys.stderr)
 sys.exit(rc)
 """
+# The runs that go through every layer an analysis loads: a bootstrap,
+# aftershock counts, an event list, and labels split by origin.
+_FRESH_RUNS = {
+    "analyze --bootstrap": ["analyze", "--bootstrap", "3"],
+    "omori": ["omori", "--main-threshold", "6", "--z1-thresholds", "2,4"],
+    "events": ["events", "--thresholds", "2,4,6,8"],
+    "analyze --split origin": ["analyze", "--split", "origin", "--labels", "builtin:dax_daily"],
+}
 
 
-def test_a_bootstrapped_analyze_loads_no_numpy_random(daily_csv, tmp_path):
+@pytest.mark.parametrize("run", sorted(_FRESH_RUNS))
+def test_a_run_loads_neither_numpy_random_nor_numpy_ma(run, daily_csv, tmp_path):
     # The bootstrap draws numpy's stream without numpy.random, whose import
-    # maps OpenSSL (secrets -> hmac -> _hashlib).  A fresh interpreter,
-    # because this one may have imported numpy.random already.
+    # maps OpenSSL (secrets -> hmac -> _hashlib), and no layer calls what
+    # imports numpy.ma on numpy 2 (np.unique, np.isin).  A fresh interpreter,
+    # because this one may have imported them already; a name that
+    # `import numpy` itself loads (numpy 1.x loads numpy.random and
+    # numpy.ma) is not watched.
     src = os.path.dirname(os.path.dirname(volrelax.__file__))
+    argv = [*_FRESH_RUNS[run], "--input", daily_csv, "--out", str(tmp_path / "run")]
     proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_A_BOOTSTRAP_LOADS, daily_csv, str(tmp_path / "run")],
+        [sys.executable, "-c", _MODULES_A_RUN_LOADS, *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 3, proc.stderr  # z=8 selects no events
-    before, after = proc.stderr.splitlines()
-    if before != "False False":
-        pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
-    assert after == "False False"
+    assert proc.returncode in (0, 3), proc.stderr
+    with_numpy, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    if len(with_numpy) == 3:
+        pytest.skip(f"numpy {np.__version__} imports {', '.join(with_numpy)} with numpy itself")
+    assert loaded == []
+
+
+# A command of each kind that prints a report: a fit report, and an event count per threshold.
+_REPORTS = {"analyze": ["analyze", "--bootstrap", "3"], "events": ["events", "--thresholds", "2,4,6,8"]}
+
+
+@pytest.mark.parametrize("closed", ["after the first line", "before the first line"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", sorted(_REPORTS))
+def test_a_closed_stdout_ends_the_report_not_the_run(command, unbuffered, closed, daily_csv, tmp_path):
+    # The reader of stdout goes away: the run still writes every file, exits
+    # by its usual rule and prints nothing to stderr.  A reader that reads
+    # one line and closes may close after the last write; one closed before
+    # the process starts always meets the first line's flush.
+    argv = [*_REPORTS[command], "--input", daily_csv]
+    want_out = io.StringIO()
+    with contextlib.redirect_stdout(want_out):
+        want_rc = main([*argv, "--out", str(tmp_path / "open")])
+    src = os.path.dirname(os.path.dirname(volrelax.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})})
+    read_end, write_end = os.pipe()
+    if closed == "before the first line":
+        os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "volrelax", *argv, "--out", str(tmp_path / "closed")],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    if closed == "after the first line":
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.readline().decode() == want_out.getvalue().splitlines(keepends=True)[0]
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == want_rc
+    assert err == b""
+    assert _dir_snapshot(tmp_path / "closed") == _dir_snapshot(tmp_path / "open")
 
 
 # The input fuzz: analyze, omori, pattern and events on small CSVs of eight

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from volrelax import (
     CRASH,
@@ -27,7 +29,7 @@ from volrelax import (
     read_label_file,
     select_events,
 )
-from volrelax.events import sign_label
+from volrelax.events import _ORIGINS, sign_label
 
 from _reference import brute_mean, brute_select_events
 
@@ -119,6 +121,36 @@ def test_event_set_validation():
         EventSet(indices=np.array([3, 1]), magnitudes=np.array([2.0, 2.0]), **kwargs)
     with pytest.raises(ValueError):
         EventSet(indices=np.array([1, 3]), magnitudes=np.array([2.0, 0.5]), **kwargs)
+
+
+# The three labels, near misses, and strings that U10 cuts to a label or past one.
+_ORIGIN_WORDS = st.one_of(
+    st.sampled_from(
+        ["endogenous", "exogenous", "unlabeled", "Exogenous", "unlabeled ", "", "unlabeled\x00",
+         "endogenous!", "exogenous_x", "unlabeledXY", "unlabeled long"]
+    ),
+    st.text(max_size=14),
+)
+
+
+@given(st.lists(_ORIGIN_WORDS, max_size=5), st.booleans())
+@example([], False)
+@example(["endogenousX", "unlabeled "], True)
+def test_origin_check_accepts_what_np_isin_accepts(words, as_array):
+    # The origin check tests == against each label, which is np.isin's
+    # small-set branch; it must accept and refuse the arrays np.isin does,
+    # after the U10 cast that cuts longer strings.
+    n = len(words)
+    origins = np.array(words) if as_array and words else words
+    want = bool(np.all(np.isin(np.asarray(origins, dtype="U10"), _ORIGINS)))
+    kwargs = dict(zeta_multiple=2.0, zeta_abs=1.0, magnitudes=np.full(n, 2.0), signs=np.zeros(n, dtype=np.int8))
+    try:
+        EventSet(indices=np.arange(n), origins=origins, **kwargs)
+    except ValueError as exc:
+        assert str(exc).startswith("origins must be one of")
+        assert not want
+    else:
+        assert want
 
 
 def test_filter_by_sign_and_origin():

@@ -62,6 +62,28 @@ def test_log_spaced_lags_covers_endpoints():
     assert np.all(np.diff(lags) > 0)
 
 
+def _unique_log_spaced_lags(t_min, t_max):
+    """:func:`log_spaced_lags` as written with ``np.unique``, the reference of its sort and mask."""
+    total = t_max - t_min + 1
+    if total <= fitting._N_POINTS:
+        return np.arange(t_min, t_max + 1, dtype=np.int64)
+    k = fitting._N_POINTS
+    while True:
+        cand = np.unique(np.rint(np.geomspace(t_min, t_max, k)).astype(np.int64))
+        if cand.size >= fitting._N_POINTS or k > 16 * total:
+            return cand
+        k *= 2
+
+
+def test_log_spaced_lags_equals_the_np_unique_form():
+    spans = sorted({*range(80), *np.rint(np.geomspace(80, 4800, 40)).astype(int).tolist()})
+    for t_min in range(1, 201):
+        for span in spans:
+            want = _unique_log_spaced_lags(t_min, t_min + span)
+            got = log_spaced_lags(t_min, t_min + span)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (t_min, t_min + span)
+
+
 def test_log_spaced_lags_validates_range():
     with pytest.raises(ValueError):
         log_spaced_lags(0, 10)
