@@ -4,85 +4,40 @@ Extract returns and volatility from price series, select
 large-volatility events, compute remanent/anti-remanent profiles and
 Omori-style aftershock counts around them, and fit the relaxation
 exponents.  See the README for the CLI pipeline.
+
+Each module's ``__all__`` is the list of names the package exports from
+it.  ``synth``'s names load on first use, so an analysis run, which never
+calls the generators or the CSV writer, does not import them.
 """
 
-from .errors import (
-    BootstrapUnstable,
-    DailyCadence,
-    DataError,
-    DegenerateZ,
-    EmptySeries,
-    EmptySlot,
-    FitError,
-    InsufficientPositivePoints,
-    LabelDateUnmatched,
-    MalformedRow,
-    NoEvents,
-    NonConvergence,
-    NonMonotoneTimestamp,
-    NonPositivePrice,
-    SlotMismatch,
-    TooShort,
-    VolrelaxError,
-    ZeroReturnEvent,
-)
-from .events import (
-    CRASH,
-    ENDOGENOUS,
-    EXOGENOUS,
-    RALLY,
-    UNLABELED,
-    EventLabel,
-    EventSet,
-    apply_labels,
-    classify_sign,
-    decluster,
-    filter_events,
-    load_packaged_labels,
-    packaged_label_names,
-    parse_label_file,
-    read_label_file,
-    select_events,
-)
-from .fitting import (
-    BootstrapResult,
-    PowerLawFit,
-    bootstrap_errors,
-    fit_cumulative,
-    fit_offset_power_law,
-    format_with_stderr,
-    log_spaced_lags,
-)
-from .intraday import IntradayPattern, estimate_pattern, remove_pattern
-from .profiles import (
-    ConditionedProfile,
-    CumulativeProfile,
-    OmoriProfile,
-    cumulative,
-    omori_counts,
-    read_omori_tsv,
-    read_profile_tsv,
-    remanent_profile,
-)
-from .series import (
-    PriceSeries,
-    ReturnSeries,
-    VolatilitySeries,
-    absolute_volatility,
-    log_returns,
-    mean_volatility,
-    parse_price_csv,
-    read_price_csv,
-    reverse,
-    shuffle_surrogate,
-)
-from .synth import (
-    PlantedRelaxationSpec,
-    gen_iid_gaussian,
-    gen_intraday_modulated,
-    gen_planted_relaxation,
-    returns_to_prices,
-    write_price_csv,
+from . import errors, events, fitting, intraday, profiles, series
+from .errors import *
+from .events import *
+from .fitting import *
+from .intraday import *
+from .profiles import *
+from .series import *
+
+_SYNTH = (
+    "PlantedRelaxationSpec", "gen_iid_gaussian", "gen_planted_relaxation",
+    "gen_intraday_modulated", "returns_to_prices", "write_price_csv",
 )
 
+__all__ = [
+    *errors.__all__, *events.__all__, *fitting.__all__, *intraday.__all__,
+    *profiles.__all__, *series.__all__, *_SYNTH,
+]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SYNTH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import synth
+
+    return getattr(synth, name)
+
+
+def __dir__():
+    return [*globals(), *_SYNTH]

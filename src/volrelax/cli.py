@@ -48,10 +48,6 @@ from .series import (
     _read_lines, absolute_volatility, log_returns, mean_volatility, read_price_csv,
     shuffle_surrogate,
 )
-from .synth import (
-    PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
-    returns_to_prices, write_price_csv,
-)
 from .tsv import _open_for_rewrite, write_tsv
 
 __all__ = ["main", "RunConfig"]
@@ -501,6 +497,12 @@ def _slot_factors(c: RunConfig) -> np.ndarray:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here so that no analysis run loads the generators or the writer.
+    from .synth import (
+        PlantedRelaxationSpec, gen_iid_gaussian, gen_intraday_modulated, gen_planted_relaxation,
+        returns_to_prices, write_price_csv,
+    )
+
     c = _run_config(args)
     try:
         if c.mode == "planted":

@@ -8,6 +8,27 @@ optimizer breakdown).  The CLI maps these onto distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "VolrelaxError",
+    "DataError",
+    "FitError",
+    "MalformedRow",
+    "NonMonotoneTimestamp",
+    "NonPositivePrice",
+    "TooShort",
+    "EmptySeries",
+    "EmptySlot",
+    "DailyCadence",
+    "SlotMismatch",
+    "NoEvents",
+    "ZeroReturnEvent",
+    "DegenerateZ",
+    "InsufficientPositivePoints",
+    "NonConvergence",
+    "BootstrapUnstable",
+    "LabelDateUnmatched",
+]
+
 
 class VolrelaxError(Exception):
     """Base class for all volrelax errors."""

@@ -40,7 +40,6 @@ __all__ = [
     "read_label_file",
     "load_packaged_labels",
     "packaged_label_names",
-    "sign_label",
 ]
 
 CRASH = -1

@@ -59,10 +59,6 @@ __all__ = [
     "bootstrap_errors",
     "log_spaced_lags",
     "format_with_stderr",
-    "fit_report_row",
-    "write_fit_tsv",
-    "read_fit_tsv",
-    "FIT_COLUMNS",
 ]
 
 # Column name -> cell type, in file order.

@@ -21,8 +21,6 @@ __all__ = [
     "IntradayPattern",
     "estimate_pattern",
     "remove_pattern",
-    "write_pattern_tsv",
-    "read_pattern_tsv",
 ]
 
 

@@ -38,9 +38,7 @@ __all__ = [
     "remanent_profile",
     "cumulative",
     "omori_counts",
-    "write_profile_tsv",
     "read_profile_tsv",
-    "write_omori_tsv",
     "read_omori_tsv",
 ]
 

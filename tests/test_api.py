@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import volrelax
-from volrelax import PowerLawFit
+from volrelax import PowerLawFit, errors, events, fitting, intraday, profiles, series, synth
 
 PUBLIC = """
 BootstrapResult BootstrapUnstable CRASH ConditionedProfile
@@ -32,11 +32,25 @@ shuffle_surrogate write_price_csv
 
 
 def test_public_names_are_the_pinned_list():
+    # dir, not vars: a name that loads on first use is not in vars before it.
     names = sorted(
-        name for name, value in vars(volrelax).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(volrelax)
+        if not name.startswith("_") and not isinstance(getattr(volrelax, name), types.ModuleType)
     )
     assert names == sorted(PUBLIC)
+
+
+def test_each_exported_name_is_declared_once_in_its_module():
+    # The package re-exports each module's __all__ with a star import, so
+    # two lists that shared a name would let the later one shadow it.
+    lists = [set(m.__all__) for m in (errors, events, fitting, intraday, profiles, series)]
+    assert sum(map(len, lists)) == len(set().union(*lists))
+    assert sorted(set().union(*lists, volrelax._SYNTH)) == sorted(PUBLIC)
+    assert list(volrelax._SYNTH) == synth.__all__
+    assert volrelax.write_price_csv is volrelax.synth.write_price_csv
+    star = {}
+    exec("from volrelax import *", star)
+    assert sorted(name for name in star if name != "__builtins__") == sorted(PUBLIC)
 
 
 def test_power_law_fit_has_one_method_that_cannot_be_set():

@@ -1227,11 +1227,11 @@ def test_commands_run_without_scipy(tmp_path):
 _MODULES_A_RUN_LOADS = """
 import sys
 import numpy
-watched = ("numpy.random", "numpy.ma", "_hashlib")
+watched = ("numpy.random", "numpy.ma", "_hashlib", "volrelax.synth")
 with_numpy = [name for name in watched if name in sys.modules]
 import volrelax.cli
 rc = volrelax.cli.main(sys.argv[1:])
-print((with_numpy, [name for name in watched if name in sys.modules and name not in with_numpy]), file=sys.stderr)
+print([name for name in watched if name in sys.modules and name not in with_numpy], file=sys.stderr)
 sys.exit(rc)
 """
 # The runs that go through every layer an analysis loads: a bootstrap,
@@ -1245,12 +1245,13 @@ _FRESH_RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(_FRESH_RUNS))
-def test_a_run_loads_neither_numpy_random_nor_numpy_ma(run, daily_csv, tmp_path):
+def test_a_run_loads_neither_synth_nor_numpy_random_nor_numpy_ma(run, daily_csv, tmp_path):
     # The bootstrap draws numpy's stream without numpy.random, whose import
-    # maps OpenSSL (secrets -> hmac -> _hashlib), and no layer calls what
-    # imports numpy.ma on numpy 2 (np.unique, np.isin).  A fresh interpreter,
-    # because this one may have imported them already; a name that
-    # `import numpy` itself loads (numpy 1.x loads numpy.random and
+    # maps OpenSSL (secrets -> hmac -> _hashlib), no layer calls what
+    # imports numpy.ma on numpy 2 (np.unique, np.isin), and only the synth
+    # command imports the generators and the CSV writer.  A fresh
+    # interpreter, because this one may have imported them already; a name
+    # that `import numpy` itself loads (numpy 1.x loads numpy.random and
     # numpy.ma) is not watched.
     src = os.path.dirname(os.path.dirname(volrelax.__file__))
     argv = [*_FRESH_RUNS[run], "--input", daily_csv, "--out", str(tmp_path / "run")]
@@ -1259,10 +1260,18 @@ def test_a_run_loads_neither_numpy_random_nor_numpy_ma(run, daily_csv, tmp_path)
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode in (0, 3), proc.stderr
-    with_numpy, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
-    if len(with_numpy) == 3:
-        pytest.skip(f"numpy {np.__version__} imports {', '.join(with_numpy)} with numpy itself")
-    assert loaded == []
+    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("statement", ["import volrelax", "from volrelax import cli"])
+def test_importing_the_package_does_not_load_synth(statement):
+    src = os.path.dirname(os.path.dirname(volrelax.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{statement}\nprint('volrelax.synth' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # A command of each kind that prints a report: a fit report, and an event count per threshold.
